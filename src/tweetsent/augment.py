@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +26,8 @@ logger = logging.getLogger(__name__)
 #: evaluation splits stay untouched.
 CROSSOVER_MARKER = ".cx"
 TRANSLATION_MARKER = ".bt-"
+#: The id suffixes augmentation appends: ``.cx<counter>`` and ``.bt-<pivot>``.
+_AUGMENTED_ID = re.compile(rf"(?:{re.escape(CROSSOVER_MARKER)}\d+|{re.escape(TRANSLATION_MARKER)}[^.]+)$")
 
 
 @dataclass(frozen=True)
@@ -250,9 +253,9 @@ def translation_augment(dataset: Dataset, client: TranslatorClient, config: Tran
 
 
 def assert_unaugmented(dataset: Dataset) -> None:
-    """Guard for evaluation splits: no augmentation provenance in any id."""
+    """Guard for evaluation splits: no id ends in an augmentation suffix."""
     for tweet in dataset.tweets:
-        if CROSSOVER_MARKER in tweet.id or TRANSLATION_MARKER in tweet.id:
+        if _AUGMENTED_ID.search(tweet.id):
             raise AssertionError(
                 f"augmented instance {tweet.id!r} found in {dataset.split} split "
                 "(augmentation must stay within training data)"

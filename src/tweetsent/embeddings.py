@@ -64,6 +64,8 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
 
     The main file starts with a ``vocab_size dim`` header; the sidecar with
     ``min_n max_n bucket_count`` followed by ``bucket_index v1..vdim`` lines.
+    Trailing whitespace on a line is ignored, as fastText ``.vec`` files end
+    each vector with a space.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
@@ -78,7 +80,7 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
         if dim <= 0:
             raise ValueError(f"{path}:1: dimension must be positive")
         for lineno, line in enumerate(handle, start=2):
-            fields = line.rstrip("\n").split(" ")
+            fields = line.rstrip().split(" ")
             if len(fields) < 2:
                 continue
             word = fields[0]
@@ -99,7 +101,7 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
             except ValueError:
                 raise ValueError(f"{subword_path}:1: non-numeric header fields") from None
             for lineno, line in enumerate(handle, start=2):
-                fields = line.rstrip("\n").split(" ")
+                fields = line.rstrip().split(" ")
                 if len(fields) < 2:
                     continue
                 try:

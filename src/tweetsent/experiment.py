@@ -34,7 +34,7 @@ from .augment import (
 )
 from .corpus import Dataset, Tweet, load_tsv, merge, save_tsv
 from .embeddings import SifConfig, load_embeddings, load_unigram_counts
-from .metrics import ClassificationReport, ConfusionMatrix, evaluate, format_report, report_to_json
+from .metrics import ClassificationReport, ConfusionMatrix, evaluate, format_report, report_to_json, score
 from .model import (
     BaggingConfig,
     BaggingEnsemble,
@@ -484,8 +484,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         save_tsv(train, out_dir / "train_augmented.tsv")
     with _stage("features"):
         pipeline = _build_pipeline(config, preprocess_config)
-        pipeline.fit(train)
-        features = pipeline.transform(train)
+        features = pipeline.fit_transform(train)
         labels = [t.label for t in train.tweets]
     with _stage("train"):
         lr_config = LrConfig(
@@ -508,10 +507,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         dev_report, dev_matrix = evaluate(predictor, dev, pipeline)
         test_report = None
         test_matrix = None
+        test_predictions = None
         if test is not None:
             assert_unaugmented(test)
-            if len(test) and test.is_labeled():
-                test_report, test_matrix = evaluate(predictor, test, pipeline)
+            if len(test):
+                test_predictions = predict_many(predictor, pipeline.transform(test))
+                if test.is_labeled():
+                    test_report, test_matrix = score(test, test_predictions)
     with _stage("persist"):
         bundle_dir = out_dir / "model"
         save_pipeline(
@@ -527,10 +529,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
         _write_report(out_dir, "dev", dev_report, dev_matrix)
         if test_report is not None and test_matrix is not None:
             _write_report(out_dir, "test", test_report, test_matrix)
-        if test is not None and len(test):
-            predictions = predict_many(predictor, pipeline.transform(test))
+        if test is not None and test_predictions is not None:
             with open(out_dir / "predictions_test.tsv", "w", encoding="utf-8", newline="\n") as handle:
-                for tweet, label in zip(test.tweets, predictions):
+                for tweet, label in zip(test.tweets, test_predictions):
                     handle.write(f"{tweet.id}\t{label.value}\n")
     return RunResult(
         out_dir=out_dir,

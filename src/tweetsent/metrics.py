@@ -178,6 +178,17 @@ def report_to_json(report: ClassificationReport, matrix: ConfusionMatrix) -> str
     return json.dumps(report_to_dict(report, matrix), indent=2, sort_keys=True) + "\n"
 
 
+def score(dataset: Dataset, predictions: Sequence[Label]) -> tuple[ClassificationReport, ConfusionMatrix]:
+    """Score predictions, in dataset order, against a labeled dataset."""
+    golds: list[Label] = []
+    for tweet in dataset.tweets:
+        if tweet.label is None:
+            raise ValueError(f"cannot evaluate on unlabeled tweet {tweet.id!r}")
+        golds.append(tweet.label)
+    matrix = confusion(golds, predictions)
+    return report_from_confusion(matrix), matrix
+
+
 def evaluate(predictor, dataset: Dataset, features) -> tuple[ClassificationReport, ConfusionMatrix]:
     """Score a predictor on a labeled dataset.
 
@@ -186,10 +197,4 @@ def evaluate(predictor, dataset: Dataset, features) -> tuple[ClassificationRepor
     """
     from .model import predict_many
 
-    golds: list[Label] = []
-    for tweet in dataset.tweets:
-        if tweet.label is None:
-            raise ValueError(f"cannot evaluate on unlabeled tweet {tweet.id!r}")
-        golds.append(tweet.label)
-    matrix = confusion(golds, predict_many(predictor, features.transform(dataset)))
-    return report_from_confusion(matrix), matrix
+    return score(dataset, predict_many(predictor, features.transform(dataset)))

@@ -6,6 +6,13 @@ character n-grams see the tweet text after basic preprocessing only.  Both
 views are derived here from the stored text, and because basic preprocessing
 is idempotent the pipeline accepts raw and already-preprocessed datasets
 alike.
+
+A dataset is featurized in one batch: the two views are computed once per
+tweet, each n-gram block is built straight into one CSR matrix
+(``vectorize.ngram_matrix``), the SIF rows are stacked once, and
+``sparse.hstack`` joins the blocks.  ``fit_transform`` reuses the training
+views for both steps.  ``transform_one`` is a one-row batch, so a tweet's
+features do not depend on which batch it is in.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .embeddings import (
     sif_embed,
 )
 from .preprocess import PreprocessConfig, basic_preprocess, join_tokens, semantic_preprocess, tokenize
-from .vectorize import NgramConfig, SparseVector, Vocabulary, concat_features, stack_vectors
+from .vectorize import NgramConfig, SparseVector, Vocabulary
 
 BLOCK_ORDER = ("bow", "boc", "embedding")
 
@@ -75,26 +82,36 @@ class FeaturePipeline:
         semantic = semantic_preprocess(basic, self.preprocess_config)
         return join_tokens(basic), [token.surface for token in semantic]
 
+    def _dataset_views(self, dataset: Dataset) -> list[tuple[str, list[str]]]:
+        return [self._views(tweet.text) for tweet in dataset.tweets]
+
     def fit(self, train: Dataset) -> "FeaturePipeline":
-        if len(train) == 0:
+        self._fit(self._dataset_views(train))
+        return self
+
+    def fit_transform(self, train: Dataset) -> sparse.csr_matrix:
+        """``fit(train)`` then ``transform(train)``, computing the views once."""
+        views = self._dataset_views(train)
+        self._fit(views)
+        return self._matrix(views)
+
+    def _fit(self, views: list[tuple[str, list[str]]]) -> None:
+        if not views:
             raise ValueError("cannot fit the feature pipeline on an empty dataset")
-        views = [self._views(tweet.text) for tweet in train.tweets]
+        config = self.ngram_config
         if self.blocks.bow:
             self.bow_vocabulary = vectorize.fit_vocabulary(
-                vectorize.extract_word_ngrams(tokens, self.ngram_config.word_n_max)
-                for _, tokens in views
+                vectorize.word_ngrams(tokens, config.word_n_max) for _, tokens in views
             )
         if self.blocks.boc:
             self.boc_vocabulary = vectorize.fit_vocabulary(
-                vectorize.extract_char_ngrams(text, self.ngram_config.char_n_max)
-                for text, _ in views
+                vectorize.char_ngrams(text, config.char_n_max) for text, _ in views
             )
         if self.blocks.embedding and self.sif_config.remove_common_component:
             matrix = np.stack([self._embed(tokens) for _, tokens in views])
             if matrix.any():
                 self.common_component = leading_component(matrix)
         self.fitted = True
-        return self
 
     def _embed(self, tokens: list[str]) -> np.ndarray:
         assert self.embedding_table is not None and self.unigram is not None
@@ -118,27 +135,38 @@ class FeaturePipeline:
         return out
 
     def transform_one(self, text: str) -> SparseVector:
-        if not self.fitted:
-            raise RuntimeError("the pipeline must be fitted before transforming")
-        boc_text, tokens = self._views(text)
-        blocks: list[SparseVector | np.ndarray] = []
-        if self.blocks.bow:
-            assert self.bow_vocabulary is not None
-            counts = vectorize.extract_word_ngrams(tokens, self.ngram_config.word_n_max)
-            blocks.append(vectorize.transform(counts, self.bow_vocabulary, self.ngram_config))
-        if self.blocks.boc:
-            assert self.boc_vocabulary is not None
-            counts = vectorize.extract_char_ngrams(boc_text, self.ngram_config.char_n_max)
-            blocks.append(vectorize.transform(counts, self.boc_vocabulary, self.ngram_config))
-        if self.blocks.embedding:
-            vector = self._embed(tokens)
-            if self.common_component is not None:
-                vector = remove_component(vector.reshape(1, -1), self.common_component)[0]
-            blocks.append(vector)
-        return concat_features(blocks, expected_dims=[dim for _, dim in self.layout])
+        return SparseVector.from_row(self._matrix([self._views(text)]))
 
     def transform(self, dataset: Dataset) -> sparse.csr_matrix:
-        return stack_vectors([self.transform_one(tweet.text) for tweet in dataset.tweets])
+        return self._matrix(self._dataset_views(dataset))
+
+    def _matrix(self, views: list[tuple[str, list[str]]]) -> sparse.csr_matrix:
+        """One row per (basic text, semantic tokens) view, blocks side by side."""
+        if not self.fitted:
+            raise RuntimeError("the pipeline must be fitted before transforming")
+        blocks: list[sparse.csr_matrix] = []
+        config = self.ngram_config
+        if self.blocks.bow:
+            assert self.bow_vocabulary is not None
+            word_grams = (vectorize.word_ngrams(tokens, config.word_n_max) for _, tokens in views)
+            blocks.append(vectorize.ngram_matrix(word_grams, self.bow_vocabulary, config))
+        if self.blocks.boc:
+            assert self.boc_vocabulary is not None
+            char_grams = (vectorize.char_ngrams(text, config.char_n_max) for text, _ in views)
+            blocks.append(vectorize.ngram_matrix(char_grams, self.boc_vocabulary, config))
+        if self.blocks.embedding:
+            assert self.embedding_table is not None
+            embedded = np.zeros((len(views), self.embedding_table.dim))
+            for row, (_, tokens) in enumerate(views):
+                vector = self._embed(tokens)
+                if self.common_component is not None:
+                    # One row at a time: a batched matrix-vector product rounds
+                    # differently, and a row must not depend on its batch.
+                    vector = remove_component(vector.reshape(1, -1), self.common_component)[0]
+                embedded[row] = vector
+            # CSR keeps no explicit zeros, so zero components are not stored.
+            blocks.append(sparse.csr_matrix(embedded))
+        return sparse.hstack(blocks, format="csr")
 
 
 PIPELINE_FORMAT_VERSION = 1

@@ -4,6 +4,20 @@ Word n-grams are built from fully preprocessed tokens (n-grams joined with
 single spaces), character n-grams from the tweet text itself.  Term weights
 follow the smoothed idf convention ``ln((1 + N) / (1 + df)) + 1`` and tf-idf
 vectors are L2-normalized.
+
+A block of documents becomes one CSR matrix in a single pass
+(``ngram_matrix``): each document's n-grams are listed, mapped to columns
+with ``dict.get`` (unseen terms dropped), and every (row, column) pair is
+counted with one ``np.unique``.  Binarizing, idf scaling and the per-row L2
+norm are then applied to the whole block in numpy (``weigh``).  The
+single-document ``transform`` is a one-row call of the same ``weigh``, so
+every feature value comes from one code path.
+
+Each row's norm is summed exactly: squares added one after another in
+ascending column order (``_row_norms``).  Pairwise summation
+(``np.sum``, ``np.add.reduceat``, ``np.linalg.norm``) groups the terms
+differently and moves values by ulps, which changes trained models and the
+byte-identical run artifacts.
 """
 
 from __future__ import annotations
@@ -53,6 +67,11 @@ class SparseVector:
                 raise ValueError("sparse vectors must not store zero values")
             previous = index
 
+    @classmethod
+    def from_row(cls, row: sparse.csr_matrix) -> "SparseVector":
+        """The only row of a one-row CSR matrix."""
+        return cls(dim=row.shape[1], entries=tuple(zip(row.indices.tolist(), row.data.tolist())))
+
     def to_dense(self) -> np.ndarray:
         dense = np.zeros(self.dim)
         for index, value in self.entries:
@@ -72,31 +91,34 @@ class Vocabulary:
         return len(self.index)
 
 
+def word_ngrams(tokens: Sequence[str], n_max: int) -> list[str]:
+    """Every word n-gram occurrence for n = 1..n_max, joined with single spaces."""
+    count = len(tokens)
+    return [" ".join(tokens[start : start + n]) for n in range(1, n_max + 1) for start in range(count - n + 1)]
+
+
+def char_ngrams(text: str, n_max: int) -> list[str]:
+    """Every character n-gram occurrence for n = 1..n_max over the raw string."""
+    length = len(text)
+    return [text[start : start + n] for n in range(1, n_max + 1) for start in range(length - n + 1)]
+
+
 def extract_word_ngrams(tokens: Sequence[str], n_max: int) -> Counter[str]:
     """All word n-grams for n = 1..n_max, joined with single spaces."""
-    grams: Counter[str] = Counter()
-    count = len(tokens)
-    for n in range(1, n_max + 1):
-        for start in range(count - n + 1):
-            grams[" ".join(tokens[start : start + n])] += 1
-    return grams
+    return Counter(word_ngrams(tokens, n_max))
 
 
 def extract_char_ngrams(text: str, n_max: int) -> Counter[str]:
     """All character n-grams for n = 1..n_max over the raw string."""
-    grams: Counter[str] = Counter()
-    length = len(text)
-    for n in range(1, n_max + 1):
-        for start in range(length - n + 1):
-            grams[text[start : start + n]] += 1
-    return grams
+    return Counter(char_ngrams(text, n_max))
 
 
-def fit_vocabulary(documents: Iterable[Mapping[str, int]]) -> Vocabulary:
+def fit_vocabulary(documents: Iterable[Iterable[str]]) -> Vocabulary:
     """Build the term index and idf weights from per-document term multisets.
 
-    Indices are assigned in sorted term order, so fitting the same corpus
-    twice yields an identical vocabulary.
+    A document is a term -> count mapping or a list of term occurrences;
+    only which terms it holds matters.  Indices are assigned in sorted term
+    order, so fitting the same corpus twice yields an identical vocabulary.
     """
     document_frequency: Counter[str] = Counter()
     doc_count = 0
@@ -113,29 +135,81 @@ def fit_vocabulary(documents: Iterable[Mapping[str, int]]) -> Vocabulary:
     return Vocabulary(index=index, idf=idf, doc_count=doc_count)
 
 
+def count_matrix(documents: Iterable[Sequence[str]], vocabulary: Vocabulary) -> sparse.csr_matrix:
+    """Term counts of each document (a list of term occurrences), one row each.
+
+    Unseen terms are dropped.  Rows hold their columns in ascending order.
+    """
+    lookup = vocabulary.index.get
+    columns: list[int] = []
+    lengths: list[int] = []
+    for terms in documents:
+        hits = [column for column in map(lookup, terms) if column is not None]
+        columns += hits
+        lengths.append(len(hits))
+    dim = len(vocabulary)
+    rows = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    # Sorting the keys row * dim + column orders the pairs by row, then column.
+    keys, counts = np.unique(rows * dim + np.asarray(columns, dtype=np.int64), return_counts=True)
+    indptr = np.searchsorted(keys, np.arange(len(lengths) + 1, dtype=np.int64) * dim)
+    return sparse.csr_matrix((counts, keys % max(dim, 1), indptr), shape=(len(lengths), dim))
+
+
+def _row_norms(matrix: sparse.csr_matrix) -> np.ndarray:
+    """L2 norm of each row, its squares summed one after another in column order.
+
+    Rows go longest first, so step ``k`` adds the ``k``-th square of every
+    row that has one.  Do not swap this for ``np.linalg.norm`` or any
+    pairwise sum: see the module docstring.
+    """
+    squares = matrix.data * matrix.data
+    starts = matrix.indptr[:-1]
+    lengths = np.diff(matrix.indptr)
+    order = np.argsort(-lengths, kind="stable")
+    descending = lengths[order]
+    sums = np.zeros(len(lengths))
+    for k in range(int(lengths.max(initial=0))):
+        live = order[: np.searchsorted(-descending, -k, side="left")]
+        sums[live] += squares[starts[live] + k]
+    return np.sqrt(sums)
+
+
+def weigh(counts: sparse.csr_matrix, vocabulary: Vocabulary, config: NgramConfig) -> sparse.csr_matrix:
+    """Turn a term-count matrix into feature values.
+
+    Values are counts (or 1 when binarizing), scaled by idf and
+    L2-normalized per row when tf-idf is on.  Rows without terms stay empty.
+    """
+    values = np.ones(counts.nnz) if config.binarize else counts.data.astype(np.float64)
+    weighted = sparse.csr_matrix((values, counts.indices, counts.indptr), shape=counts.shape)
+    if config.tfidf:
+        weighted.data *= vocabulary.idf[weighted.indices]
+        norms = _row_norms(weighted)
+        norms[norms == 0.0] = 1.0
+        weighted.data /= np.repeat(norms, np.diff(weighted.indptr))
+    return weighted
+
+
+def ngram_matrix(
+    documents: Iterable[Sequence[str]], vocabulary: Vocabulary, config: NgramConfig
+) -> sparse.csr_matrix:
+    """One block's feature matrix: a row per document's term occurrences."""
+    return weigh(count_matrix(documents, vocabulary), vocabulary, config)
+
+
 def transform(counts: Mapping[str, int], vocabulary: Vocabulary, config: NgramConfig) -> SparseVector:
     """Map a term multiset into the fitted space.
 
-    Unseen terms are dropped.  Values are counts (or 1 when binarizing),
-    scaled by idf and L2-normalized when tf-idf is on.
+    Unseen terms and non-positive counts are dropped; the values are those
+    ``weigh`` gives a one-row matrix.
     """
-    pairs: list[tuple[int, float]] = []
-    for term, count in counts.items():
-        if count <= 0:
-            continue
-        i = vocabulary.index.get(term)
-        if i is None:
-            continue
-        value = 1.0 if config.binarize else float(count)
-        if config.tfidf:
-            value *= float(vocabulary.idf[i])
-        pairs.append((i, value))
-    pairs.sort()
-    if config.tfidf and pairs:
-        norm = math.sqrt(sum(value * value for _, value in pairs))
-        if norm > 0.0:
-            pairs = [(i, value / norm) for i, value in pairs]
-    return SparseVector(dim=len(vocabulary), entries=tuple(pairs))
+    pairs = sorted(
+        (vocabulary.index[term], count) for term, count in counts.items() if count > 0 and term in vocabulary.index
+    )
+    columns = np.array([i for i, _ in pairs], dtype=np.int64)
+    row_counts = np.array([count for _, count in pairs], dtype=np.float64)
+    counts_row = sparse.csr_matrix((row_counts, columns, [0, len(pairs)]), shape=(1, len(vocabulary)))
+    return SparseVector.from_row(weigh(counts_row, vocabulary, config))
 
 
 def concat_features(

@@ -331,3 +331,29 @@ class TestAssertUnaugmented:
         ds = Dataset("toy", "dev", (Tweet(f"a{TRANSLATION_MARKER}en", "x", Label.P),))
         with pytest.raises(AssertionError):
             assert_unaugmented(ds)
+
+    def test_marker_inside_plain_id_accepted(self):
+        # Only the suffixes augmentation appends count as provenance.
+        ids = ("user.cxv1", "a.cx", "x.cx1.y", "b.bt-", "c.bt-en.2", "d.cx12z")
+        assert_unaugmented(Dataset("toy", "dev", tuple(Tweet(i, "x", Label.P) for i in ids)))
+
+    @pytest.mark.parametrize(
+        "tweet_id",
+        ["a.cx0", "a+b.cx17", "a.bt-en+b.bt-fr.cx3", "a.bt-en", "a.bt-pt-BR", "a.cx2.bt-en"],
+    )
+    def test_augmented_suffixes_rejected(self, tweet_id):
+        ds = Dataset("toy", "dev", (Tweet(tweet_id, "x", Label.P),))
+        with pytest.raises(AssertionError):
+            assert_unaugmented(ds)
+
+    def test_ids_made_by_augmentation_rejected(self, tmp_path):
+        crossed = crossover_augment(labeled_dataset(), CrossoverConfig(factor=2, seed=0))
+        translated = translation_augment(
+            labeled_dataset(),
+            FixtureTranslator({}),
+            TranslationConfig(pivots=("en",), cache_path=str(tmp_path / "cache.jsonl")),
+        )
+        for dataset in (crossed, translated):
+            for tweet in dataset.tweets[len(labeled_dataset()) :]:
+                with pytest.raises(AssertionError):
+                    assert_unaugmented(Dataset("toy", "dev", (tweet,)))

@@ -112,6 +112,23 @@ class TestLoadEmbeddings:
         assert table.subword.bucket_count == 16
         assert np.allclose(table.subword.buckets[7], [1.0, -1.0])
 
+    def test_fasttext_vec_trailing_spaces(self, tmp_path):
+        # fastText .vec files end every vector line with a space.
+        path = tmp_path / "wiki.es.vec"
+        path.write_text("2 3 \nhola 0.1 0.2 0.3 \nadios -1 0 2.5 \r\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert table.dim == 3
+        assert table.vectors["hola"].tolist() == [0.1, 0.2, 0.3]
+        assert table.vectors["adios"].tolist() == [-1.0, 0.0, 2.5]
+
+    def test_subword_sidecar_trailing_spaces(self, tmp_path):
+        emb = tmp_path / "emb.vec"
+        emb.write_text("1 2\nhola 1 0\n", encoding="utf-8")
+        sub = tmp_path / "sub.txt"
+        sub.write_text("3 4 16\n7 1.0 -1.0 \n", encoding="utf-8")
+        table = load_embeddings(emb, sub)
+        assert table.subword.buckets[7].tolist() == [1.0, -1.0]
+
 
 class TestWordVector:
     def test_known_word_exact(self, tmp_path):

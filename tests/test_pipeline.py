@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetsent.corpus import Dataset, Label, Tweet
 from tweetsent.embeddings import (
@@ -16,6 +18,7 @@ from tweetsent.pipeline import (
     save_pipeline,
 )
 from tweetsent.preprocess import PreprocessConfig
+from tweetsent import vectorize
 from tweetsent.vectorize import NgramConfig
 
 
@@ -229,3 +232,115 @@ class TestSaveLoad:
         assert np.array_equal(loaded.common_component, pipeline.common_component)
         for tweet in ds.tweets:
             assert loaded.transform_one(tweet.text) == pipeline.transform_one(tweet.text)
+
+
+LAYOUTS = [
+    FeatureBlocks(),
+    FeatureBlocks(bow=True, boc=False, embedding=False),
+    FeatureBlocks(bow=False, boc=True, embedding=False),
+    FeatureBlocks(bow=False, boc=False, embedding=True),
+]
+NGRAM_CONFIGS = [
+    NgramConfig(word_n_max=2, char_n_max=3),
+    NgramConfig(word_n_max=2, char_n_max=3, binarize=True),
+    NgramConfig(word_n_max=2, char_n_max=3, tfidf=False),
+]
+WORDS = ["el", "gato", "perro", "duerme", "ladra", "fuerte", "juegan", "y", "no", "GATO", "ñu", "😀"]
+
+# Arbitrary Unicode a Tweet accepts (no tabs or newlines), and sentences
+# over the fixture vocabulary.
+tweet_texts = st.one_of(
+    st.text(st.characters(blacklist_characters="\t\n"), max_size=25),
+    st.lists(st.sampled_from(WORDS), max_size=7).map(" ".join),
+)
+
+
+def dataset_of(texts):
+    return Dataset("toy", "test", tuple(Tweet(f"q{i}", text, None) for i, text in enumerate(texts)))
+
+
+def fitted(blocks, ngram_config, remove_common_component=False, extra=()):
+    table, unigram = embedding_fixture()
+    train = tiny_dataset()
+    train = train.replace_tweets(
+        train.tweets + tuple(Tweet(f"x{i}", text, Label.P) for i, text in enumerate(extra))
+    )
+    pipeline = FeaturePipeline(
+        preprocess_config=PreprocessConfig(stopwords=frozenset({"y"})),
+        ngram_config=ngram_config,
+        blocks=blocks,
+        embedding_table=table,
+        unigram=unigram,
+        sif_config=SifConfig(a=0.1, remove_common_component=remove_common_component),
+    )
+    return pipeline, train
+
+
+def assert_same_csr(a, b):
+    assert a.shape == b.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, part), getattr(b, part))
+
+
+class TestBatchEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(tweet_texts, min_size=1, max_size=6),
+        st.sampled_from(LAYOUTS),
+        st.sampled_from(NGRAM_CONFIGS),
+        st.booleans(),
+    )
+    def test_transform_equals_stacked_transform_one(self, texts, blocks, ngram_config, remove):
+        pipeline, train = fitted(blocks, ngram_config, remove)
+        pipeline.fit(train)
+        matrix = pipeline.transform(dataset_of(texts))
+        expected = np.array([pipeline.transform_one(text).to_dense() for text in texts])
+        assert np.array_equal(matrix.toarray(), expected)
+        assert matrix.has_sorted_indices and np.all(matrix.data != 0.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(tweet_texts, max_size=5), st.sampled_from(LAYOUTS), st.booleans())
+    def test_fit_transform_equals_fit_then_transform(self, extra, blocks, remove):
+        pipeline, train = fitted(blocks, NGRAM_CONFIGS[0], remove, extra)
+        reference, _ = fitted(blocks, NGRAM_CONFIGS[0], remove, extra)
+        assert_same_csr(pipeline.fit_transform(train), reference.fit(train).transform(train))
+        assert pipeline.layout == reference.layout
+
+    @pytest.mark.parametrize("blocks", LAYOUTS)
+    @pytest.mark.parametrize("ngram_config", NGRAM_CONFIGS)
+    def test_empty_and_unseen_texts_give_finite_rows(self, blocks, ngram_config):
+        pipeline, train = fitted(blocks, ngram_config)
+        pipeline.fit(train)
+        with np.errstate(all="raise"):
+            matrix = pipeline.transform(dataset_of(["", "zzz qqq", "   "]))
+        assert matrix.shape == (3, sum(dim for _, dim in pipeline.layout))
+        assert np.isfinite(matrix.data).all()
+        if not blocks.boc:
+            # Only character n-grams can see parts of unseen words.
+            assert matrix.nnz == 0
+
+    def test_ngram_blocks_match_vectorize(self):
+        pipeline, train = fitted(FeatureBlocks(), NGRAM_CONFIGS[0])
+        pipeline.fit(train)
+        text = "el gato no ladra"
+        boc_text, tokens = pipeline._views(text)
+        vec = pipeline.transform_one(text).to_dense()
+        bow = vectorize.transform(
+            vectorize.extract_word_ngrams(tokens, 2), pipeline.bow_vocabulary, pipeline.ngram_config
+        ).to_dense()
+        boc = vectorize.transform(
+            vectorize.extract_char_ngrams(boc_text, 3), pipeline.boc_vocabulary, pipeline.ngram_config
+        ).to_dense()
+        assert np.array_equal(vec[: len(bow)], bow)
+        assert np.array_equal(vec[len(bow) : len(bow) + len(boc)], boc)
+
+    def test_empty_dataset_gives_no_rows(self):
+        pipeline, train = fitted(FeatureBlocks(), NGRAM_CONFIGS[0])
+        pipeline.fit(train)
+        matrix = pipeline.transform(dataset_of([]))
+        assert matrix.shape == (0, sum(dim for _, dim in pipeline.layout))
+
+    def test_fit_transform_rejects_empty_train(self):
+        pipeline, _ = fitted(FeatureBlocks(), NGRAM_CONFIGS[0])
+        with pytest.raises(ValueError):
+            pipeline.fit_transform(dataset_of([]))

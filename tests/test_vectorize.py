@@ -1,20 +1,26 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetsent.vectorize import (
     NgramConfig,
     SparseVector,
     Vocabulary,
+    char_ngrams,
     concat_features,
     extract_char_ngrams,
     extract_word_ngrams,
     fit_vocabulary,
     load_vocabulary,
+    ngram_matrix,
     save_vocabulary,
     stack_vectors,
     transform,
+    word_ngrams,
 )
 
 
@@ -188,3 +194,110 @@ class TestSaveLoad:
         loaded, _ = load_vocabulary(path)
         counts = {"a": 2, "c": 1}
         assert transform(counts, vocab, config) == transform(counts, loaded, config)
+
+
+CONFIGS = [
+    NgramConfig(char_n_max=3),
+    NgramConfig(char_n_max=3, binarize=True),
+    NgramConfig(char_n_max=3, tfidf=False),
+    NgramConfig(char_n_max=3, binarize=True, tfidf=False),
+]
+
+# Arbitrary Unicode (emoji, combining marks, empty strings) plus texts built
+# from a few letters, so that fitted and queried texts share n-grams.
+texts = st.one_of(st.text(max_size=12), st.text(alphabet="abñ é😀", max_size=12))
+
+
+def dense_reference(documents, vocabulary, config):
+    """Brute-force tf-idf: count loops, idf from the formula, exact norms."""
+    df = Counter()
+    for terms in documents["fit"]:
+        df.update(set(terms))
+    n_docs = len(documents["fit"])
+    rows = []
+    for terms in documents["query"]:
+        row = np.zeros(len(vocabulary))
+        for term, count in Counter(terms).items():
+            if term in vocabulary.index:
+                value = 1.0 if config.binarize else float(count)
+                if config.tfidf:
+                    value *= math.log((1.0 + n_docs) / (1.0 + df[term])) + 1.0
+                row[vocabulary.index[term]] = value
+        if config.tfidf:
+            # The norm rule: squares added one by one in column order.
+            total = 0.0
+            for value in row[row != 0.0]:
+                total += value * value
+            if total > 0.0:
+                row /= math.sqrt(total)
+        rows.append(row)
+    return np.array(rows).reshape(len(rows), len(vocabulary))
+
+
+class TestNgramLists:
+    @given(st.lists(st.text(max_size=4), max_size=8), st.integers(1, 5))
+    def test_word_list_counts_match_counter(self, tokens, n_max):
+        assert Counter(word_ngrams(tokens, n_max)) == extract_word_ngrams(tokens, n_max)
+
+    @given(st.text(max_size=20), st.integers(1, 6))
+    def test_char_list_holds_every_occurrence(self, text, n_max):
+        grams = char_ngrams(text, n_max)
+        assert len(grams) == sum(max(len(text) - n + 1, 0) for n in range(1, n_max + 1))
+        assert Counter(grams) == extract_char_ngrams(text, n_max)
+
+
+class TestNgramMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(texts, min_size=1, max_size=6),
+        st.lists(texts, max_size=6),
+        st.sampled_from(CONFIGS),
+    )
+    def test_equals_dense_reference(self, fit_texts, query_texts, config):
+        fit_docs = [char_ngrams(text, config.char_n_max) for text in fit_texts]
+        query_docs = [char_ngrams(text, config.char_n_max) for text in query_texts]
+        vocabulary = fit_vocabulary(fit_docs)
+        matrix = ngram_matrix(query_docs, vocabulary, config)
+        expected = dense_reference({"fit": fit_docs, "query": query_docs}, vocabulary, config)
+        assert matrix.shape == expected.shape
+        assert np.array_equal(matrix.toarray(), expected)
+        assert matrix.has_sorted_indices and np.all(matrix.data != 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(texts, min_size=1, max_size=6), st.sampled_from(CONFIGS))
+    def test_rows_equal_single_document_transform(self, query_texts, config):
+        vocabulary = fit_vocabulary([char_ngrams(text, 3) for text in ["abñ a", "é😀 b", "ab"]])
+        docs = [char_ngrams(text, config.char_n_max) for text in query_texts]
+        matrix = ngram_matrix(docs, vocabulary, config)
+        for i, terms in enumerate(docs):
+            assert np.array_equal(matrix[i].toarray()[0], transform(Counter(terms), vocabulary, config).to_dense())
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_empty_and_unseen_documents_give_zero_rows(self, config):
+        vocabulary = fit_vocabulary([["a", "b"], ["a"]])
+        with np.errstate(all="raise"):
+            matrix = ngram_matrix([[], ["zzz", "q"], ["a", "zzz"]], vocabulary, config)
+        dense = matrix.toarray()
+        assert matrix.shape == (3, 2)
+        assert not dense[:2].any()
+        assert dense[2, vocabulary.index["a"]] > 0.0
+        assert np.isfinite(dense).all()
+
+    def test_no_documents_give_empty_matrix(self):
+        matrix = ngram_matrix([], fit_vocabulary([["a"]]), NgramConfig())
+        assert matrix.shape == (0, 1) and matrix.nnz == 0
+
+    def test_empty_vocabulary(self):
+        vocabulary = fit_vocabulary([[]])
+        matrix = ngram_matrix([["a"], []], vocabulary, NgramConfig())
+        assert matrix.shape == (2, 0) and matrix.nnz == 0
+
+    def test_norm_is_summed_in_column_order(self):
+        # Values whose squares round differently when summed pairwise: the
+        # result must follow the left-to-right order that vectors had before
+        # batching, term for term.
+        terms = [f"t{i:03d}" for i in range(200)]
+        documents = {"fit": [terms[: i + 1] for i in range(len(terms))], "query": [terms + terms[:37] + terms[:5]]}
+        vocabulary = fit_vocabulary(documents["fit"])
+        matrix = ngram_matrix(documents["query"], vocabulary, NgramConfig())
+        assert np.array_equal(matrix.toarray(), dense_reference(documents, vocabulary, NgramConfig()))
