@@ -19,11 +19,13 @@ from .experiment import (
     StageError,
     augment_only,
     eval_file,
+    format_ablation_table,
     grid_search,
     predict_file,
     preprocess_only,
     run_ablation,
     run_experiment,
+    stage,
 )
 from .metrics import format_report, report_to_json
 
@@ -32,6 +34,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+        config.validate()
     return config
 
 
@@ -90,8 +93,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"artifacts: {result.out_dir}")
         elif args.command == "ablate":
             rows = run_ablation(_load_config(args), args.out, ABLATIONS)
-            from .experiment import format_ablation_table
-
             print(format_ablation_table(rows))
         elif args.command == "grid":
             spec = args.grid_spec.strip()
@@ -103,14 +104,17 @@ def main(argv: list[str] | None = None) -> int:
             summary = grid_search(_load_config(args), grid, args.out)
             print(json.dumps(summary["best"], indent=2, sort_keys=True))
         elif args.command == "eval":
-            report, matrix = eval_file(args.model, args.data)
+            # eval_file and predict_file tag their other stages; reading the data is what is left.
+            with stage("load"):
+                report, matrix = eval_file(args.model, args.data)
             print(format_report(report, matrix))
             if args.out:
                 Path(args.out).parent.mkdir(parents=True, exist_ok=True)
                 with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                     handle.write(report_to_json(report, matrix))
         elif args.command == "predict":
-            count = predict_file(args.model, args.input, args.output)
+            with stage("load"):
+                count = predict_file(args.model, args.input, args.output)
             print(f"labeled {count} tweets -> {args.output}")
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")

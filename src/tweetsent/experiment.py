@@ -1,10 +1,11 @@
 """Experiment orchestration: config files, full runs, ablations, grid search.
 
-A JSON config describes one experiment end to end.  ``run_experiment``
-executes the stages in order (load, resources, basic preprocessing,
-translation augmentation, crossover augmentation, feature fitting, training,
-evaluation, persistence) and writes reports plus a reloadable model bundle.
-Augmentation only ever sees the training split.
+A JSON config describes one experiment end to end.  Its sections are the
+dataclasses below: field names are the JSON keys, fields without a default
+are required, and each section builds the component configs it describes.
+``run_experiment`` executes ``STAGES`` in order and writes reports plus a
+reloadable model bundle; ``preprocess_only`` and ``augment_only`` run a
+prefix of the same stages.  Augmentation only ever sees the training split.
 
 Randomness discipline: the config carries one top-level seed and every
 consumer (crossover, bagging) gets its own seed derived by hashing, so runs
@@ -15,24 +16,26 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
+import types
+import typing
 from contextlib import contextmanager
 from importlib import resources
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import augment as augment_mod
 from .augment import (
     CrossoverConfig,
     FixtureTranslator,
     RemoteTranslator,
     TranslationConfig,
-    TranslatorClient,
     assert_unaugmented,
     crossover_augment,
     translation_augment,
 )
-from .corpus import Dataset, Tweet, load_tsv, merge, save_tsv
+from .corpus import Dataset, Label, Tweet, load_tsv, merge, save_tsv
 from .embeddings import SifConfig, load_embeddings, load_unigram_counts
 from .metrics import ClassificationReport, ConfusionMatrix, evaluate, format_report, report_to_json, score
 from .model import (
@@ -77,7 +80,8 @@ class StageError(RuntimeError):
 
 
 @contextmanager
-def _stage(name: str):
+def stage(name: str):
+    """Re-raise any error from the block as a ``StageError`` tagged ``name``."""
     try:
         yield
     except StageError:
@@ -86,42 +90,40 @@ def _stage(name: str):
         raise StageError(name, exc) from exc
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ValueError(f"config section {where!r} is missing required key {key!r}")
-    return mapping[key]
-
-
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(f"config section {where!r} has unknown keys {sorted(unknown)}")
-
-
-def _resolve(path: str | None, base: Path | None) -> str | None:
-    if path is None or base is None:
-        return path
-    candidate = Path(path)
-    if candidate.is_absolute():
-        return path
-    return str(base / candidate)
+# Field metadata marking an input file, which must exist before a run.  Every
+# field with a "path" mark resolves against the config file's directory.
+_INPUT = {"path": "input"}
 
 
 @dataclass(frozen=True)
 class DataConfig:
     name: str
-    train: tuple[str, ...]
-    dev: str
-    test: str | None = None
+    train: tuple[str, ...] = field(metadata=_INPUT)
+    dev: str = field(metadata=_INPUT)
+    test: str | None = field(default=None, metadata=_INPUT)
 
 
 @dataclass(frozen=True)
 class PreprocessFiles:
-    stopwords: str | None = None
-    lemmas: str | None = None
-    negation_words: str | None = None
+    stopwords: str | None = field(default=None, metadata=_INPUT)
+    lemmas: str | None = field(default=None, metadata=_INPUT)
+    negation_words: str | None = field(default=None, metadata=_INPUT)
     negation_scope: int = 3
     repeat_cap: int = 2
+
+    def build(self, read_files: bool = True) -> PreprocessConfig:
+        """The preprocessing config; without ``read_files`` the word lists keep their defaults."""
+
+        def read(path, loader, default):
+            return loader(path) if read_files and path else default
+
+        return PreprocessConfig(
+            stopwords=read(self.stopwords, load_wordlist, frozenset()),
+            lemma_table=read(self.lemmas, load_lemma_table, {}),
+            negation_words=read(self.negation_words, load_wordlist, DEFAULT_NEGATION_WORDS),
+            negation_scope=self.negation_scope,
+            repeat_cap=self.repeat_cap,
+        )
 
 
 @dataclass(frozen=True)
@@ -133,30 +135,47 @@ class FeatureConfig:
     char_n_max: int = 6
     binarize: bool = False
     tfidf: bool = True
-    embeddings: str | None = None
-    subword: str | None = None
-    unigram_counts: str | None = None
+    embeddings: str | None = field(default=None, metadata=_INPUT)
+    subword: str | None = field(default=None, metadata=_INPUT)
+    unigram_counts: str | None = field(default=None, metadata=_INPUT)
     sif_a: float = 0.1
     remove_common_component: bool = False
+
+    def blocks(self) -> FeatureBlocks:
+        return FeatureBlocks(bow=self.bow, boc=self.boc, embedding=self.embedding)
+
+    def ngram(self) -> NgramConfig:
+        return NgramConfig(
+            word_n_max=self.word_n_max, char_n_max=self.char_n_max, binarize=self.binarize, tfidf=self.tfidf
+        )
+
+    def sif(self) -> SifConfig:
+        return SifConfig(a=self.sif_a, remove_common_component=self.remove_common_component)
 
 
 @dataclass(frozen=True)
 class TranslationBackend:
     type: str = "remote"
-    tables: str | None = None
+    tables: str | None = field(default=None, metadata=_INPUT)
 
 
 @dataclass(frozen=True)
 class TranslationSection:
     pivots: tuple[str, ...]
     source: str = "es"
-    cache: str = "translations.cache.jsonl"
+    cache: str = field(default="translations.cache.jsonl", metadata={"path": "cache"})
     backend: TranslationBackend = TranslationBackend()
+
+    def build(self) -> TranslationConfig:
+        return TranslationConfig(pivots=self.pivots, source=self.source, cache_path=self.cache)
 
 
 @dataclass(frozen=True)
 class CrossoverSection:
-    factor: int = 1
+    factor: int
+
+    def build(self, experiment_seed: int) -> CrossoverConfig:
+        return CrossoverConfig(factor=self.factor, seed=derive_seed(experiment_seed, "crossover"))
 
 
 @dataclass(frozen=True)
@@ -169,6 +188,9 @@ class AugmentConfig:
 class BaggingSection:
     n_estimators: int = 40
 
+    def build(self, experiment_seed: int) -> BaggingConfig:
+        return BaggingConfig(n_estimators=self.n_estimators, seed=derive_seed(experiment_seed, "bagging"))
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -177,6 +199,68 @@ class ModelConfig:
     tol: float = 1e-6
     max_iter: int = 1000
     bagging: BaggingSection | None = None
+
+    def lr(self) -> LrConfig:
+        return LrConfig(C=self.C, class_weight=self.class_weight, tol=self.tol, max_iter=self.max_iter)
+
+
+def _resolve(path, base: Path | None):
+    """``path`` (a string, a tuple of them or None) resolved against ``base``."""
+    if isinstance(path, tuple):
+        return tuple(_resolve(p, base) for p in path)
+    if path is None or base is None or Path(path).is_absolute():
+        return path
+    return str(base / path)
+
+
+def _load_section(cls, raw, where: str, base_dir: Path | None):
+    """Build section ``cls`` from its JSON object, checking keys and value types."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"config section {where!r} must be a JSON object, got {raw!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
+    if unknown:
+        raise ValueError(f"config section {where!r} has unknown keys {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, f in fields.items():
+        if name in raw:
+            key = name if where == "<root>" else f"{where}.{name}"
+            values[name] = _load_value(raw[name], hints[name], key, base_dir)
+        elif f.default is dataclasses.MISSING:
+            raise ValueError(f"config section {where!r} is missing required key {name!r}")
+        else:
+            values[name] = f.default
+        if "path" in f.metadata:
+            values[name] = _resolve(values[name], base_dir)
+    return cls(**values)
+
+
+def _load_value(value, kind, key: str, base_dir: Path | None):
+    """``value`` checked against the annotation ``kind``; sections load recursively."""
+    if typing.get_origin(kind) in (typing.Union, types.UnionType):
+        if value is None:
+            return None
+        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
+    if dataclasses.is_dataclass(kind):
+        return _load_section(kind, value, key, base_dir)
+    if typing.get_origin(kind) is tuple:
+        items = [value] if isinstance(value, str) else value
+        if not isinstance(items, (list, tuple)):
+            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+        item_kind = typing.get_args(kind)[0]
+        return tuple(_load_value(item, item_kind, f"{key}[{i}]", base_dir) for i, item in enumerate(items))
+    if kind in (int, float):
+        # An int fits a float field and a whole float an int one; bools, NaN and infinities fit neither.
+        if isinstance(value, float):
+            fits = math.isfinite(value) and (kind is float or value.is_integer())
+        else:
+            fits = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        fits = isinstance(value, kind)
+    if not fits:
+        raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)
@@ -190,153 +274,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        _reject_unknown(raw, {"seed", "data", "preprocess", "features", "augment", "model"}, "<root>")
-        seed = int(_require(raw, "seed", "<root>"))
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-
-        data_raw = dict(_require(raw, "data", "<root>"))
-        _reject_unknown(data_raw, {"name", "train", "dev", "test"}, "data")
-        train = _require(data_raw, "train", "data")
-        train_paths = (train,) if isinstance(train, str) else tuple(train)
-        if not train_paths:
-            raise ValueError("data.train must name at least one file")
-        data = DataConfig(
-            name=str(_require(data_raw, "name", "data")),
-            train=tuple(_resolve(p, base_dir) for p in train_paths),
-            dev=_resolve(str(_require(data_raw, "dev", "data")), base_dir),
-            test=_resolve(data_raw.get("test"), base_dir),
-        )
-
-        pre_raw = dict(raw.get("preprocess", {}))
-        _reject_unknown(
-            pre_raw, {"stopwords", "lemmas", "negation_words", "negation_scope", "repeat_cap"}, "preprocess"
-        )
-        preprocess = PreprocessFiles(
-            stopwords=_resolve(pre_raw.get("stopwords"), base_dir),
-            lemmas=_resolve(pre_raw.get("lemmas"), base_dir),
-            negation_words=_resolve(pre_raw.get("negation_words"), base_dir),
-            negation_scope=int(pre_raw.get("negation_scope", 3)),
-            repeat_cap=int(pre_raw.get("repeat_cap", 2)),
-        )
-
-        feat_raw = dict(raw.get("features", {}))
-        _reject_unknown(
-            feat_raw,
-            {
-                "bow",
-                "boc",
-                "embedding",
-                "word_n_max",
-                "char_n_max",
-                "binarize",
-                "tfidf",
-                "embeddings",
-                "subword",
-                "unigram_counts",
-                "sif_a",
-                "remove_common_component",
-            },
-            "features",
-        )
-        features = FeatureConfig(
-            bow=bool(feat_raw.get("bow", True)),
-            boc=bool(feat_raw.get("boc", True)),
-            embedding=bool(feat_raw.get("embedding", True)),
-            word_n_max=int(feat_raw.get("word_n_max", 5)),
-            char_n_max=int(feat_raw.get("char_n_max", 6)),
-            binarize=bool(feat_raw.get("binarize", False)),
-            tfidf=bool(feat_raw.get("tfidf", True)),
-            embeddings=_resolve(feat_raw.get("embeddings"), base_dir),
-            subword=_resolve(feat_raw.get("subword"), base_dir),
-            unigram_counts=_resolve(feat_raw.get("unigram_counts"), base_dir),
-            sif_a=float(feat_raw.get("sif_a", 0.1)),
-            remove_common_component=bool(feat_raw.get("remove_common_component", False)),
-        )
-
-        aug_raw = dict(raw.get("augment", {}))
-        _reject_unknown(aug_raw, {"translation", "crossover"}, "augment")
-        translation = None
-        if aug_raw.get("translation") is not None:
-            t_raw = dict(aug_raw["translation"])
-            _reject_unknown(t_raw, {"pivots", "source", "cache", "backend"}, "augment.translation")
-            backend_raw = dict(t_raw.get("backend", {"type": "remote"}))
-            _reject_unknown(backend_raw, {"type", "tables"}, "augment.translation.backend")
-            backend = TranslationBackend(
-                type=str(backend_raw.get("type", "remote")),
-                tables=_resolve(backend_raw.get("tables"), base_dir),
-            )
-            translation = TranslationSection(
-                pivots=tuple(_require(t_raw, "pivots", "augment.translation")),
-                source=str(t_raw.get("source", "es")),
-                cache=_resolve(str(t_raw.get("cache", "translations.cache.jsonl")), base_dir),
-                backend=backend,
-            )
-        crossover = None
-        if aug_raw.get("crossover") is not None:
-            c_raw = dict(aug_raw["crossover"])
-            _reject_unknown(c_raw, {"factor"}, "augment.crossover")
-            crossover = CrossoverSection(factor=int(_require(c_raw, "factor", "augment.crossover")))
-        augment = AugmentConfig(translation=translation, crossover=crossover)
-
-        model_raw = dict(raw.get("model", {}))
-        _reject_unknown(model_raw, {"C", "class_weight", "tol", "max_iter", "bagging"}, "model")
-        bagging = None
-        if model_raw.get("bagging") is not None:
-            b_raw = dict(model_raw["bagging"])
-            _reject_unknown(b_raw, {"n_estimators"}, "model.bagging")
-            bagging = BaggingSection(n_estimators=int(b_raw.get("n_estimators", 40)))
-        model = ModelConfig(
-            C=float(model_raw.get("C", 1.0)),
-            class_weight=str(model_raw.get("class_weight", "none")),
-            tol=float(model_raw.get("tol", 1e-6)),
-            max_iter=int(model_raw.get("max_iter", 1000)),
-            bagging=bagging,
-        )
-
-        config = cls(
-            seed=seed, data=data, preprocess=preprocess, features=features, augment=augment, model=model
-        )
+        config = _load_section(cls, raw, "<root>", base_dir)
         config.validate()
         return config
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-        return cls.from_dict(raw, base_dir=path.parent)
+        return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), base_dir=path.parent)
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["data"]["train"] = list(out["data"]["train"])
-        if out["augment"]["translation"] is not None:
-            out["augment"]["translation"]["pivots"] = list(out["augment"]["translation"]["pivots"])
-        return out
+        return dataclasses.asdict(self)
 
     def validate(self, require_files: bool = False) -> None:
-        """Structural checks; with ``require_files`` every referenced path must exist."""
-        # These constructors raise on out-of-range values.
-        NgramConfig(
-            word_n_max=self.features.word_n_max,
-            char_n_max=self.features.char_n_max,
-            binarize=self.features.binarize,
-            tfidf=self.features.tfidf,
-        )
-        FeatureBlocks(bow=self.features.bow, boc=self.features.boc, embedding=self.features.embedding)
-        SifConfig(a=self.features.sif_a, remove_common_component=self.features.remove_common_component)
-        LrConfig(
-            C=self.model.C,
-            class_weight=self.model.class_weight,
-            tol=self.model.tol,
-            max_iter=self.model.max_iter,
-        )
-        if self.model.bagging is not None and self.model.bagging.n_estimators < 1:
-            raise ValueError("model.bagging.n_estimators must be >= 1")
-        if self.preprocess.negation_scope < 0:
-            raise ValueError("preprocess.negation_scope must be >= 0")
-        if self.preprocess.repeat_cap < 1:
-            raise ValueError("preprocess.repeat_cap must be >= 1")
+        """Value checks; with ``require_files`` every referenced input file must exist."""
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not self.data.train:
+            raise ValueError("data.train must name at least one file")
+        # The component configs raise on out-of-range values.
+        self.preprocess.build(read_files=False)
+        self.features.blocks()
+        self.features.ngram()
+        self.features.sif()
+        self.model.lr()
+        if self.model.bagging is not None:
+            self.model.bagging.build(self.seed)
         if self.features.embedding:
             if not self.features.embeddings or not self.features.unigram_counts:
                 raise ValueError(
@@ -345,33 +308,32 @@ class ExperimentConfig:
                 )
         if self.augment.translation is not None:
             section = self.augment.translation
-            TranslationConfig(pivots=section.pivots, source=section.source, cache_path=section.cache)
+            section.build()
             if section.backend.type not in ("fixture", "remote"):
                 raise ValueError(f"unknown translation backend type {section.backend.type!r}")
             if section.backend.type == "fixture" and not section.backend.tables:
                 raise ValueError("the fixture translation backend needs a tables file")
-        if self.augment.crossover is not None and self.augment.crossover.factor < 1:
-            raise ValueError("augment.crossover.factor must be >= 1")
+        if self.augment.crossover is not None:
+            self.augment.crossover.build(self.seed)
         if require_files:
             for role, path in self._file_references():
-                if path is not None and not Path(path).exists():
+                if not Path(path).exists():
                     raise FileNotFoundError(f"{role} file not found: {path}")
 
-    def _file_references(self) -> list[tuple[str, str | None]]:
-        refs: list[tuple[str, str | None]] = [
-            ("data.dev", self.data.dev),
-            ("data.test", self.data.test),
-            ("preprocess.stopwords", self.preprocess.stopwords),
-            ("preprocess.lemmas", self.preprocess.lemmas),
-            ("preprocess.negation_words", self.preprocess.negation_words),
-            ("features.embeddings", self.features.embeddings),
-            ("features.subword", self.features.subword),
-            ("features.unigram_counts", self.features.unigram_counts),
-        ]
-        refs.extend((f"data.train[{i}]", path) for i, path in enumerate(self.data.train))
-        if self.augment.translation is not None and self.augment.translation.backend.type == "fixture":
-            refs.append(("augment.translation.backend.tables", self.augment.translation.backend.tables))
-        return refs
+    def _file_references(self) -> list[tuple[str, str]]:
+        return list(_input_files(self))
+
+
+def _input_files(section, where: str = ""):
+    """(key path, path) of every input file named in ``section``."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _input_files(value, f"{where}{f.name}.")
+        elif f.metadata.get("path") == "input" and isinstance(value, tuple):
+            yield from ((f"{where}{f.name}[{i}]", path) for i, path in enumerate(value))
+        elif f.metadata.get("path") == "input" and value is not None:
+            yield f"{where}{f.name}", value
 
 
 @dataclass
@@ -383,170 +345,171 @@ class RunResult:
     test_matrix: ConfusionMatrix | None = None
 
 
-def _load_preprocess_config(config: ExperimentConfig) -> PreprocessConfig:
-    stopwords = load_wordlist(config.preprocess.stopwords) if config.preprocess.stopwords else frozenset()
-    lemmas = load_lemma_table(config.preprocess.lemmas) if config.preprocess.lemmas else {}
-    negation = (
-        load_wordlist(config.preprocess.negation_words)
-        if config.preprocess.negation_words
-        else DEFAULT_NEGATION_WORDS
-    )
-    return PreprocessConfig(
-        negation_words=negation,
-        negation_scope=config.preprocess.negation_scope,
-        stopwords=stopwords,
-        lemma_table=lemmas,
-        repeat_cap=config.preprocess.repeat_cap,
-    )
+@dataclass
+class _Run:
+    """One run's state: each stage reads what the stages before it set."""
+
+    config: ExperimentConfig
+    out_dir: Path
+    train: Dataset = field(init=False)
+    dev: Dataset = field(init=False)
+    test: Dataset | None = field(init=False)
+    preprocess_config: PreprocessConfig = field(init=False)
+    pipeline: FeaturePipeline = field(init=False)
+    features: typing.Any = field(init=False)
+    predictor: LinearModel | BaggingEnsemble = field(init=False)
+    test_predictions: list[Label] | None = None
+    result: RunResult = field(init=False)
 
 
-def _basic_dataset(dataset: Dataset, preprocess_config: PreprocessConfig) -> Dataset:
-    tweets = [
-        Tweet(t.id, join_tokens(basic_preprocess(tokenize(t.text), preprocess_config)), t.label)
-        for t in dataset.tweets
-    ]
-    return dataset.replace_tweets(tweets)
+def _preprocessed(dataset: Dataset, config: PreprocessConfig, semantic: bool = False) -> Dataset:
+    """``dataset`` after basic preprocessing, followed by the semantic pass when asked."""
+
+    def text(raw: str) -> str:
+        tokens = basic_preprocess(tokenize(raw), config)
+        return join_tokens(semantic_preprocess(tokens, config) if semantic else tokens)
+
+    return dataset.replace_tweets(Tweet(t.id, text(t.text), t.label) for t in dataset.tweets)
 
 
-def _make_client(section: TranslationSection) -> TranslatorClient:
-    if section.backend.type == "fixture":
-        assert section.backend.tables is not None
-        return FixtureTranslator.from_json(section.backend.tables)
-    return RemoteTranslator()
+def _check_config(run: _Run) -> None:
+    run.config.validate(require_files=True)
+    _write(run.out_dir / "config.json", _json(run.config.to_dict(), ensure_ascii=False))
 
 
-def _load_train(config: ExperimentConfig) -> Dataset:
-    parts = [load_tsv(path, split="train") for path in config.data.train]
-    if len(parts) == 1:
-        return Dataset(config.data.name, "train", parts[0].tweets)
-    merged = merge(parts)
-    return Dataset(config.data.name, "train", merged.tweets)
+def _load(run: _Run) -> None:
+    data = run.config.data
+    parts = [load_tsv(path, split="train") for path in data.train]
+    merged = parts[0] if len(parts) == 1 else merge(parts)
+    run.train = Dataset(data.name, "train", merged.tweets)
+    run.dev = load_tsv(data.dev, split="dev")
+    run.test = load_tsv(data.test, split="test") if data.test else None
 
 
-def _build_pipeline(config: ExperimentConfig, preprocess_config: PreprocessConfig) -> FeaturePipeline:
-    blocks = FeatureBlocks(
-        bow=config.features.bow, boc=config.features.boc, embedding=config.features.embedding
-    )
-    ngram_config = NgramConfig(
-        word_n_max=config.features.word_n_max,
-        char_n_max=config.features.char_n_max,
-        binarize=config.features.binarize,
-        tfidf=config.features.tfidf,
-    )
-    table = None
-    unigram = None
+def _load_resources(run: _Run) -> None:
+    run.preprocess_config = run.config.preprocess.build()
+
+
+def _preprocess(run: _Run) -> None:
+    run.train = _preprocessed(run.train, run.preprocess_config)
+
+
+def _augment(run: _Run) -> None:
+    translation, crossover = run.config.augment.translation, run.config.augment.crossover
+    if translation is not None:
+        backend = translation.backend
+        client = FixtureTranslator.from_json(backend.tables) if backend.type == "fixture" else RemoteTranslator()
+        run.train = translation_augment(run.train, client, translation.build())
+    if crossover is not None:
+        run.train = crossover_augment(run.train, crossover.build(run.config.seed))
+    save_tsv(run.train, run.out_dir / "train_augmented.tsv")
+
+
+def _featurize(run: _Run) -> None:
+    features = run.config.features
+    blocks = features.blocks()
+    table = unigram = None
     if blocks.embedding:
-        table = load_embeddings(config.features.embeddings, config.features.subword)
-        unigram = load_unigram_counts(config.features.unigram_counts)
-    return FeaturePipeline(
-        preprocess_config=preprocess_config,
-        ngram_config=ngram_config,
+        table = load_embeddings(features.embeddings, features.subword)
+        unigram = load_unigram_counts(features.unigram_counts)
+    run.pipeline = FeaturePipeline(
+        preprocess_config=run.preprocess_config,
+        ngram_config=features.ngram(),
         blocks=blocks,
         embedding_table=table,
         unigram=unigram,
-        sif_config=SifConfig(
-            a=config.features.sif_a,
-            remove_common_component=config.features.remove_common_component,
-        ),
+        sif_config=features.sif(),
     )
+    run.features = run.pipeline.fit_transform(run.train)
+
+
+def _train(run: _Run) -> None:
+    model = run.config.model
+    labels = [t.label for t in run.train.tweets]
+    if model.bagging is not None:
+        run.predictor = train_bagging(run.features, labels, model.lr(), model.bagging.build(run.config.seed))
+    else:
+        run.predictor = train_lr(run.features, labels, model.lr())
+
+
+def _evaluate(run: _Run) -> None:
+    assert_unaugmented(run.dev)
+    run.result = RunResult(run.out_dir, *evaluate(run.predictor, run.dev, run.pipeline))
+    if run.test is not None:
+        assert_unaugmented(run.test)
+        if len(run.test):
+            run.test_predictions = predict_many(run.predictor, run.pipeline.transform(run.test))
+            if run.test.is_labeled():
+                run.result.test_report, run.result.test_matrix = score(run.test, run.test_predictions)
+
+
+def _persist(run: _Run) -> None:
+    features = run.config.features
+    bundle_dir = run.out_dir / "model"
+    save_pipeline(
+        run.pipeline,
+        bundle_dir,
+        resources={
+            "embeddings": features.embeddings,
+            "subword": features.subword,
+            "unigram_counts": features.unigram_counts,
+        },
+    )
+    save_model(run.predictor, bundle_dir, run.pipeline.layout)
+    result = run.result
+    _write_report(run.out_dir, "dev", result.dev_report, result.dev_matrix)
+    if result.test_report is not None and result.test_matrix is not None:
+        _write_report(run.out_dir, "test", result.test_report, result.test_matrix)
+    if run.test_predictions is not None:
+        _write_predictions(run.out_dir / "predictions_test.tsv", run.test, run.test_predictions)
+
+
+#: The stages of a full run, in order.
+STAGES = {
+    "config": _check_config,
+    "load": _load,
+    "resources": _load_resources,
+    "preprocess": _preprocess,
+    "augment": _augment,
+    "features": _featurize,
+    "train": _train,
+    "evaluate": _evaluate,
+    "persist": _persist,
+}
+
+
+def _run(config: ExperimentConfig, out_dir: str | Path, stages) -> _Run:
+    """Run the named ``stages`` in order; failures are tagged with their stage."""
+    run = _Run(config, Path(out_dir))
+    run.out_dir.mkdir(parents=True, exist_ok=True)
+    for name in stages:
+        with stage(name):
+            STAGES[name](run)
+    return run
 
 
 def run_experiment(config: ExperimentConfig, out_dir: str | Path) -> RunResult:
     """Execute the full pipeline and persist reports plus the model bundle."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _stage("config"):
-        config.validate(require_files=True)
-        with open(out_dir / "config.json", "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(config.to_dict(), handle, indent=2, sort_keys=True, ensure_ascii=False)
-            handle.write("\n")
-    with _stage("load"):
-        train = _load_train(config)
-        dev = load_tsv(config.data.dev, split="dev")
-        test = load_tsv(config.data.test, split="test") if config.data.test else None
-    with _stage("resources"):
-        preprocess_config = _load_preprocess_config(config)
-    with _stage("preprocess"):
-        train = _basic_dataset(train, preprocess_config)
-    with _stage("augment"):
-        if config.augment.translation is not None:
-            section = config.augment.translation
-            translation_config = TranslationConfig(
-                pivots=section.pivots, source=section.source, cache_path=section.cache
-            )
-            train = translation_augment(train, _make_client(section), translation_config)
-        if config.augment.crossover is not None:
-            crossover_config = CrossoverConfig(
-                factor=config.augment.crossover.factor,
-                seed=derive_seed(config.seed, "crossover"),
-            )
-            train = crossover_augment(train, crossover_config)
-        save_tsv(train, out_dir / "train_augmented.tsv")
-    with _stage("features"):
-        pipeline = _build_pipeline(config, preprocess_config)
-        features = pipeline.fit_transform(train)
-        labels = [t.label for t in train.tweets]
-    with _stage("train"):
-        lr_config = LrConfig(
-            C=config.model.C,
-            class_weight=config.model.class_weight,
-            tol=config.model.tol,
-            max_iter=config.model.max_iter,
-        )
-        predictor: LinearModel | BaggingEnsemble
-        if config.model.bagging is not None:
-            bagging_config = BaggingConfig(
-                n_estimators=config.model.bagging.n_estimators,
-                seed=derive_seed(config.seed, "bagging"),
-            )
-            predictor = train_bagging(features, labels, lr_config, bagging_config)
-        else:
-            predictor = train_lr(features, labels, lr_config)
-    with _stage("evaluate"):
-        assert_unaugmented(dev)
-        dev_report, dev_matrix = evaluate(predictor, dev, pipeline)
-        test_report = None
-        test_matrix = None
-        test_predictions = None
-        if test is not None:
-            assert_unaugmented(test)
-            if len(test):
-                test_predictions = predict_many(predictor, pipeline.transform(test))
-                if test.is_labeled():
-                    test_report, test_matrix = score(test, test_predictions)
-    with _stage("persist"):
-        bundle_dir = out_dir / "model"
-        save_pipeline(
-            pipeline,
-            bundle_dir,
-            resources={
-                "embeddings": config.features.embeddings,
-                "subword": config.features.subword,
-                "unigram_counts": config.features.unigram_counts,
-            },
-        )
-        save_model(predictor, bundle_dir, pipeline.layout)
-        _write_report(out_dir, "dev", dev_report, dev_matrix)
-        if test_report is not None and test_matrix is not None:
-            _write_report(out_dir, "test", test_report, test_matrix)
-        if test is not None and test_predictions is not None:
-            with open(out_dir / "predictions_test.tsv", "w", encoding="utf-8", newline="\n") as handle:
-                for tweet, label in zip(test.tweets, test_predictions):
-                    handle.write(f"{tweet.id}\t{label.value}\n")
-    return RunResult(
-        out_dir=out_dir,
-        dev_report=dev_report,
-        dev_matrix=dev_matrix,
-        test_report=test_report,
-        test_matrix=test_matrix,
-    )
+    return _run(config, out_dir, STAGES).result
+
+
+def _write(path: str | Path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def _json(payload, ensure_ascii: bool = True) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=ensure_ascii) + "\n"
 
 
 def _write_report(out_dir: Path, split: str, report: ClassificationReport, matrix: ConfusionMatrix) -> None:
-    with open(out_dir / f"report_{split}.txt", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_report(report, matrix))
-    with open(out_dir / f"report_{split}.json", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(report_to_json(report, matrix))
+    _write(out_dir / f"report_{split}.txt", format_report(report, matrix))
+    _write(out_dir / f"report_{split}.json", report_to_json(report, matrix))
+
+
+def _write_predictions(path: str | Path, dataset: Dataset, labels) -> None:
+    """``id<TAB>label`` rows in dataset order."""
+    _write(path, "".join(f"{tweet.id}\t{label.value}\n" for tweet, label in zip(dataset.tweets, labels)))
 
 
 def load_bundle(bundle_dir: str | Path) -> tuple[LinearModel | BaggingEnsemble, FeaturePipeline]:
@@ -559,75 +522,76 @@ def load_bundle(bundle_dir: str | Path) -> tuple[LinearModel | BaggingEnsemble, 
 
 
 def eval_file(bundle_dir: str | Path, data_path: str | Path, split: str = "dev"):
-    """Evaluate a persisted bundle on a labeled TSV."""
-    predictor, pipeline = load_bundle(bundle_dir)
+    """Evaluate a persisted bundle on a labeled TSV.
+
+    Bundle and scoring failures raise ``StageError``.  A data file that does
+    not load raises the ``ValueError`` of ``load_tsv``; the CLI tags it.
+    """
+    with stage("bundle"):
+        predictor, pipeline = load_bundle(bundle_dir)
     dataset = load_tsv(data_path, split=split)
-    return evaluate(predictor, dataset, pipeline)
+    with stage("evaluate"):
+        return evaluate(predictor, dataset, pipeline)
 
 
 def predict_file(bundle_dir: str | Path, input_path: str | Path, output_path: str | Path) -> int:
     """Label a TSV with a persisted bundle; returns the instance count.
 
-    Output rows are ``id<TAB>label`` in input order.
+    Output rows are ``id<TAB>label`` in input order.  Errors are tagged as
+    in ``eval_file``.
     """
-    predictor, pipeline = load_bundle(bundle_dir)
+    with stage("bundle"):
+        predictor, pipeline = load_bundle(bundle_dir)
     dataset = load_tsv(input_path, split="test")
-    with open(output_path, "w", encoding="utf-8", newline="\n") as handle:
-        if len(dataset):
-            for tweet, label in zip(dataset.tweets, predict_many(predictor, pipeline.transform(dataset))):
-                handle.write(f"{tweet.id}\t{label.value}\n")
+    with stage("predict"):
+        labels = predict_many(predictor, pipeline.transform(dataset)) if len(dataset) else []
+        _write_predictions(output_path, dataset, labels)
     return len(dataset)
 
 
-ABLATIONS = (
-    "no-translation",
-    "no-crossover",
-    "no-BoW",
-    "no-BoC",
-    "no-BoW+BoC",
-    "no-embeddings",
-    "no-bagging",
-)
+#: Ablation -> the config keys it sets to remove one component.
+_REMOVALS = {
+    "no-translation": {"augment.translation": None},
+    "no-crossover": {"augment.crossover": None},
+    "no-BoW": {"features.bow": False},
+    "no-BoC": {"features.boc": False},
+    "no-BoW+BoC": {"features.bow": False, "features.boc": False},
+    "no-embeddings": {"features.embedding": False},
+    "no-bagging": {"model.bagging": None},
+}
+ABLATIONS = tuple(_REMOVALS)
 
 
 class IncompatibleAblation(ValueError):
     pass
 
 
+def _replace(config: ExperimentConfig, changes: dict) -> ExperimentConfig:
+    """``config`` with each dotted key in ``changes`` set, loaded and validated anew."""
+    raw = config.to_dict()
+    for path, value in changes.items():
+        *sections, key = path.split(".")
+        section = raw
+        for i, name in enumerate(sections):
+            section = section[name]
+            if section is None:
+                raise ValueError(f"{path} cannot be set without a {'.'.join(sections[: i + 1])} section")
+        section[key] = value
+    return ExperimentConfig.from_dict(raw)
+
+
 def ablation_variant(config: ExperimentConfig, name: str) -> ExperimentConfig:
     """The config with one component removed; raises when nothing is removable."""
-    if name == "no-translation":
-        if config.augment.translation is None:
-            raise IncompatibleAblation("translation augmentation is not enabled")
-        return dataclasses.replace(
-            config, augment=dataclasses.replace(config.augment, translation=None)
-        )
-    if name == "no-crossover":
-        if config.augment.crossover is None:
-            raise IncompatibleAblation("crossover augmentation is not enabled")
-        return dataclasses.replace(config, augment=dataclasses.replace(config.augment, crossover=None))
-    if name == "no-bagging":
-        if config.model.bagging is None:
-            raise IncompatibleAblation("bagging is not enabled")
-        return dataclasses.replace(config, model=dataclasses.replace(config.model, bagging=None))
-    block_flags = {
-        "no-BoW": {"bow": False},
-        "no-BoC": {"boc": False},
-        "no-BoW+BoC": {"bow": False, "boc": False},
-        "no-embeddings": {"embedding": False},
-    }
-    if name not in block_flags:
+    if name not in _REMOVALS:
         raise ValueError(f"unknown ablation {name!r}, expected one of {ABLATIONS}")
-    flags = block_flags[name]
-    for flag, value in flags.items():
-        if getattr(config.features, flag) == value:
-            raise IncompatibleAblation(f"feature block {flag} is already disabled")
-    features = dataclasses.replace(config.features, **flags)
+    for path, value in _REMOVALS[name].items():
+        section, key = path.split(".")
+        if getattr(getattr(config, section), key) == value:
+            raise IncompatibleAblation(f"{path} is already disabled")
     try:
-        FeatureBlocks(bow=features.bow, boc=features.boc, embedding=features.embedding)
+        return _replace(config, _REMOVALS[name])
     except ValueError as exc:
         raise IncompatibleAblation(str(exc)) from None
-    return dataclasses.replace(config, features=features)
 
 
 def run_ablation(
@@ -641,33 +605,16 @@ def run_ablation(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
-    full = run_experiment(config, out_dir / "full-system")
-    rows.append(
-        {
-            "variant": "full-system",
-            "accuracy": full.dev_report.accuracy,
-            "macro_f1": full.dev_report.macro_f1,
-        }
-    )
-    for name in ablations:
+    for name in ("full-system", *ablations):
         try:
-            variant = ablation_variant(config, name)
+            variant = config if name == "full-system" else ablation_variant(config, name)
         except IncompatibleAblation as exc:
             rows.append({"variant": name, "skipped": str(exc)})
             continue
-        result = run_experiment(variant, out_dir / name)
-        rows.append(
-            {
-                "variant": name,
-                "accuracy": result.dev_report.accuracy,
-                "macro_f1": result.dev_report.macro_f1,
-            }
-        )
-    with open(out_dir / "ablation.json", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(rows, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    with open(out_dir / "ablation.txt", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_ablation_table(rows))
+        report = run_experiment(variant, out_dir / name).dev_report
+        rows.append({"variant": name, "accuracy": report.accuracy, "macro_f1": report.macro_f1})
+    _write(out_dir / "ablation.json", _json(rows))
+    _write(out_dir / "ablation.txt", format_ablation_table(rows))
     return rows
 
 
@@ -682,37 +629,15 @@ def format_ablation_table(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-GRID_PARAMS = ("C", "bagging_n", "class_weight", "crossover_factor", "sif_a")
-
-
-def _apply_grid_param(config: ExperimentConfig, name: str, value) -> ExperimentConfig:
-    if name == "C":
-        return dataclasses.replace(config, model=dataclasses.replace(config.model, C=float(value)))
-    if name == "class_weight":
-        return dataclasses.replace(
-            config, model=dataclasses.replace(config.model, class_weight=str(value))
-        )
-    if name == "bagging_n":
-        if config.model.bagging is None:
-            raise ValueError("grid parameter bagging_n requires a model.bagging section")
-        return dataclasses.replace(
-            config,
-            model=dataclasses.replace(config.model, bagging=BaggingSection(n_estimators=int(value))),
-        )
-    if name == "crossover_factor":
-        if config.augment.crossover is None:
-            raise ValueError("grid parameter crossover_factor requires an augment.crossover section")
-        return dataclasses.replace(
-            config,
-            augment=dataclasses.replace(config.augment, crossover=CrossoverSection(factor=int(value))),
-        )
-    if name == "sif_a":
-        if not config.features.embedding:
-            raise ValueError("grid parameter sif_a requires the embedding block")
-        return dataclasses.replace(
-            config, features=dataclasses.replace(config.features, sif_a=float(value))
-        )
-    raise ValueError(f"unknown grid parameter {name!r}, expected one of {GRID_PARAMS}")
+#: Grid parameter -> the config key it sets.
+_GRID_KEYS = {
+    "C": "model.C",
+    "bagging_n": "model.bagging.n_estimators",
+    "class_weight": "model.class_weight",
+    "crossover_factor": "augment.crossover.factor",
+    "sif_a": "features.sif_a",
+}
+GRID_PARAMS = tuple(_GRID_KEYS)
 
 
 def grid_search(config: ExperimentConfig, grid: dict[str, list], out_dir: str | Path) -> dict:
@@ -729,109 +654,51 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list], out_dir: str | 
             raise ValueError(f"unknown grid parameter {name!r}, expected one of {GRID_PARAMS}")
         if not grid[name]:
             raise ValueError(f"grid parameter {name!r} has no values")
+    if "sif_a" in grid and not config.features.embedding:
+        raise ValueError("grid parameter sif_a requires the embedding block")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = sorted(grid)
-    value_lists = [sorted(grid[name]) for name in names]
     rows: list[dict] = []
-    best: dict | None = None
-    best_config: ExperimentConfig | None = None
-
-    def combos(prefix: list, remaining: list[list]):
-        if not remaining:
-            yield list(prefix)
-            return
-        for value in remaining[0]:
-            yield from combos(prefix + [value], remaining[1:])
-
-    for i, values in enumerate(combos([], value_lists)):
-        variant = config
-        for name, value in zip(names, values):
-            variant = _apply_grid_param(variant, name, value)
-        result = run_experiment(variant, out_dir / f"combo-{i:03d}")
-        row = {
-            "params": dict(zip(names, values)),
-            "macro_f1": result.dev_report.macro_f1,
-            "accuracy": result.dev_report.accuracy,
-            "out_dir": f"combo-{i:03d}",
-        }
-        rows.append(row)
-        if best is None or (row["macro_f1"], row["accuracy"]) > (best["macro_f1"], best["accuracy"]):
-            best = row
-            best_config = variant
-    assert best is not None and best_config is not None
-    summary = {"best": best, "rows": rows}
-    with open(out_dir / "grid.json", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    with open(out_dir / "best_config.json", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(best_config.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    variants: list[ExperimentConfig] = []
+    for i, values in enumerate(itertools.product(*(sorted(grid[name]) for name in names))):
+        variant = _replace(config, {_GRID_KEYS[name]: value for name, value in zip(names, values)})
+        report = run_experiment(variant, out_dir / f"combo-{i:03d}").dev_report
+        rows.append(
+            {
+                "params": dict(zip(names, values)),
+                "macro_f1": report.macro_f1,
+                "accuracy": report.accuracy,
+                "out_dir": f"combo-{i:03d}",
+            }
+        )
+        variants.append(variant)
+    best = max(range(len(rows)), key=lambda i: (rows[i]["macro_f1"], rows[i]["accuracy"], -i))
+    summary = {"best": rows[best], "rows": rows}
+    _write(out_dir / "grid.json", _json(summary))
+    _write(out_dir / "best_config.json", _json(variants[best].to_dict()))
     return summary
 
 
 def preprocess_only(config: ExperimentConfig, out_dir: str | Path) -> dict[str, Path]:
     """Write basic and semantic preprocessed views of every configured split."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _stage("resources"):
-        preprocess_config = _load_preprocess_config(config)
+    run = _run(config, out_dir, ("load", "resources"))
     outputs: dict[str, Path] = {}
-    with _stage("preprocess"):
-        splits: list[tuple[str, Dataset]] = [("train", _load_train(config))]
-        splits.append(("dev", load_tsv(config.data.dev, split="dev")))
-        if config.data.test:
-            splits.append(("test", load_tsv(config.data.test, split="test")))
-        for split_name, dataset in splits:
-            basic = _basic_dataset(dataset, preprocess_config)
-            semantic = dataset.replace_tweets(
-                Tweet(
-                    t.id,
-                    join_tokens(
-                        semantic_preprocess(
-                            basic_preprocess(tokenize(t.text), preprocess_config), preprocess_config
-                        )
-                    ),
-                    t.label,
-                )
-                for t in dataset.tweets
-            )
-            basic_path = out_dir / f"{split_name}_basic.tsv"
-            semantic_path = out_dir / f"{split_name}_semantic.tsv"
-            save_tsv(basic, basic_path)
-            save_tsv(semantic, semantic_path)
-            outputs[f"{split_name}_basic"] = basic_path
-            outputs[f"{split_name}_semantic"] = semantic_path
+    with stage("preprocess"):
+        for split, dataset in (("train", run.train), ("dev", run.dev), ("test", run.test)):
+            if dataset is None:
+                continue
+            for view, semantic in (("basic", False), ("semantic", True)):
+                path = run.out_dir / f"{split}_{view}.tsv"
+                save_tsv(_preprocessed(dataset, run.preprocess_config, semantic), path)
+                outputs[f"{split}_{view}"] = path
     return outputs
 
 
 def augment_only(config: ExperimentConfig, out_dir: str | Path) -> Path:
     """Run basic preprocessing plus the configured augmentations on train."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with _stage("resources"):
-        preprocess_config = _load_preprocess_config(config)
-    with _stage("load"):
-        train = _load_train(config)
-    with _stage("preprocess"):
-        train = _basic_dataset(train, preprocess_config)
-    with _stage("augment"):
-        if config.augment.translation is not None:
-            section = config.augment.translation
-            translation_config = TranslationConfig(
-                pivots=section.pivots, source=section.source, cache_path=section.cache
-            )
-            train = translation_augment(train, _make_client(section), translation_config)
-        if config.augment.crossover is not None:
-            train = crossover_augment(
-                train,
-                CrossoverConfig(
-                    factor=config.augment.crossover.factor, seed=derive_seed(config.seed, "crossover")
-                ),
-            )
-    path = out_dir / "train_augmented.tsv"
-    save_tsv(train, path)
-    return path
+    run = _run(config, out_dir, ("load", "resources", "preprocess", "augment"))
+    return run.out_dir / "train_augmented.tsv"
 
 
 PRESET_NAMES = ("CR", "ES", "MX", "PE", "UY")

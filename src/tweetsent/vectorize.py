@@ -212,50 +212,6 @@ def transform(counts: Mapping[str, int], vocabulary: Vocabulary, config: NgramCo
     return SparseVector.from_row(weigh(counts_row, vocabulary, config))
 
 
-def concat_features(
-    blocks: Sequence[SparseVector | np.ndarray],
-    expected_dims: Sequence[int] | None = None,
-) -> SparseVector:
-    """Concatenate sparse and dense blocks into one index-shifted vector.
-
-    ``expected_dims`` pins the fit-time layout; a mismatch is an error.
-    """
-    dims = [block.dim if isinstance(block, SparseVector) else len(block) for block in blocks]
-    if expected_dims is not None and list(expected_dims) != dims:
-        raise ValueError(f"feature block dims {dims} do not match fitted layout {list(expected_dims)}")
-    pairs: list[tuple[int, float]] = []
-    offset = 0
-    for block, dim in zip(blocks, dims):
-        if isinstance(block, SparseVector):
-            pairs.extend((offset + i, value) for i, value in block.entries)
-        else:
-            for j in np.flatnonzero(block):
-                pairs.append((offset + int(j), float(block[j])))
-        offset += dim
-    return SparseVector(dim=offset, entries=tuple(pairs))
-
-
-def stack_vectors(vectors: Sequence[SparseVector]) -> sparse.csr_matrix:
-    """Stack per-document sparse vectors into one CSR matrix."""
-    if not vectors:
-        raise ValueError("cannot stack an empty vector list")
-    dim = vectors[0].dim
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for vector in vectors:
-        if vector.dim != dim:
-            raise ValueError("all vectors must share one dimension")
-        for i, value in vector.entries:
-            indices.append(i)
-            data.append(value)
-        indptr.append(len(indices))
-    return sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(vectors), dim),
-    )
-
-
 _HEADER_PREFIX = "#"
 
 

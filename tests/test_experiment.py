@@ -3,10 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetsent.cli import main
 from tweetsent.corpus import load_tsv
@@ -14,7 +17,11 @@ from tweetsent.experiment import (
     ABLATIONS,
     PRESET_NAMES,
     AugmentConfig,
+    BaggingSection,
+    CrossoverSection,
+    DataConfig,
     ExperimentConfig,
+    FeatureConfig,
     IncompatibleAblation,
     StageError,
     ablation_variant,
@@ -23,6 +30,10 @@ from tweetsent.experiment import (
     eval_file,
     grid_search,
     load_bundle,
+    ModelConfig,
+    PreprocessFiles,
+    TranslationBackend,
+    TranslationSection,
     load_preset,
     predict_file,
     preprocess_only,
@@ -30,7 +41,7 @@ from tweetsent.experiment import (
     run_experiment,
 )
 from tweetsent.metrics import confusion, report_from_confusion
-from tweetsent.model import predict_many
+from tweetsent.model import CLASS_WEIGHT_MODES, predict_many
 
 
 def demo_config(corpus_dir: Path) -> ExperimentConfig:
@@ -217,12 +228,136 @@ class TestConfigParsing:
         config = demo_config(mini_corpus)
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("features", "bow", "false"),
+            ("features", "tfidf", 1),
+            ("features", "word_n_max", True),
+            ("features", "char_n_max", 2.5),
+            ("features", "sif_a", True),
+            ("model", "C", False),
+            ("model", "C", "1.0"),
+            ("model", "tol", float("nan")),
+            ("features", "word_n_max", float("inf")),
+            ("model", "class_weight", 0),
+            ("preprocess", "negation_scope", "3"),
+            ("data", "dev", None),
+        ],
+    )
+    def test_mistyped_value_names_its_key(self, section, key, value):
+        raw = minimal_raw()
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ValueError, match=rf"'{section}\.{key}' must be of type"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_mistyped_seed_and_list_item(self):
+        raw = minimal_raw()
+        raw["seed"] = 1.5
+        with pytest.raises(ValueError, match="'seed' must be of type int"):
+            ExperimentConfig.from_dict(raw)
+        raw = minimal_raw()
+        raw["data"]["train"] = ["a.tsv", 3]
+        with pytest.raises(ValueError, match=r"'data\.train\[1\]' must be of type str"):
+            ExperimentConfig.from_dict(raw)
+
+    def test_numbers_that_fit_are_accepted(self):
+        raw = minimal_raw()
+        raw["model"] = {"C": 1, "max_iter": 50.0}
+        config = ExperimentConfig.from_dict(raw)
+        assert config.model.C == 1.0 and isinstance(config.model.C, float)
+        assert config.model.max_iter == 50 and isinstance(config.model.max_iter, int)
+        assert json.dumps(config.to_dict()["model"]["C"]) == "1.0"
+
+    def test_section_must_be_an_object(self):
+        raw = minimal_raw()
+        raw["features"] = ["bow"]
+        with pytest.raises(ValueError, match="'features' must be a JSON object"):
+            ExperimentConfig.from_dict(raw)
+
     def test_to_dict_round_trips_without_optional_sections(self, mini_corpus):
         config = light_config(mini_corpus)
         again = ExperimentConfig.from_dict(config.to_dict())
         assert again == config
         assert again.augment.translation is None
         assert again.model.bagging is None
+
+
+paths = st.text(alphabet="abxyz/._-ñ", min_size=1, max_size=12)
+maybe_paths = st.none() | paths
+positive = st.floats(min_value=1e-6, max_value=1e3, allow_nan=False, allow_infinity=False)
+configs = st.builds(
+    ExperimentConfig,
+    seed=st.integers(0, 2**31 - 1),
+    data=st.builds(
+        DataConfig,
+        name=st.text(max_size=8),
+        train=st.lists(paths, min_size=1, max_size=3).map(tuple),
+        dev=paths,
+        test=maybe_paths,
+    ),
+    preprocess=st.builds(
+        PreprocessFiles,
+        stopwords=maybe_paths,
+        lemmas=maybe_paths,
+        negation_words=maybe_paths,
+        negation_scope=st.integers(0, 9),
+        repeat_cap=st.integers(1, 9),
+    ),
+    features=st.builds(
+        FeatureConfig,
+        bow=st.booleans(),
+        boc=st.booleans(),
+        embedding=st.booleans(),
+        word_n_max=st.integers(1, 9),
+        char_n_max=st.integers(1, 9),
+        binarize=st.booleans(),
+        tfidf=st.booleans(),
+        embeddings=paths,
+        subword=maybe_paths,
+        unigram_counts=paths,
+        sif_a=positive,
+        remove_common_component=st.booleans(),
+    ),
+    augment=st.builds(
+        AugmentConfig,
+        translation=st.none()
+        | st.builds(
+            TranslationSection,
+            pivots=st.lists(st.sampled_from(["en", "fr", "pt", "ar"]), min_size=1, unique=True).map(tuple),
+            source=st.just("es"),
+            cache=paths,
+            backend=st.builds(TranslationBackend, type=st.just("fixture"), tables=paths)
+            | st.builds(TranslationBackend, type=st.just("remote"), tables=maybe_paths),
+        ),
+        crossover=st.none() | st.builds(CrossoverSection, factor=st.integers(1, 16)),
+    ),
+    model=st.builds(
+        ModelConfig,
+        C=positive,
+        class_weight=st.sampled_from(CLASS_WEIGHT_MODES),
+        tol=positive,
+        max_iter=st.integers(1, 5000),
+        bagging=st.none() | st.builds(BaggingSection, n_estimators=st.integers(1, 50)),
+    ),
+).filter(lambda config: config.features.bow or config.features.boc or config.features.embedding)
+
+
+def echo(config: ExperimentConfig) -> str:
+    """The ``config.json`` text a run writes for ``config``."""
+    return json.dumps(config.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+class TestConfigSchemaProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(configs)
+    def test_dict_round_trip_and_stable_echo(self, config):
+        config.validate()
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
+        text = echo(config)
+        again = ExperimentConfig.from_dict(json.loads(text))
+        assert again == config
+        assert echo(again) == text
 
 
 class TestConfigValidation:
@@ -596,6 +731,12 @@ def write_config(config: ExperimentConfig, path: Path) -> Path:
     return path
 
 
+def bundle_argv(command: str, bundle: Path, data: Path, tmp_path: Path) -> list[str]:
+    if command == "eval":
+        return ["eval", "--model", str(bundle), "--data", str(data)]
+    return ["predict", "--model", str(bundle), "--input", str(data), "--output", str(tmp_path / "labels.tsv")]
+
+
 class TestCli:
     def test_train_with_seed_override(self, mini_corpus, tmp_path, capsys):
         config_path = write_config(light_config(mini_corpus), tmp_path / "config.json")
@@ -698,6 +839,44 @@ class TestCli:
         code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "[config]" in capsys.readouterr().err
+
+    def test_invalid_seed_override_exits_2(self, mini_corpus, tmp_path, capsys):
+        code = main(
+            ["augment", "--config", str(mini_corpus / "config.json"), "--out", str(tmp_path), "--seed", "-1"]
+        )
+        assert code == 2
+        assert "error [config] seed must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "train_augmented.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_missing_bundle_exits_1_in_the_bundle_stage(self, command, mini_corpus, tmp_path, capsys):
+        code = main(bundle_argv(command, tmp_path / "no-model", mini_corpus / "dev.tsv", tmp_path))
+        assert code == 1
+        assert "error [bundle]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_corrupt_bundle_exits_1_in_the_bundle_stage(self, command, demo_run, mini_corpus, tmp_path, capsys):
+        bundle = tmp_path / "model"
+        shutil.copytree(demo_run.out_dir / "model", bundle)
+        (bundle / "model.json").write_text("{", encoding="utf-8")
+        code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
+        assert code == 1
+        assert "error [bundle]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_malformed_input_exits_1_in_the_load_stage(self, command, demo_run, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("x1\ttext\tP\textra\n", encoding="utf-8")
+        code = main(bundle_argv(command, demo_run.out_dir / "model", bad, tmp_path))
+        assert code == 1
+        assert "error [load]" in capsys.readouterr().err
+
+    def test_eval_on_unlabeled_data_exits_1_in_the_load_stage(self, demo_run, tmp_path, capsys):
+        unlabeled = tmp_path / "u.tsv"
+        unlabeled.write_text("u1\talgo de texto\n", encoding="utf-8")
+        code = main(bundle_argv("eval", demo_run.out_dir / "model", unlabeled, tmp_path))
+        assert code == 1
+        assert "error [load]" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -11,14 +11,12 @@ from tweetsent.vectorize import (
     SparseVector,
     Vocabulary,
     char_ngrams,
-    concat_features,
     extract_char_ngrams,
     extract_word_ngrams,
     fit_vocabulary,
     load_vocabulary,
     ngram_matrix,
     save_vocabulary,
-    stack_vectors,
     transform,
     word_ngrams,
 )
@@ -143,35 +141,6 @@ class TestSparseVector:
     def test_to_dense(self):
         vec = SparseVector(4, ((1, 2.0), (3, -1.0)))
         assert vec.to_dense().tolist() == [0.0, 2.0, 0.0, -1.0]
-
-
-class TestConcat:
-    def test_offsets(self):
-        a = SparseVector(2, ((1, 1.0),))
-        b = SparseVector(3, ((0, 2.0),))
-        out = concat_features([a, b])
-        assert out.dim == 5
-        assert out.entries == ((1, 1.0), (2, 2.0))
-
-    def test_dense_block(self):
-        a = SparseVector(1, ((0, 1.0),))
-        emb = np.array([0.5, 0.0, -0.5])
-        out = concat_features([a, emb])
-        assert out.dim == 4
-        assert out.entries == ((0, 1.0), (1, 0.5), (3, -0.5))
-
-    def test_expected_dims_checked(self):
-        a = SparseVector(2, ())
-        with pytest.raises(ValueError):
-            concat_features([a], expected_dims=[3])
-
-
-class TestStack:
-    def test_csr_round_trip(self):
-        vecs = [SparseVector(3, ((0, 1.0),)), SparseVector(3, ((2, 5.0),))]
-        mat = stack_vectors(vecs)
-        assert mat.shape == (2, 3)
-        assert mat.toarray().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 5.0]]
 
 
 class TestSaveLoad:
