@@ -40,8 +40,7 @@ from .embeddings import SifConfig, load_embeddings, load_unigram_counts
 from .metrics import ClassificationReport, ConfusionMatrix, evaluate, format_report, report_to_json, score
 from .model import (
     BaggingConfig,
-    BaggingEnsemble,
-    LinearModel,
+    Ensemble,
     LrConfig,
     load_model,
     predict_many,
@@ -357,7 +356,7 @@ class _Run:
     preprocess_config: PreprocessConfig = field(init=False)
     pipeline: FeaturePipeline = field(init=False)
     features: typing.Any = field(init=False)
-    predictor: LinearModel | BaggingEnsemble = field(init=False)
+    predictor: Ensemble = field(init=False)
     test_predictions: list[Label] | None = None
     result: RunResult = field(init=False)
 
@@ -429,7 +428,7 @@ def _train(run: _Run) -> None:
     if model.bagging is not None:
         run.predictor = train_bagging(run.features, labels, model.lr(), model.bagging.build(run.config.seed))
     else:
-        run.predictor = train_lr(run.features, labels, model.lr())
+        run.predictor = Ensemble.of(train_lr(run.features, labels, model.lr()))
 
 
 def _evaluate(run: _Run) -> None:
@@ -512,7 +511,7 @@ def _write_predictions(path: str | Path, dataset: Dataset, labels) -> None:
     _write(path, "".join(f"{tweet.id}\t{label.value}\n" for tweet, label in zip(dataset.tweets, labels)))
 
 
-def load_bundle(bundle_dir: str | Path) -> tuple[LinearModel | BaggingEnsemble, FeaturePipeline]:
+def load_bundle(bundle_dir: str | Path) -> tuple[Ensemble, FeaturePipeline]:
     """Reload a persisted model plus its feature pipeline, checking layouts agree."""
     pipeline = load_pipeline(bundle_dir)
     predictor, layout = load_model(bundle_dir)
@@ -647,26 +646,32 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list], out_dir: str | 
     and then by position in lexicographic parameter order (sorted names,
     ascending values), which is also the evaluation order.
     """
-    if not grid:
-        raise ValueError("the grid must name at least one parameter")
-    for name in grid:
+    if not isinstance(grid, dict) or not grid:
+        raise ValueError("the grid must be a JSON object naming at least one parameter")
+    columns: dict[str, list] = {}
+    for name in sorted(grid):
         if name not in GRID_PARAMS:
             raise ValueError(f"unknown grid parameter {name!r}, expected one of {GRID_PARAMS}")
+        if not isinstance(grid[name], list):
+            raise ValueError(f"grid parameter {name!r} must be a list of values")
         if not grid[name]:
             raise ValueError(f"grid parameter {name!r} has no values")
+        try:
+            columns[name] = sorted(grid[name])
+        except TypeError:
+            raise ValueError(f"grid parameter {name!r} has values that cannot be ordered") from None
     if "sif_a" in grid and not config.features.embedding:
         raise ValueError("grid parameter sif_a requires the embedding block")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = sorted(grid)
     rows: list[dict] = []
     variants: list[ExperimentConfig] = []
-    for i, values in enumerate(itertools.product(*(sorted(grid[name]) for name in names))):
-        variant = _replace(config, {_GRID_KEYS[name]: value for name, value in zip(names, values)})
+    for i, values in enumerate(itertools.product(*columns.values())):
+        variant = _replace(config, {_GRID_KEYS[name]: value for name, value in zip(columns, values)})
         report = run_experiment(variant, out_dir / f"combo-{i:03d}").dev_report
         rows.append(
             {
-                "params": dict(zip(names, values)),
+                "params": dict(zip(columns, values)),
                 "macro_f1": report.macro_f1,
                 "accuracy": report.accuracy,
                 "out_dir": f"combo-{i:03d}",

@@ -193,7 +193,7 @@ def evaluate(predictor, dataset: Dataset, features) -> tuple[ClassificationRepor
     """Score a predictor on a labeled dataset.
 
     ``features`` is a fitted pipeline exposing ``transform(dataset)``;
-    ``predictor`` is a linear model or bagging ensemble.
+    ``predictor`` is a ``model.Ensemble``.
     """
     from .model import predict_many
 

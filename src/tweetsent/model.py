@@ -1,4 +1,4 @@
-"""One-vs-rest L2 logistic regression and a bagging ensemble on top of it.
+"""One-vs-rest L2 logistic regression, averaged over the members of an ensemble.
 
 Each class gets an independent binary problem in the primal form
 
@@ -9,6 +9,9 @@ from the class-weight mode, and an unregularized bias.  The problem is
 convex, so any deterministic descent method reaching the gradient tolerance
 finds the same optimum; we run L-BFGS-B on an analytic objective/gradient
 pair and stop when the gradient infinity norm drops below ``tol``.
+
+Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
+samples, and plain LR is the one-member case.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import warnings
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +28,6 @@ from scipy import optimize, sparse
 from scipy.special import expit
 
 from .corpus import LABELS, Label
-from .vectorize import SparseVector
 
 CLASS_WEIGHT_MODES = ("none", "balanced")
 
@@ -98,12 +100,17 @@ def binary_objective(
     return value_and_grad
 
 
-def _check_features(features: np.ndarray | sparse.spmatrix, count: int) -> None:
-    if features.shape[0] != count:
-        raise ValueError(f"feature matrix has {features.shape[0]} rows for {count} labels")
+def _training_classes(features: np.ndarray | sparse.spmatrix, labels: list[Label]) -> tuple[Label, ...]:
+    """The classes present, in canonical order, after checking the training inputs."""
+    if features.shape[0] != len(labels):
+        raise ValueError(f"feature matrix has {features.shape[0]} rows for {len(labels)} labels")
     data = features.data if sparse.issparse(features) else features
     if not np.isfinite(data).all():
         raise ValueError("feature matrix contains non-finite values")
+    classes = tuple(label for label in LABELS if label in set(labels))
+    if len(classes) < 2:
+        raise ValueError("training needs at least 2 distinct labels")
+    return classes
 
 
 def train_lr(
@@ -121,10 +128,7 @@ def train_lr(
     ``max_iter`` still yields a model, with a warning and ``converged=False``.
     """
     labels = list(labels)
-    _check_features(features, len(labels))
-    classes = tuple(label for label in LABELS if label in set(labels))
-    if len(classes) < 2:
-        raise ValueError("training needs at least 2 distinct labels")
+    classes = _training_classes(features, labels)
     if sample_weight is None:
         weight_by_class = compute_class_weights(Counter(labels), config.class_weight)
         sample_weight = np.array([weight_by_class[label] for label in labels])
@@ -169,35 +173,6 @@ def train_lr(
     return LinearModel(classes=classes, weights=weights, biases=biases, config=config, converged=converged)
 
 
-def _as_dense_row(x: np.ndarray | SparseVector, dim: int) -> np.ndarray:
-    if isinstance(x, SparseVector):
-        if x.dim != dim:
-            raise ValueError(f"feature vector has dim {x.dim}, model expects {dim}")
-        return x.to_dense()
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
-        raise ValueError(f"feature vector has shape {x.shape}, model expects ({dim},)")
-    return x
-
-
-def predict_proba(model: LinearModel, x: np.ndarray | SparseVector) -> np.ndarray:
-    """Per-class probabilities: normalized sigmoids of the raw scores.
-
-    All-zero scores land on the uniform distribution.
-    """
-    dense = _as_dense_row(x, model.weights.shape[1])
-    raw = expit(model.weights @ dense + model.biases)
-    total = raw.sum()
-    if total == 0.0:
-        return np.full(len(model.classes), 1.0 / len(model.classes))
-    return raw / total
-
-
-def predict(model: LinearModel, x: np.ndarray | SparseVector) -> Label:
-    """Argmax of ``predict_proba``; ties break in canonical class order."""
-    return model.classes[int(np.argmax(predict_proba(model, x)))]
-
-
 @dataclass(frozen=True)
 class BaggingConfig:
     n_estimators: int = 40
@@ -211,11 +186,30 @@ class BaggingConfig:
 
 
 @dataclass(eq=False)
-class BaggingEnsemble:
+class Ensemble:
+    """The one predictor type: the class distributions of its members, averaged.
+
+    Bagging trains ``bagging.n_estimators`` members on bootstrap samples;
+    plain LR is the one member of an ensemble without ``bagging``.
+    """
+
     classes: tuple[Label, ...]
     members: tuple[LinearModel, ...]
     lr_config: LrConfig
-    bagging_config: BaggingConfig
+    bagging: BaggingConfig | None = None
+
+    def __post_init__(self) -> None:
+        expected = 1 if self.bagging is None else self.bagging.n_estimators
+        if len(self.members) != expected:
+            raise ValueError(f"ensemble has {len(self.members)} members, expected {expected}")
+        for k, member in enumerate(self.members):
+            if not set(member.classes) <= set(self.classes):
+                raise ValueError(f"member {k} has classes outside the ensemble's classes")
+
+    @classmethod
+    def of(cls, model: LinearModel) -> Ensemble:
+        """Plain LR as a one-member ensemble."""
+        return cls(model.classes, (model,), model.config)
 
 
 BootstrapFn = Callable[[int, int, np.random.Generator], np.ndarray]
@@ -227,7 +221,7 @@ def train_bagging(
     lr_config: LrConfig,
     bagging_config: BaggingConfig,
     bootstrap_fn: BootstrapFn | None = None,
-) -> BaggingEnsemble:
+) -> Ensemble:
     """Train members on bootstrap samples of the instances.
 
     Member k draws its own generator from ``(seed, k)``, so every member and
@@ -236,10 +230,7 @@ def train_bagging(
     for tests.
     """
     labels = list(labels)
-    _check_features(features, len(labels))
-    classes = tuple(label for label in LABELS if label in set(labels))
-    if len(classes) < 2:
-        raise ValueError("training needs at least 2 distinct labels")
+    classes = _training_classes(features, labels)
     n = len(labels)
     members: list[LinearModel] = []
     for k in range(bagging_config.n_estimators):
@@ -257,15 +248,11 @@ def train_bagging(
             )
         member_labels = [labels[i] for i in idx]
         members.append(train_lr(features[idx], member_labels, lr_config))
-    return BaggingEnsemble(
-        classes=classes,
-        members=tuple(members),
-        lr_config=lr_config,
-        bagging_config=bagging_config,
-    )
+    return Ensemble(classes, tuple(members), lr_config, bagging_config)
 
 
 def _member_proba_matrix(member: LinearModel, X, classes: tuple[Label, ...]) -> np.ndarray:
+    """Normalized sigmoids of the raw scores; all-zero scores land on the uniform distribution."""
     raw = expit(np.asarray(X @ member.weights.T) + member.biases)
     totals = raw.sum(axis=1, keepdims=True)
     uniform = totals[:, 0] == 0.0
@@ -279,41 +266,41 @@ def _member_proba_matrix(member: LinearModel, X, classes: tuple[Label, ...]) -> 
     return aligned
 
 
-def predict_proba_matrix(
-    predictor: LinearModel | BaggingEnsemble, X: np.ndarray | sparse.spmatrix
-) -> np.ndarray:
-    """Row-wise class distributions for a batch, ensemble members averaged."""
-    if isinstance(predictor, LinearModel):
-        return _member_proba_matrix(predictor, X, predictor.classes)
-    stacked = np.zeros((X.shape[0], len(predictor.classes)))
-    for member in predictor.members:
-        stacked += _member_proba_matrix(member, X, predictor.classes)
-    return stacked / len(predictor.members)
+def predict_proba_matrix(predictor: Ensemble, X: np.ndarray | sparse.spmatrix) -> np.ndarray:
+    """Row-wise class distributions for a batch, members averaged."""
+    total = sum(_member_proba_matrix(member, X, predictor.classes) for member in predictor.members)
+    return total / len(predictor.members)
 
 
-def predict_many(
-    predictor: LinearModel | BaggingEnsemble, X: np.ndarray | sparse.spmatrix
-) -> list[Label]:
+def predict_many(predictor: Ensemble, X: np.ndarray | sparse.spmatrix) -> list[Label]:
+    """Argmax of ``predict_proba_matrix`` per row; ties break in class order."""
     proba = predict_proba_matrix(predictor, X)
     return [predictor.classes[int(i)] for i in np.argmax(proba, axis=1)]
 
 
-def predict_bagging(ensemble: BaggingEnsemble, x: np.ndarray | SparseVector) -> tuple[Label, np.ndarray]:
-    """Average the member distributions, then argmax with canonical ties."""
-    dense = _as_dense_row(x, ensemble.members[0].weights.shape[1])
-    proba = predict_proba_matrix(ensemble, dense.reshape(1, -1))[0]
-    return ensemble.classes[int(np.argmax(proba))], proba
+def predict(model: LinearModel, x: np.ndarray) -> Label:
+    """Label of one dense feature row under a single trained model."""
+    return predict_many(Ensemble.of(model), np.atleast_2d(x))[0]
 
 
 MODEL_FORMAT_VERSION = 1
 
 
-def save_model(
-    predictor: LinearModel | BaggingEnsemble,
-    directory: str | Path,
-    layout: Sequence[tuple[str, int]],
-) -> None:
-    """Persist a model or ensemble with its fit-time feature layout."""
+def _member_entries(meta: dict) -> list[tuple[dict, str]]:
+    """Each member's metadata and file-name prefix.
+
+    A ``linear`` bundle keeps its one member at the top level of
+    ``model.json``; a ``bagging`` bundle lists its members under ``members``.
+    """
+    if meta["kind"] == "linear":
+        return [(meta, "")]
+    if meta["kind"] == "bagging":
+        return [(entry, f"member_{k:03d}_") for k, entry in enumerate(meta["members"])]
+    raise ValueError(f"unknown model kind {meta['kind']!r}")
+
+
+def save_model(predictor: Ensemble, directory: str | Path, layout: Sequence[tuple[str, int]]) -> None:
+    """Persist a predictor with its fit-time feature layout."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     layout = [(name, int(dim)) for name, dim in layout]
@@ -321,49 +308,27 @@ def save_model(
     meta: dict = {
         "format_version": MODEL_FORMAT_VERSION,
         "layout": layout,
+        "classes": [c.value for c in predictor.classes],
+        "config": asdict(predictor.lr_config),
     }
-    if isinstance(predictor, LinearModel):
-        if predictor.weights.shape[1] != dim:
-            raise ValueError("model dimension does not match the feature layout")
+    if predictor.bagging is None:
         meta["kind"] = "linear"
-        meta["classes"] = [c.value for c in predictor.classes]
-        meta["config"] = _lr_config_dict(predictor.config)
-        meta["converged"] = predictor.converged
-        np.save(directory / "weights.npy", predictor.weights)
-        np.save(directory / "biases.npy", predictor.biases)
     else:
-        meta["kind"] = "bagging"
-        meta["classes"] = [c.value for c in predictor.classes]
-        meta["config"] = _lr_config_dict(predictor.lr_config)
-        meta["bagging"] = {
-            "n_estimators": predictor.bagging_config.n_estimators,
-            "seed": predictor.bagging_config.seed,
-        }
-        meta["members"] = []
-        for k, member in enumerate(predictor.members):
-            if member.weights.shape[1] != dim:
-                raise ValueError("ensemble member dimension does not match the feature layout")
-            meta["members"].append(
-                {"classes": [c.value for c in member.classes], "converged": member.converged}
-            )
-            np.save(directory / f"member_{k:03d}_weights.npy", member.weights)
-            np.save(directory / f"member_{k:03d}_biases.npy", member.biases)
+        meta.update(kind="bagging", bagging=asdict(predictor.bagging), members=[{} for _ in predictor.members])
+    for member, (entry, prefix) in zip(predictor.members, _member_entries(meta)):
+        if member.weights.shape[1] != dim:
+            raise ValueError("model dimension does not match the feature layout")
+        entry["classes"] = [c.value for c in member.classes]
+        entry["converged"] = member.converged
+        np.save(directory / f"{prefix}weights.npy", member.weights)
+        np.save(directory / f"{prefix}biases.npy", member.biases)
     with open(directory / "model.json", "w", encoding="utf-8", newline="\n") as handle:
         json.dump(meta, handle, indent=2, sort_keys=True, ensure_ascii=False)
         handle.write("\n")
 
 
-def _lr_config_dict(config: LrConfig) -> dict:
-    return {
-        "C": config.C,
-        "class_weight": config.class_weight,
-        "tol": config.tol,
-        "max_iter": config.max_iter,
-    }
-
-
-def load_model(directory: str | Path) -> tuple[LinearModel | BaggingEnsemble, list[tuple[str, int]]]:
-    """Load a persisted model, verifying dimensions against the stored layout."""
+def load_model(directory: str | Path) -> tuple[Ensemble, list[tuple[str, int]]]:
+    """Load a persisted predictor, verifying dimensions against the stored layout."""
     directory = Path(directory)
     with open(directory / "model.json", encoding="utf-8") as handle:
         meta = json.load(handle)
@@ -372,46 +337,14 @@ def load_model(directory: str | Path) -> tuple[LinearModel | BaggingEnsemble, li
     layout = [(str(name), int(dim)) for name, dim in meta["layout"]]
     dim = sum(d for _, d in layout)
     config = LrConfig(**meta["config"])
-    if meta["kind"] == "linear":
-        weights = np.load(directory / "weights.npy")
-        biases = np.load(directory / "biases.npy")
-        classes = tuple(Label.parse(c) for c in meta["classes"])
+    members: list[LinearModel] = []
+    for k, (entry, prefix) in enumerate(_member_entries(meta)):
+        weights = np.load(directory / f"{prefix}weights.npy")
+        biases = np.load(directory / f"{prefix}biases.npy")
+        classes = tuple(Label.parse(c) for c in entry["classes"])
         if weights.shape != (len(classes), dim) or biases.shape != (len(classes),):
-            raise ValueError("stored weights do not match the feature layout")
-        model = LinearModel(
-            classes=classes,
-            weights=weights,
-            biases=biases,
-            config=config,
-            converged=bool(meta.get("converged", True)),
-        )
-        return model, layout
-    if meta["kind"] == "bagging":
-        ensemble_classes = tuple(Label.parse(c) for c in meta["classes"])
-        members: list[LinearModel] = []
-        for k, member_meta in enumerate(meta["members"]):
-            weights = np.load(directory / f"member_{k:03d}_weights.npy")
-            biases = np.load(directory / f"member_{k:03d}_biases.npy")
-            classes = tuple(Label.parse(c) for c in member_meta["classes"])
-            if weights.shape != (len(classes), dim) or biases.shape != (len(classes),):
-                raise ValueError(f"stored weights for member {k} do not match the feature layout")
-            members.append(
-                LinearModel(
-                    classes=classes,
-                    weights=weights,
-                    biases=biases,
-                    config=config,
-                    converged=bool(member_meta.get("converged", True)),
-                )
-            )
-        bagging_config = BaggingConfig(**meta["bagging"])
-        return (
-            BaggingEnsemble(
-                classes=ensemble_classes,
-                members=tuple(members),
-                lr_config=config,
-                bagging_config=bagging_config,
-            ),
-            layout,
-        )
-    raise ValueError(f"unknown model kind {meta['kind']!r}")
+            raise ValueError(f"stored weights for member {k} do not match the feature layout")
+        members.append(LinearModel(classes, weights, biases, config, bool(entry.get("converged", True))))
+    bagging = None if meta["kind"] == "linear" else BaggingConfig(**meta["bagging"])
+    classes = tuple(Label.parse(c) for c in meta["classes"])
+    return Ensemble(classes, tuple(members), config, bagging), layout

@@ -645,6 +645,21 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="at least one"):
             grid_search(light_config(mini_corpus), {}, tmp_path)
 
+    @pytest.mark.parametrize("grid", [["C"], 5])
+    def test_non_object_grid_rejected(self, grid, mini_corpus, tmp_path):
+        with pytest.raises(ValueError, match="JSON object"):
+            grid_search(light_config(mini_corpus), grid, tmp_path)
+
+    @pytest.mark.parametrize("name, values", [("C", 1.0), ("class_weight", "balanced")])
+    def test_non_list_values_rejected(self, name, values, mini_corpus, tmp_path):
+        with pytest.raises(ValueError, match="must be a list"):
+            grid_search(light_config(mini_corpus), {name: values}, tmp_path)
+
+    def test_unorderable_values_rejected(self, mini_corpus, tmp_path):
+        with pytest.raises(ValueError, match="cannot be ordered"):
+            grid_search(light_config(mini_corpus), {"C": [1.0, "abc"]}, tmp_path)
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_parameter_rejected(self, mini_corpus, tmp_path):
         with pytest.raises(ValueError, match="unknown grid parameter"):
             grid_search(light_config(mini_corpus), {"dropout": [0.5]}, tmp_path)
@@ -830,6 +845,17 @@ class TestCli:
         assert best["params"] == {"C": 1.0}
         assert (tmp_path / "grid" / "best_config.json").is_file()
 
+    @pytest.mark.parametrize("spec", ['{"C": 1.0}', '{"C": [1.0, "abc"]}', '["C"]'])
+    def test_malformed_grid_exits_2(self, spec, mini_corpus, tmp_path, capsys):
+        config_path = write_config(light_config(mini_corpus), tmp_path / "config.json")
+        if not spec.startswith("{"):
+            (tmp_path / "grid.json").write_text(spec, encoding="utf-8")
+            spec = str(tmp_path / "grid.json")
+        code = main(["grid", "--config", str(config_path), "--out", str(tmp_path / "grid"), "--grid", spec])
+        assert code == 2
+        assert "error [config] " in capsys.readouterr().err
+        assert not (tmp_path / "grid").exists()
+
     def test_stage_failure_exits_1(self, mini_corpus, tmp_path, capsys):
         config = light_config(mini_corpus)
         config = dataclasses.replace(
@@ -862,6 +888,18 @@ class TestCli:
         code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
         assert code == 1
         assert "error [bundle]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_empty_ensemble_exits_1_in_the_bundle_stage(self, command, demo_run, mini_corpus, tmp_path, capsys):
+        bundle = tmp_path / "model"
+        shutil.copytree(demo_run.out_dir / "model", bundle)
+        meta = json.loads((bundle / "model.json").read_text(encoding="utf-8"))
+        meta["members"] = []
+        (bundle / "model.json").write_text(json.dumps(meta), encoding="utf-8")
+        code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
+        assert code == 1
+        assert "error [bundle] ensemble has 0 members" in capsys.readouterr().err
+        assert not (tmp_path / "labels.tsv").exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_malformed_input_exits_1_in_the_load_stage(self, command, demo_run, tmp_path, capsys):

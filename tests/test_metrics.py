@@ -16,7 +16,7 @@ from tweetsent.metrics import (
     report_to_json,
     round_percent,
 )
-from tweetsent.model import LinearModel, LrConfig
+from tweetsent.model import Ensemble, LinearModel, LrConfig
 
 # Two full published-style reports, frozen as regression oracles.  Rows and
 # columns follow the canonical order P, N, NEU, NONE.
@@ -232,13 +232,15 @@ class IdentityFeatures:
         return np.ones((len(dataset), 1))
 
 
-def constant_p_model() -> LinearModel:
-    return LinearModel(
-        classes=(Label.P, Label.N),
-        weights=np.array([[0.0], [0.0]]),
-        biases=np.array([5.0, -5.0]),
-        config=LrConfig(),
-        converged=True,
+def constant_p_model() -> Ensemble:
+    return Ensemble.of(
+        LinearModel(
+            classes=(Label.P, Label.N),
+            weights=np.array([[0.0], [0.0]]),
+            biases=np.array([5.0, -5.0]),
+            config=LrConfig(),
+            converged=True,
+        )
     )
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -8,15 +9,15 @@ from scipy import sparse
 from tweetsent.corpus import LABELS, Label
 from tweetsent.model import (
     BaggingConfig,
+    Ensemble,
     LinearModel,
     LrConfig,
     binary_objective,
     compute_class_weights,
     load_model,
     predict,
-    predict_bagging,
     predict_many,
-    predict_proba,
+    predict_proba_matrix,
     save_model,
     train_bagging,
     train_lr,
@@ -257,6 +258,11 @@ class TestTrainLr:
             assert values[-1] <= values[0]
 
 
+def row_proba(predictor, x):
+    """Class distribution of one feature row, as a one-row batch."""
+    return predict_proba_matrix(predictor, np.atleast_2d(x))[0]
+
+
 class TestPredict:
     def make_model(self, weights, biases, classes=(Label.P, Label.N)):
         return LinearModel(
@@ -269,13 +275,13 @@ class TestPredict:
 
     def test_probabilities_normalized(self):
         model = self.make_model([[1.0, 0.0], [0.0, 1.0]], [0.1, -0.2])
-        proba = predict_proba(model, np.array([0.5, 1.5]))
+        proba = row_proba(Ensemble.of(model), np.array([0.5, 1.5]))
         assert proba.sum() == pytest.approx(1.0, abs=1e-12)
         assert (proba > 0).all()
 
     def test_all_zero_scores_fall_back_to_uniform(self):
         model = self.make_model([[0.0, 0.0], [0.0, 0.0]], [-1000.0, -1000.0])
-        proba = predict_proba(model, np.array([0.0, 0.0]))
+        proba = row_proba(Ensemble.of(model), np.array([0.0, 0.0]))
         assert np.allclose(proba, [0.5, 0.5])
 
     def test_tie_breaks_in_canonical_order(self):
@@ -285,18 +291,19 @@ class TestPredict:
             classes=(Label.P, Label.NEU, Label.NONE),
         )
         assert predict(model, np.array([1.0])) is Label.P
+        assert predict_many(Ensemble.of(model), np.array([[1.0]])) == [Label.P]
 
     def test_predict_matches_argmax(self):
         X, labels = two_class_problem(seed=12)
         model = train_lr(X, labels, LrConfig())
         for x in X[:10]:
-            proba = predict_proba(model, x)
+            proba = row_proba(Ensemble.of(model), x)
             assert predict(model, x) is model.classes[int(np.argmax(proba))]
 
     def test_predict_many(self):
         X, labels = two_class_problem(seed=13)
         model = train_lr(X, labels, LrConfig())
-        many = predict_many(model, X)
+        many = predict_many(Ensemble.of(model), X)
         assert many == [predict(model, x) for x in X]
 
 
@@ -341,7 +348,7 @@ class TestBagging:
         for member in bag.members:
             assert np.allclose(member.weights, plain.weights, atol=1e-7)
         x = X[0]
-        assert np.allclose(predict_bagging(bag, x)[1], predict_proba(plain, x), atol=1e-7)
+        assert np.allclose(row_proba(bag, x), row_proba(Ensemble.of(plain), x), atol=1e-7)
 
     def test_single_class_bootstrap_raises_after_retries(self):
         X, labels = four_class_problem(seed=4)
@@ -360,14 +367,14 @@ class TestBagging:
         X, labels = four_class_problem(seed=5)
         bag = train_bagging(X, labels, LrConfig(), BaggingConfig(n_estimators=3, seed=2))
         x = X[7]
-        stacked = [predict_proba(member, x) for member in bag.members]
-        assert np.allclose(predict_bagging(bag, x)[1], np.mean(stacked, axis=0), atol=1e-12)
+        stacked = [row_proba(Ensemble.of(member), x) for member in bag.members]
+        assert np.allclose(row_proba(bag, x), np.mean(stacked, axis=0), atol=1e-12)
 
     def test_prediction_label_consistent_with_probabilities(self):
         X, labels = four_class_problem(seed=6)
         bag = train_bagging(X, labels, LrConfig(), BaggingConfig(n_estimators=2, seed=3))
-        label, proba = predict_bagging(bag, X[0])
-        assert label is bag.classes[int(np.argmax(proba))]
+        [label] = predict_many(bag, X[:1])
+        assert label is bag.classes[int(np.argmax(row_proba(bag, X[0])))]
 
     def test_ensemble_classes_are_canonical_union(self):
         X, labels = four_class_problem(seed=7)
@@ -380,14 +387,15 @@ class TestSaveLoad:
         X, labels = four_class_problem(seed=8)
         model = train_lr(X, labels, LrConfig(C=0.3, class_weight="balanced"))
         layout = [("bow", 3), ("embedding", 3)]
-        save_model(model, tmp_path, layout)
+        save_model(Ensemble.of(model), tmp_path, layout)
         loaded, loaded_layout = load_model(tmp_path)
-        assert isinstance(loaded, LinearModel)
+        assert loaded.bagging is None
+        [member] = loaded.members
         assert loaded_layout == layout
-        assert np.array_equal(loaded.weights, model.weights)
-        assert np.array_equal(loaded.biases, model.biases)
-        assert loaded.config == model.config
-        assert predict_many(loaded, X) == predict_many(model, X)
+        assert np.array_equal(member.weights, model.weights)
+        assert np.array_equal(member.biases, model.biases)
+        assert member.config == model.config == loaded.lr_config
+        assert predict_many(loaded, X) == predict_many(Ensemble.of(model), X)
 
     def test_bagging_round_trip(self, tmp_path):
         X, labels = four_class_problem(seed=9)
@@ -395,23 +403,175 @@ class TestSaveLoad:
         save_model(bag, tmp_path, [("bow", X.shape[1])])
         loaded, _ = load_model(tmp_path)
         assert len(loaded.members) == 2
+        assert loaded.bagging == bag.bagging
         for x in X[:5]:
-            assert np.allclose(predict_bagging(loaded, x)[1], predict_bagging(bag, x)[1])
+            assert np.allclose(row_proba(loaded, x), row_proba(bag, x))
 
     def test_layout_dim_mismatch_rejected(self, tmp_path):
         X, labels = four_class_problem(seed=10)
         model = train_lr(X, labels, LrConfig())
         with pytest.raises(ValueError):
-            save_model(model, tmp_path, [("bow", 2)])
+            save_model(Ensemble.of(model), tmp_path, [("bow", 2)])
 
     def test_unknown_format_version_rejected(self, tmp_path):
-        import json
-
         X, labels = four_class_problem(seed=11)
         model = train_lr(X, labels, LrConfig())
-        save_model(model, tmp_path, [("bow", X.shape[1])])
+        save_model(Ensemble.of(model), tmp_path, [("bow", X.shape[1])])
         meta = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
         meta["format_version"] = 999
         (tmp_path / "model.json").write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(ValueError, match="version"):
             load_model(tmp_path)
+
+
+def drop_members(meta):
+    meta["members"] = []
+
+
+def drop_one_member(meta):
+    meta["members"] = meta["members"][:1]
+
+
+def narrow_ensemble_classes(meta):
+    meta["classes"] = meta["classes"][:2]
+
+
+class TestMalformedEnsemble:
+    """A bagging bundle whose members do not fit the ensemble fails to load."""
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (drop_members, "0 members, expected 2"),
+            (drop_one_member, "1 members, expected 2"),
+            (narrow_ensemble_classes, "classes outside"),
+        ],
+    )
+    def test_rejected_on_load(self, tmp_path, edit, match):
+        X, labels = four_class_problem(seed=12)
+        bag = train_bagging(X, labels, LrConfig(), BaggingConfig(n_estimators=2, seed=1))
+        save_model(bag, tmp_path, [("bow", X.shape[1])])
+        meta = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        edit(meta)
+        (tmp_path / "model.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ValueError, match=match):
+            load_model(tmp_path)
+
+
+GOLDEN_LINEAR_JSON = """\
+{
+  "classes": [
+    "P",
+    "N"
+  ],
+  "config": {
+    "C": 0.5,
+    "class_weight": "none",
+    "max_iter": 1000,
+    "tol": 1e-06
+  },
+  "converged": true,
+  "format_version": 1,
+  "kind": "linear",
+  "layout": [
+    [
+      "bow",
+      2
+    ]
+  ]
+}
+"""
+
+GOLDEN_BAGGING_JSON = """\
+{
+  "bagging": {
+    "n_estimators": 2,
+    "seed": 3
+  },
+  "classes": [
+    "P",
+    "N"
+  ],
+  "config": {
+    "C": 0.5,
+    "class_weight": "none",
+    "max_iter": 1000,
+    "tol": 1e-06
+  },
+  "format_version": 1,
+  "kind": "bagging",
+  "layout": [
+    [
+      "bow",
+      1
+    ],
+    [
+      "boc",
+      1
+    ]
+  ],
+  "members": [
+    {
+      "classes": [
+        "P",
+        "N"
+      ],
+      "converged": true
+    },
+    {
+      "classes": [
+        "P",
+        "N"
+      ],
+      "converged": false
+    }
+  ]
+}
+"""
+
+
+class TestBundleFormat:
+    """Format-1 bundles, pinned as written: both kinds load into ``Ensemble``."""
+
+    def members(self):
+        config = LrConfig(C=0.5)
+        first = LinearModel(
+            (Label.P, Label.N), np.array([[1.0, -2.0], [0.5, 0.0]]), np.array([0.25, -0.25]), config, True
+        )
+        second = LinearModel(
+            (Label.P, Label.N), np.array([[0.0, 1.0], [-1.0, 3.0]]), np.array([0.0, 1.5]), config, False
+        )
+        return first, second
+
+    def check_round_trip(self, directory, saved, expected_files, expected_json):
+        assert sorted(path.name for path in directory.iterdir()) == expected_files
+        assert (directory / "model.json").read_bytes() == expected_json.encode("utf-8")
+        loaded, _ = load_model(directory)
+        assert loaded.classes == saved.classes
+        assert loaded.lr_config == saved.lr_config
+        assert loaded.bagging == saved.bagging
+        assert len(loaded.members) == len(saved.members)
+        for ours, theirs in zip(loaded.members, saved.members):
+            assert ours.classes == theirs.classes
+            assert ours.converged is theirs.converged
+            assert np.array_equal(ours.weights, theirs.weights)
+            assert np.array_equal(ours.biases, theirs.biases)
+
+    def test_linear_kind(self, tmp_path):
+        first, _ = self.members()
+        plain = Ensemble.of(first)
+        save_model(plain, tmp_path, [("bow", 2)])
+        self.check_round_trip(tmp_path, plain, ["biases.npy", "model.json", "weights.npy"], GOLDEN_LINEAR_JSON)
+
+    def test_bagging_kind(self, tmp_path):
+        members = self.members()
+        bag = Ensemble((Label.P, Label.N), members, LrConfig(C=0.5), BaggingConfig(n_estimators=2, seed=3))
+        save_model(bag, tmp_path, [("bow", 1), ("boc", 1)])
+        files = [
+            "member_000_biases.npy",
+            "member_000_weights.npy",
+            "member_001_biases.npy",
+            "member_001_weights.npy",
+            "model.json",
+        ]
+        self.check_round_trip(tmp_path, bag, files, GOLDEN_BAGGING_JSON)
