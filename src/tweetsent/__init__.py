@@ -9,6 +9,16 @@ reports.  ``run_experiment`` drives everything from a single JSON config;
 the ``tweetsent`` CLI wraps it.
 """
 
+import os
+
+# One BLAS thread per process, set before numpy loads.  Training runs one
+# worker process per CPU, so more threads would oversubscribe the cores, and
+# the rounding of a solve would depend on the thread count.  A value the user
+# set is kept.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .augment import (
     CrossoverConfig,
     FixtureTranslator,
@@ -52,6 +62,7 @@ from .model import (
     Ensemble,
     LinearModel,
     LrConfig,
+    SolverStats,
     compute_class_weights,
     load_model,
     predict,
@@ -98,6 +109,7 @@ __all__ = [
     "PreprocessConfig",
     "RemoteTranslator",
     "SifConfig",
+    "SolverStats",
     "SparseVector",
     "StageError",
     "Token",

@@ -10,6 +10,12 @@ convex, so any deterministic descent method reaching the gradient tolerance
 finds the same optimum; we run L-BFGS-B on an analytic objective/gradient
 pair and stop when the gradient infinity norm drops below ``tol``.
 
+The binary subproblems (member rows, class) are independent.  One mapper
+solves them in worker processes forked from the caller, one per available
+CPU, or in-process when there is one CPU, one problem or no ``fork``.  Each
+worker runs the same code on the same inputs as the in-process path, so the
+weights do not depend on the CPU count.
+
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.
 """
@@ -17,11 +23,15 @@ samples, and plain LR is the one-member case.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import warnings
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize, sparse
@@ -50,6 +60,16 @@ class LrConfig:
             raise ValueError("max_iter must be >= 1")
 
 
+class SolverStats(NamedTuple):
+    """How the solve of one binary subproblem ended."""
+
+    converged: bool
+    nit: int
+    nfev: int
+    grad_norm: float  # infinity norm of the final gradient
+    message: str
+
+
 @dataclass(eq=False)
 class LinearModel:
     classes: tuple[Label, ...]
@@ -57,6 +77,8 @@ class LinearModel:
     biases: np.ndarray  # shape (K,)
     config: LrConfig
     converged: bool = True
+    # One entry per class after training; not persisted, so empty after load_model.
+    stats: tuple[SolverStats, ...] = ()
 
 
 def compute_class_weights(label_counts: Mapping[Label, int], mode: str) -> dict[Label, float]:
@@ -113,6 +135,128 @@ def _training_classes(features: np.ndarray | sparse.spmatrix, labels: list[Label
     return classes
 
 
+def _sample_weight(labels: list[Label], config: LrConfig) -> np.ndarray:
+    weight_by_class = compute_class_weights(Counter(labels), config.class_weight)
+    return np.array([weight_by_class[label] for label in labels])
+
+
+class _Problem(NamedTuple):
+    """One binary subproblem: a member's rows against one class."""
+
+    rows: np.ndarray | None  # the member's bootstrap rows; None is every row
+    signs: np.ndarray
+    sample_weight: np.ndarray
+
+
+# (features, problems, config, record) inside a worker process, set by
+# _init_worker from arguments the fork hands over without pickling.
+_worker_work: tuple | None = None
+
+
+def _solve(work: tuple, i: int) -> tuple[np.ndarray, SolverStats, list[float] | None]:
+    """Problem ``i`` of ``work``: the final iterate, its stats and, when
+    recording, the objective value at every iterate."""
+    features, problems, config, record = work
+    problem = problems[i]
+    X = features if problem.rows is None else features[problem.rows]
+    objective = binary_objective(X, problem.signs, problem.sample_weight, config.C)
+    values: list[float] | None = [] if record else None
+    callback = None if values is None else (lambda theta: values.append(objective(theta)[0]))
+    result = optimize.minimize(
+        objective,
+        x0=np.zeros(X.shape[1] + 1),
+        jac=True,
+        method="L-BFGS-B",
+        callback=callback,
+        options={
+            "maxiter": config.max_iter,
+            "maxfun": max(15000, 20 * config.max_iter),
+            "ftol": 0.0,
+            "gtol": config.tol,
+        },
+    )
+    stats = SolverStats(
+        bool(result.success), int(result.nit), int(result.nfev), float(np.max(np.abs(result.jac))), str(result.message)
+    )
+    return result.x, stats, values
+
+
+def _init_worker(work: tuple) -> None:
+    global _worker_work
+    _worker_work = work
+
+
+def _solve_in_worker(i: int) -> tuple[np.ndarray, SolverStats, list[float] | None]:
+    return _solve(_worker_work, i)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _solve_all(features, problems: list[_Problem], config: LrConfig, record: bool) -> list[tuple]:
+    """Solve every problem, in order: in forked workers, or in-process with one of them.
+
+    The workers inherit the feature matrix through the fork, so only problem
+    indices and solutions are pickled.  A worker that dies raises
+    ``BrokenProcessPool``.
+    """
+    work = (features, problems, config, record)
+    workers = min(len(problems), _cpu_count())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_solve(work, i) for i in range(len(problems))]
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(work,)) as pool:
+        return list(pool.map(_solve_in_worker, range(len(problems))))
+
+
+def _fit(
+    features: np.ndarray | sparse.spmatrix,
+    members: Sequence[tuple[np.ndarray | None, list[Label], np.ndarray]],
+    config: LrConfig,
+    iteration_callback: Callable[[Label, float], None] | None = None,
+) -> list[LinearModel]:
+    """One ``LinearModel`` per (rows, labels, sample weight) member, in order.
+
+    The one-vs-rest problems of all members are solved together; warnings and
+    ``iteration_callback`` calls follow afterwards, class by class.
+    """
+    problems: list[_Problem] = []
+    member_classes = []
+    for rows, labels, sample_weight in members:
+        present = set(labels)
+        classes = tuple(label for label in LABELS if label in present)
+        label_array = np.array([label.value for label in labels])
+        member_classes.append(classes)
+        problems += [_Problem(rows, np.where(label_array == cls.value, 1.0, -1.0), sample_weight) for cls in classes]
+    solutions = iter(_solve_all(features, problems, config, iteration_callback is not None))
+    models = []
+    for classes in member_classes:
+        weights = np.empty((len(classes), features.shape[1]))
+        biases = np.empty(len(classes))
+        stats = []
+        for k, cls in enumerate(classes):
+            x, solver_stats, values = next(solutions)
+            for value in values or ():
+                iteration_callback(cls, value)
+            if not solver_stats.converged:
+                warnings.warn(
+                    f"optimizer did not reach tol={config.tol} for class {cls.value}: {solver_stats.message}",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
+            weights[k] = x[:-1]
+            biases[k] = x[-1]
+            stats.append(solver_stats)
+        converged = all(s.converged for s in stats)
+        models.append(LinearModel(classes, weights, biases, config, converged, tuple(stats)))
+    return models
+
+
 def train_lr(
     features: np.ndarray | sparse.spmatrix,
     labels: Sequence[Label],
@@ -124,53 +268,20 @@ def train_lr(
 
     ``sample_weight`` overrides the class-weight mode (a test and calibration
     hook).  ``iteration_callback`` receives the objective value at every
-    optimizer iterate.  A subproblem that fails to reach ``tol`` within
-    ``max_iter`` still yields a model, with a warning and ``converged=False``.
+    optimizer iterate, replayed after the solves in class order.  A
+    subproblem that fails to reach ``tol`` within ``max_iter`` still yields a
+    model, with a warning and ``converged=False``.
     """
     labels = list(labels)
-    classes = _training_classes(features, labels)
+    _training_classes(features, labels)
     if sample_weight is None:
-        weight_by_class = compute_class_weights(Counter(labels), config.class_weight)
-        sample_weight = np.array([weight_by_class[label] for label in labels])
+        sample_weight = _sample_weight(labels, config)
     else:
         sample_weight = np.asarray(sample_weight, dtype=float)
         if sample_weight.shape != (len(labels),):
             raise ValueError("sample_weight must have one entry per instance")
-
-    dim = features.shape[1]
-    weights = np.empty((len(classes), dim))
-    biases = np.empty(len(classes))
-    converged = True
-    label_array = np.array([label.value for label in labels])
-    for k, cls in enumerate(classes):
-        signs = np.where(label_array == cls.value, 1.0, -1.0)
-        objective = binary_objective(features, signs, sample_weight, config.C)
-        callback = None
-        if iteration_callback is not None:
-            callback = lambda theta, _cls=cls: iteration_callback(_cls, objective(theta)[0])
-        result = optimize.minimize(
-            objective,
-            x0=np.zeros(dim + 1),
-            jac=True,
-            method="L-BFGS-B",
-            callback=callback,
-            options={
-                "maxiter": config.max_iter,
-                "maxfun": max(15000, 20 * config.max_iter),
-                "ftol": 0.0,
-                "gtol": config.tol,
-            },
-        )
-        if not result.success:
-            converged = False
-            warnings.warn(
-                f"optimizer did not reach tol={config.tol} for class {cls.value}: {result.message}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        weights[k] = result.x[:-1]
-        biases[k] = result.x[-1]
-    return LinearModel(classes=classes, weights=weights, biases=biases, config=config, converged=converged)
+    [model] = _fit(features, [(None, labels, sample_weight)], config, iteration_callback)
+    return model
 
 
 @dataclass(frozen=True)
@@ -232,7 +343,7 @@ def train_bagging(
     labels = list(labels)
     classes = _training_classes(features, labels)
     n = len(labels)
-    members: list[LinearModel] = []
+    members = []
     for k in range(bagging_config.n_estimators):
         rng = np.random.default_rng([bagging_config.seed, k])
         for attempt in range(10):
@@ -247,8 +358,8 @@ def train_bagging(
                 f"bootstrap sample for member {k} collapsed to a single class in 10 attempts"
             )
         member_labels = [labels[i] for i in idx]
-        members.append(train_lr(features[idx], member_labels, lr_config))
-    return Ensemble(classes, tuple(members), lr_config, bagging_config)
+        members.append((idx, member_labels, _sample_weight(member_labels, lr_config)))
+    return Ensemble(classes, tuple(_fit(features, members, lr_config)), lr_config, bagging_config)
 
 
 def _member_proba_matrix(member: LinearModel, X, classes: tuple[Label, ...]) -> np.ndarray:

@@ -18,6 +18,7 @@ features do not depend on which batch it is in.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -169,7 +170,20 @@ class FeaturePipeline:
         return sparse.hstack(blocks, format="csr")
 
 
-PIPELINE_FORMAT_VERSION = 1
+#: Format 2 stores a relative resource path relative to the bundle directory;
+#: format 1 stored it as given, relative to the working directory of training.
+PIPELINE_FORMAT_VERSION = 2
+
+
+def _bundle_relative(path: str | None, directory: Path) -> str | None:
+    """A relative ``path`` rewritten relative to ``directory``; absolute paths stay.
+
+    An absolute path already loads from anywhere, and keeping it keeps the
+    bundle's bytes independent of where the bundle is written.
+    """
+    if path is None or Path(path).is_absolute():
+        return path
+    return Path(os.path.relpath(Path(path).resolve(), directory.resolve())).as_posix()
 
 
 def save_pipeline(pipeline: FeaturePipeline, directory: str | Path, resources: dict[str, str | None]) -> None:
@@ -177,11 +191,14 @@ def save_pipeline(pipeline: FeaturePipeline, directory: str | Path, resources: d
 
     Small preprocessing resources are inlined; ``resources`` records the
     embedding/subword/unigram file paths, which are reloaded from disk.
+    Relative paths are stored relative to ``directory``, so the bundle loads
+    from any working directory.
     """
     if not pipeline.fitted:
         raise ValueError("only fitted pipelines can be saved")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    resources = {name: _bundle_relative(path, directory) for name, path in resources.items()}
     config = pipeline.preprocess_config
     meta = {
         "format_version": PIPELINE_FORMAT_VERSION,
@@ -228,8 +245,9 @@ def load_pipeline(directory: str | Path) -> FeaturePipeline:
     directory = Path(directory)
     with open(directory / "pipeline.json", encoding="utf-8") as handle:
         meta = json.load(handle)
-    if meta.get("format_version") != PIPELINE_FORMAT_VERSION:
-        raise ValueError(f"unsupported pipeline format version {meta.get('format_version')!r}")
+    version = meta.get("format_version")
+    if version not in (1, PIPELINE_FORMAT_VERSION):
+        raise ValueError(f"unsupported pipeline format version {version!r}")
     preprocess_config = PreprocessConfig(
         negation_words=frozenset(meta["preprocess"]["negation_words"]),
         negation_scope=meta["preprocess"]["negation_scope"],
@@ -246,6 +264,8 @@ def load_pipeline(directory: str | Path) -> FeaturePipeline:
         resources = meta["resources"]
         if not resources.get("embeddings") or not resources.get("unigram_counts"):
             raise ValueError("pipeline metadata is missing embedding resource paths")
+        if version != 1:
+            resources = {name: path and directory / path for name, path in resources.items()}
         embedding_table = load_embeddings(resources["embeddings"], resources.get("subword"))
         unigram = load_unigram_counts(resources["unigram_counts"])
     pipeline = FeaturePipeline(

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tweetsent import model
 from tweetsent.cli import main
 from tweetsent.corpus import load_tsv
 from tweetsent.experiment import (
@@ -915,6 +917,36 @@ class TestCli:
         code = main(bundle_argv("eval", demo_run.out_dir / "model", unlabeled, tmp_path))
         assert code == 1
         assert "error [load]" in capsys.readouterr().err
+
+    def test_bundle_predicts_from_another_working_directory(self, mini_corpus, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus, corpus)
+        raw = json.loads((corpus / "config.json").read_text(encoding="utf-8"))
+        raw["augment"] = {}
+        raw["model"]["bagging"] = None
+        (corpus / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+        monkeypatch.chdir(corpus)
+        assert main(["train", "--config", "config.json", "--out", "run"]) == 0
+        monkeypatch.chdir(tmp_path)
+        code = main(["predict", "--model", "corpus/run/model", "--input", "corpus/test.tsv", "--output", "labels.tsv"])
+        assert code == 0, capsys.readouterr().err
+        expected = (corpus / "run" / "predictions_test.tsv").read_text(encoding="utf-8")
+        assert (tmp_path / "labels.tsv").read_text(encoding="utf-8") == expected
+
+    def test_dead_training_worker_exits_1_in_the_train_stage(self, mini_corpus, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def exit_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("solved in the parent process")
+
+        monkeypatch.setattr(model, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(model, "binary_objective", exit_in_worker)
+        config_path = write_config(light_config(mini_corpus), tmp_path / "config.json")
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error [train]" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from tweetsent import model
 from tweetsent.corpus import LABELS, Label
 from tweetsent.model import (
     BaggingConfig,
@@ -575,3 +579,116 @@ class TestBundleFormat:
             "model.json",
         ]
         self.check_round_trip(tmp_path, bag, files, GOLDEN_BAGGING_JSON)
+
+
+def drop_none_from_first_member(labels):
+    """Member 0 trains without class NONE; the others draw as usual."""
+    kept = np.array([i for i, label in enumerate(labels) if label is not Label.NONE])
+    return lambda k, n, rng: kept if k == 0 else rng.integers(0, n, size=n)
+
+
+def pooled(monkeypatch, cpus=2):
+    """Run the solves in ``cpus`` forked workers; returns the list of pools made."""
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(model, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def in_process(monkeypatch):
+    monkeypatch.setattr(model, "_cpu_count", lambda: 1)
+
+
+def assert_same_members(ours, theirs):
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        assert a.classes == b.classes
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.biases, b.biases)
+        assert a.converged is b.converged
+        assert a.stats == b.stats
+        assert len(a.stats) == len(a.classes)
+
+
+class TestParallelSolves:
+    """Solves in forked workers give exactly what the in-process path gives."""
+
+    def test_train_lr_pool_equals_in_process(self, monkeypatch):
+        X, labels = four_class_problem(seed=20)
+        X = sparse.csr_matrix(X)
+        config = LrConfig(C=2.0, class_weight="balanced")
+        pools = pooled(monkeypatch)
+        parallel = train_lr(X, labels, config)
+        assert pools == [(2,)]
+        in_process(monkeypatch)
+        serial = train_lr(X, labels, config)
+        assert_same_members([parallel], [serial])
+        assert all(s.converged and s.grad_norm < config.tol and s.nfev >= s.nit > 0 for s in serial.stats)
+
+    def test_train_bagging_pool_equals_in_process(self, monkeypatch):
+        X, labels = four_class_problem(seed=21)
+        config = LrConfig()
+        bagging = BaggingConfig(n_estimators=3, seed=5)
+        bootstrap = drop_none_from_first_member(labels)
+        pools = pooled(monkeypatch, cpus=3)
+        parallel = train_bagging(X, labels, config, bagging, bootstrap_fn=bootstrap)
+        assert pools == [(3,)]
+        in_process(monkeypatch)
+        serial = train_bagging(X, labels, config, bagging, bootstrap_fn=bootstrap)
+        assert serial.members[0].classes == (Label.P, Label.N, Label.NEU)
+        assert parallel.classes == serial.classes == LABELS
+        assert_same_members(parallel.members, serial.members)
+
+    def test_one_problem_is_solved_in_process(self, monkeypatch):
+        X, labels = two_class_problem(seed=22)
+        signs = np.array([1.0 if label is Label.P else -1.0 for label in labels])
+        pools = pooled(monkeypatch)
+        [(x, stats, values)] = model._solve_all(X, [model._Problem(None, signs, np.ones(len(labels)))], LrConfig(), False)
+        assert pools == []
+        assert stats.converged and values is None
+        assert np.array_equal(x[:-1], train_lr(X, labels, LrConfig()).weights[0])
+        assert pools == [(2,)]
+
+    def test_unconverged_class_warns_in_the_parent(self, monkeypatch):
+        X, labels = two_class_problem(seed=10, n=60, d=8)
+        pooled(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="tol=1e-12 for class") as record:
+            trained = train_lr(X, labels, LrConfig(C=5.0, tol=1e-12, max_iter=2))
+        assert len(record) == 2
+        assert trained.converged is False
+        assert [s.converged for s in trained.stats] == [False, False]
+        assert all(s.nit == 2 and "ITERATIONS" in s.message for s in trained.stats)
+
+    def test_iteration_callback_is_replayed_in_class_order(self, monkeypatch):
+        X, labels = four_class_problem(seed=23)
+        config = LrConfig(tol=1e-8)
+        calls = {}
+        for name, setup in (("pool", pooled), ("in-process", in_process)):
+            setup(monkeypatch)
+            seen = []
+            trained = train_lr(X, labels, config, iteration_callback=lambda cls, val: seen.append((cls, val)))
+            calls[name] = seen
+        assert calls["pool"] == calls["in-process"]
+        order = [cls for cls, _ in calls["pool"]]
+        assert order == sorted(order, key=LABELS.index)
+        assert [order.count(cls) for cls in trained.classes] == [s.nit for s in trained.stats]
+
+    def test_dead_worker_raises(self, monkeypatch):
+        X, labels = four_class_problem(seed=24)
+        parent = os.getpid()
+
+        def exit_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("solved in the parent process")
+
+        pooled(monkeypatch)
+        monkeypatch.setattr(model, "binary_objective", exit_in_worker)
+        with pytest.raises(BrokenProcessPool):
+            train_lr(X, labels, LrConfig())

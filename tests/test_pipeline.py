@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,59 @@ class TestSaveLoad:
         assert loaded.layout == pipeline.layout
         for tweet in ds.tweets:
             assert loaded.transform_one(tweet.text) == pipeline.transform_one(tweet.text)
+
+    def fitted_embedding_pipeline(self):
+        table, unigram = embedding_fixture()
+        return FeaturePipeline(
+            preprocess_config=PreprocessConfig(),
+            ngram_config=NgramConfig(word_n_max=1, char_n_max=2),
+            blocks=FeatureBlocks(),
+            embedding_table=table,
+            unigram=unigram,
+        ).fit(tiny_dataset())
+
+    def test_relative_resource_paths_are_stored_relative_to_the_bundle(self, tmp_path, monkeypatch):
+        self.write_resources(tmp_path)
+        pipeline = self.fitted_embedding_pipeline()
+        monkeypatch.chdir(tmp_path)
+        save_pipeline(pipeline, "runs/bundle", {"embeddings": "emb.txt", "subword": None, "unigram_counts": "uni.tsv"})
+        meta = json.loads((tmp_path / "runs" / "bundle" / "pipeline.json").read_text(encoding="utf-8"))
+        assert meta["format_version"] == 2
+        assert meta["resources"] == {"embeddings": "../../emb.txt", "subword": None, "unigram_counts": "../../uni.tsv"}
+        moved = tmp_path / "elsewhere"
+        moved.mkdir()
+        monkeypatch.chdir(moved)
+        loaded = load_pipeline(tmp_path / "runs" / "bundle")
+        text = tiny_dataset().tweets[0].text
+        assert loaded.transform_one(text) == pipeline.transform_one(text)
+
+    def test_absolute_resource_paths_are_kept(self, tmp_path):
+        resources = self.write_resources(tmp_path)
+        save_pipeline(self.fitted_embedding_pipeline(), tmp_path / "bundle", resources)
+        meta = json.loads((tmp_path / "bundle" / "pipeline.json").read_text(encoding="utf-8"))
+        assert meta["resources"] == resources
+
+    def test_format_1_paths_stay_relative_to_the_working_directory(self, tmp_path, monkeypatch):
+        resources = self.write_resources(tmp_path)
+        save_pipeline(self.fitted_embedding_pipeline(), tmp_path / "bundle", resources)
+        meta_path = tmp_path / "bundle" / "pipeline.json"
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta["format_version"] = 1
+        meta["resources"] = {"embeddings": "emb.txt", "subword": None, "unigram_counts": "uni.tsv"}
+        meta_path.write_text(json.dumps(meta), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert load_pipeline("bundle").embedding_table is not None
+        monkeypatch.chdir(tmp_path / "bundle")
+        with pytest.raises(FileNotFoundError):
+            load_pipeline(".")
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        save_pipeline(make_pipeline().fit(tiny_dataset()), tmp_path, {})
+        meta = json.loads((tmp_path / "pipeline.json").read_text(encoding="utf-8"))
+        meta["format_version"] = 3
+        (tmp_path / "pipeline.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ValueError, match="version 3"):
+            load_pipeline(tmp_path)
 
     def test_unfitted_rejected(self, tmp_path):
         with pytest.raises(ValueError):
