@@ -18,8 +18,6 @@ import dataclasses
 import hashlib
 import itertools
 import json
-import math
-import types
 import typing
 from contextlib import contextmanager
 from importlib import resources
@@ -59,6 +57,7 @@ from .preprocess import (
     semantic_preprocess,
     tokenize,
 )
+from .schema import dump, load_section
 from .vectorize import NgramConfig
 
 
@@ -203,65 +202,6 @@ class ModelConfig:
         return LrConfig(C=self.C, class_weight=self.class_weight, tol=self.tol, max_iter=self.max_iter)
 
 
-def _resolve(path, base: Path | None):
-    """``path`` (a string, a tuple of them or None) resolved against ``base``."""
-    if isinstance(path, tuple):
-        return tuple(_resolve(p, base) for p in path)
-    if path is None or base is None or Path(path).is_absolute():
-        return path
-    return str(base / path)
-
-
-def _load_section(cls, raw, where: str, base_dir: Path | None):
-    """Build section ``cls`` from its JSON object, checking keys and value types."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"config section {where!r} must be a JSON object, got {raw!r}")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(raw) - set(fields)
-    if unknown:
-        raise ValueError(f"config section {where!r} has unknown keys {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
-    values = {}
-    for name, f in fields.items():
-        if name in raw:
-            key = name if where == "<root>" else f"{where}.{name}"
-            values[name] = _load_value(raw[name], hints[name], key, base_dir)
-        elif f.default is dataclasses.MISSING:
-            raise ValueError(f"config section {where!r} is missing required key {name!r}")
-        else:
-            values[name] = f.default
-        if "path" in f.metadata:
-            values[name] = _resolve(values[name], base_dir)
-    return cls(**values)
-
-
-def _load_value(value, kind, key: str, base_dir: Path | None):
-    """``value`` checked against the annotation ``kind``; sections load recursively."""
-    if typing.get_origin(kind) in (typing.Union, types.UnionType):
-        if value is None:
-            return None
-        (kind,) = [arg for arg in typing.get_args(kind) if arg is not type(None)]
-    if dataclasses.is_dataclass(kind):
-        return _load_section(kind, value, key, base_dir)
-    if typing.get_origin(kind) is tuple:
-        items = [value] if isinstance(value, str) else value
-        if not isinstance(items, (list, tuple)):
-            raise ValueError(f"config key {key!r} must be a list, got {value!r}")
-        item_kind = typing.get_args(kind)[0]
-        return tuple(_load_value(item, item_kind, f"{key}[{i}]", base_dir) for i, item in enumerate(items))
-    if kind in (int, float):
-        # An int fits a float field and a whole float an int one; bools, NaN and infinities fit neither.
-        if isinstance(value, float):
-            fits = math.isfinite(value) and (kind is float or value.is_integer())
-        else:
-            fits = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        fits = isinstance(value, kind)
-    if not fits:
-        raise ValueError(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
@@ -273,7 +213,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        config = _load_section(cls, raw, "<root>", base_dir)
+        config = load_section(cls, raw, "<root>", base_dir)
         config.validate()
         return config
 
@@ -373,7 +313,7 @@ def _preprocessed(dataset: Dataset, config: PreprocessConfig, semantic: bool = F
 
 def _check_config(run: _Run) -> None:
     run.config.validate(require_files=True)
-    _write(run.out_dir / "config.json", _json(run.config.to_dict(), ensure_ascii=False))
+    _write(run.out_dir / "config.json", dump(run.config.to_dict()))
 
 
 def _load(run: _Run) -> None:
@@ -497,10 +437,6 @@ def _write(path: str | Path, text: str) -> None:
         handle.write(text)
 
 
-def _json(payload, ensure_ascii: bool = True) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=ensure_ascii) + "\n"
-
-
 def _write_report(out_dir: Path, split: str, report: ClassificationReport, matrix: ConfusionMatrix) -> None:
     _write(out_dir / f"report_{split}.txt", format_report(report, matrix))
     _write(out_dir / f"report_{split}.json", report_to_json(report, matrix))
@@ -612,7 +548,7 @@ def run_ablation(
             continue
         report = run_experiment(variant, out_dir / name).dev_report
         rows.append({"variant": name, "accuracy": report.accuracy, "macro_f1": report.macro_f1})
-    _write(out_dir / "ablation.json", _json(rows))
+    _write(out_dir / "ablation.json", dump(rows, ensure_ascii=True))
     _write(out_dir / "ablation.txt", format_ablation_table(rows))
     return rows
 
@@ -680,8 +616,8 @@ def grid_search(config: ExperimentConfig, grid: dict[str, list], out_dir: str | 
         variants.append(variant)
     best = max(range(len(rows)), key=lambda i: (rows[i]["macro_f1"], rows[i]["accuracy"], -i))
     summary = {"best": rows[best], "rows": rows}
-    _write(out_dir / "grid.json", _json(summary))
-    _write(out_dir / "best_config.json", _json(variants[best].to_dict()))
+    _write(out_dir / "grid.json", dump(summary, ensure_ascii=True))
+    _write(out_dir / "best_config.json", dump(variants[best].to_dict(), ensure_ascii=True))
     return summary
 
 

@@ -38,6 +38,7 @@ from scipy import optimize, sparse
 from scipy.special import expit
 
 from .corpus import LABELS, Label
+from .schema import dump, load_section
 
 CLASS_WEIGHT_MODES = ("none", "balanced")
 
@@ -434,8 +435,7 @@ def save_model(predictor: Ensemble, directory: str | Path, layout: Sequence[tupl
         np.save(directory / f"{prefix}weights.npy", member.weights)
         np.save(directory / f"{prefix}biases.npy", member.biases)
     with open(directory / "model.json", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True, ensure_ascii=False)
-        handle.write("\n")
+        handle.write(dump(meta))
 
 
 def load_model(directory: str | Path) -> tuple[Ensemble, list[tuple[str, int]]]:
@@ -447,7 +447,7 @@ def load_model(directory: str | Path) -> tuple[Ensemble, list[tuple[str, int]]]:
         raise ValueError(f"unsupported model format version {meta.get('format_version')!r}")
     layout = [(str(name), int(dim)) for name, dim in meta["layout"]]
     dim = sum(d for _, d in layout)
-    config = LrConfig(**meta["config"])
+    config = load_section(LrConfig, meta.get("config"), "config")
     members: list[LinearModel] = []
     for k, (entry, prefix) in enumerate(_member_entries(meta)):
         weights = np.load(directory / f"{prefix}weights.npy")
@@ -456,6 +456,6 @@ def load_model(directory: str | Path) -> tuple[Ensemble, list[tuple[str, int]]]:
         if weights.shape != (len(classes), dim) or biases.shape != (len(classes),):
             raise ValueError(f"stored weights for member {k} do not match the feature layout")
         members.append(LinearModel(classes, weights, biases, config, bool(entry.get("converged", True))))
-    bagging = None if meta["kind"] == "linear" else BaggingConfig(**meta["bagging"])
+    bagging = None if meta["kind"] == "linear" else load_section(BaggingConfig, meta.get("bagging"), "bagging")
     classes = tuple(Label.parse(c) for c in meta["classes"])
     return Ensemble(classes, tuple(members), config, bagging), layout

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,7 @@ from .embeddings import (
     sif_embed,
 )
 from .preprocess import PreprocessConfig, basic_preprocess, join_tokens, semantic_preprocess, tokenize
+from .schema import dump, load_section
 from .vectorize import NgramConfig, SparseVector, Vocabulary
 
 BLOCK_ORDER = ("bow", "boc", "embedding")
@@ -199,37 +200,17 @@ def save_pipeline(pipeline: FeaturePipeline, directory: str | Path, resources: d
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     resources = {name: _bundle_relative(path, directory) for name, path in resources.items()}
-    config = pipeline.preprocess_config
     meta = {
         "format_version": PIPELINE_FORMAT_VERSION,
-        "blocks": {
-            "bow": pipeline.blocks.bow,
-            "boc": pipeline.blocks.boc,
-            "embedding": pipeline.blocks.embedding,
-        },
-        "ngrams": {
-            "word_n_max": pipeline.ngram_config.word_n_max,
-            "char_n_max": pipeline.ngram_config.char_n_max,
-            "binarize": pipeline.ngram_config.binarize,
-            "tfidf": pipeline.ngram_config.tfidf,
-        },
-        "preprocess": {
-            "negation_words": sorted(config.negation_words),
-            "negation_scope": config.negation_scope,
-            "stopwords": sorted(config.stopwords),
-            "lemma_table": dict(sorted(config.lemma_table.items())),
-            "repeat_cap": config.repeat_cap,
-        },
-        "sif": {
-            "a": pipeline.sif_config.a,
-            "remove_common_component": pipeline.sif_config.remove_common_component,
-        },
+        "blocks": asdict(pipeline.blocks),
+        "ngrams": asdict(pipeline.ngram_config),
+        "preprocess": asdict(pipeline.preprocess_config),
+        "sif": asdict(pipeline.sif_config),
         "resources": resources,
         "layout": pipeline.layout,
     }
     with open(directory / "pipeline.json", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True, ensure_ascii=False)
-        handle.write("\n")
+        handle.write(dump(meta))
     if pipeline.bow_vocabulary is not None:
         vectorize.save_vocabulary(pipeline.bow_vocabulary, pipeline.ngram_config, directory / "bow_vocab.tsv")
     if pipeline.boc_vocabulary is not None:
@@ -248,16 +229,10 @@ def load_pipeline(directory: str | Path) -> FeaturePipeline:
     version = meta.get("format_version")
     if version not in (1, PIPELINE_FORMAT_VERSION):
         raise ValueError(f"unsupported pipeline format version {version!r}")
-    preprocess_config = PreprocessConfig(
-        negation_words=frozenset(meta["preprocess"]["negation_words"]),
-        negation_scope=meta["preprocess"]["negation_scope"],
-        stopwords=frozenset(meta["preprocess"]["stopwords"]),
-        lemma_table=meta["preprocess"]["lemma_table"],
-        repeat_cap=meta["preprocess"]["repeat_cap"],
-    )
-    ngram_config = NgramConfig(**meta["ngrams"])
-    blocks = FeatureBlocks(**meta["blocks"])
-    sif_config = SifConfig(**meta["sif"])
+    preprocess_config = load_section(PreprocessConfig, meta.get("preprocess"), "preprocess")
+    ngram_config = load_section(NgramConfig, meta.get("ngrams"), "ngrams")
+    blocks = load_section(FeatureBlocks, meta.get("blocks"), "blocks")
+    sif_config = load_section(SifConfig, meta.get("sif"), "sif")
     embedding_table = None
     unigram = None
     if blocks.embedding:

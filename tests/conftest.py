@@ -1,6 +1,13 @@
+import json
+
 import pytest
 
 from tweetsent import synthetic
+from tweetsent.corpus import Dataset, Label, Tweet
+from tweetsent.model import Ensemble, LrConfig, save_model, train_lr
+from tweetsent.pipeline import FeatureBlocks, FeaturePipeline, save_pipeline
+from tweetsent.preprocess import PreprocessConfig
+from tweetsent.vectorize import NgramConfig
 
 
 @pytest.fixture(scope="session")
@@ -17,3 +24,34 @@ def full_corpus(tmp_path_factory):
     out = tmp_path_factory.mktemp("full-corpus")
     synthetic.generate(out, seed=7)
     return out
+
+
+@pytest.fixture
+def tampered_bundle(tmp_path):
+    """``tamper(file_name, edit)``: a fresh BoW + BoC bundle whose ``file_name``
+    JSON went through ``edit``, a function that changes it in place; returns the
+    bundle directory."""
+
+    def tamper(file_name: str, edit):
+        train = Dataset(
+            "toy",
+            "train",
+            (
+                Tweet("t1", "el gato duerme", Label.P),
+                Tweet("t2", "el perro no ladra", Label.N),
+                Tweet("t3", "gato y perro juegan", Label.NEU),
+            ),
+        )
+        pipeline = FeaturePipeline(
+            PreprocessConfig(), NgramConfig(word_n_max=2, char_n_max=3), FeatureBlocks(embedding=False)
+        )
+        predictor = Ensemble.of(train_lr(pipeline.fit_transform(train), [t.label for t in train.tweets], LrConfig()))
+        bundle = tmp_path / "bundle"
+        save_pipeline(pipeline, bundle, {})
+        save_model(predictor, bundle, pipeline.layout)
+        meta = json.loads((bundle / file_name).read_text(encoding="utf-8"))
+        edit(meta)
+        (bundle / file_name).write_text(json.dumps(meta), encoding="utf-8")
+        return bundle
+
+    return tamper

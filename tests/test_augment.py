@@ -2,6 +2,8 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetsent.augment import (
     CROSSOVER_MARKER,
@@ -20,7 +22,7 @@ from tweetsent.augment import (
     translation_augment,
     two_way_translate,
 )
-from tweetsent.corpus import Dataset, Label, Tweet, label_distribution
+from tweetsent.corpus import LABELS, Dataset, Label, Tweet, label_distribution
 
 TWEET_A = (
     "@USER fue genial debemos organizar más cosas así sin necesidad "
@@ -357,3 +359,16 @@ class TestAssertUnaugmented:
             for tweet in dataset.tweets[len(labeled_dataset()) :]:
                 with pytest.raises(AssertionError):
                     assert_unaugmented(Dataset("toy", "dev", (tweet,)))
+
+
+class TestCrossoverProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.sampled_from(LABELS), st.integers(1, 9), min_size=1), st.integers(1, 12), st.integers(0, 99)
+    )
+    def test_sizes_and_label_counts_are_exact(self, sizes, factor, seed):
+        ds = make_dataset(sizes)
+        out = crossover_augment(ds, CrossoverConfig(factor=factor, seed=seed))
+        assert len(out) == factor * len(ds)
+        assert out.tweets[: len(ds)] == ds.tweets
+        assert label_distribution(out) == {label: factor * sizes.get(label, 0) for label in LABELS}

@@ -556,6 +556,25 @@ class TestBundleReuse:
         expected = (demo_run.out_dir / "predictions_test.tsv").read_text(encoding="utf-8")
         assert out.read_text(encoding="utf-8") == expected
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_bundle_of_either_pipeline_format_reproduces_the_test_predictions(
+        self, version, demo_run, mini_corpus, tmp_path, monkeypatch
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(demo_run.out_dir / "model", bundle)
+        if version == 1:
+            # Format 1 stored resource paths relative to the working directory of training.
+            meta = json.loads((bundle / "pipeline.json").read_text(encoding="utf-8"))
+            meta["format_version"] = 1
+            resources = meta["resources"].items()
+            meta["resources"] = {name: path and os.path.relpath(path, tmp_path) for name, path in resources}
+            (bundle / "pipeline.json").write_text(json.dumps(meta), encoding="utf-8")
+            monkeypatch.chdir(tmp_path)
+        out = tmp_path / "labels.tsv"
+        predict_file(bundle, mini_corpus / "test.tsv", out)
+        expected = (demo_run.out_dir / "predictions_test.tsv").read_text(encoding="utf-8")
+        assert out.read_text(encoding="utf-8") == expected
+
     def test_predict_file_on_empty_input(self, demo_run, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")
@@ -901,6 +920,21 @@ class TestCli:
         code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
         assert code == 1
         assert "error [bundle] ensemble has 0 members" in capsys.readouterr().err
+        assert not (tmp_path / "labels.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("key, value", [("binarize", "false"), ("word_n_max", 5.5)])
+    def test_mistyped_bundle_value_exits_1_in_the_bundle_stage(
+        self, command, key, value, demo_run, mini_corpus, tmp_path, capsys
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(demo_run.out_dir / "model", bundle)
+        meta = json.loads((bundle / "pipeline.json").read_text(encoding="utf-8"))
+        meta["ngrams"][key] = value
+        (bundle / "pipeline.json").write_text(json.dumps(meta), encoding="utf-8")
+        code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
+        assert code == 1
+        assert f"error [bundle] config key 'ngrams.{key}' must be of type" in capsys.readouterr().err
         assert not (tmp_path / "labels.tsv").exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])

@@ -11,6 +11,7 @@ from scipy import sparse
 
 from tweetsent import model
 from tweetsent.corpus import LABELS, Label
+from tweetsent.experiment import load_bundle
 from tweetsent.model import (
     BaggingConfig,
     Ensemble,
@@ -579,6 +580,11 @@ class TestBundleFormat:
             "model.json",
         ]
         self.check_round_trip(tmp_path, bag, files, GOLDEN_BAGGING_JSON)
+
+    def test_mistyped_config_value_names_its_key(self, tampered_bundle):
+        bundle = tampered_bundle("model.json", lambda meta: meta["config"].update(C="1"))
+        with pytest.raises(ValueError, match=r"config key 'config\.C' must be of type float, got '1'"):
+            load_bundle(bundle)
 
 
 def drop_none_from_first_member(labels):

@@ -1,4 +1,7 @@
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from tweetsent.pipeline import (
     load_pipeline,
     save_pipeline,
 )
+from tweetsent.experiment import load_bundle
 from tweetsent.preprocess import PreprocessConfig
 from tweetsent import vectorize
 from tweetsent.vectorize import NgramConfig
@@ -169,22 +173,25 @@ class TestCommonComponent:
         assert pipeline.common_component is None
 
 
+def write_resources(directory):
+    """``embedding_fixture`` as files in ``directory``; returns their absolute paths."""
+    table, unigram = embedding_fixture()
+    emb = directory / "emb.txt"
+    lines = [f"{len(table.vectors)} {table.dim}"]
+    for word, vec in table.vectors.items():
+        lines.append(word + " " + " ".join(repr(float(x)) for x in vec))
+    emb.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    uni = directory / "uni.tsv"
+    uni.write_text(
+        "".join(f"{w}\t{c}\n" for w, c in unigram.counts.items()), encoding="utf-8"
+    )
+    return {"embeddings": str(emb), "subword": None, "unigram_counts": str(uni)}
+
+
 class TestSaveLoad:
-    def write_resources(self, tmp_path):
-        table, unigram = embedding_fixture()
-        emb = tmp_path / "emb.txt"
-        lines = [f"{len(table.vectors)} {table.dim}"]
-        for word, vec in table.vectors.items():
-            lines.append(word + " " + " ".join(repr(float(x)) for x in vec))
-        emb.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        uni = tmp_path / "uni.tsv"
-        uni.write_text(
-            "".join(f"{w}\t{c}\n" for w, c in unigram.counts.items()), encoding="utf-8"
-        )
-        return {"embeddings": str(emb), "subword": None, "unigram_counts": str(uni)}
 
     def test_round_trip_transforms_identically(self, tmp_path):
-        resources = self.write_resources(tmp_path)
+        resources = write_resources(tmp_path)
         ds = tiny_dataset()
         table, unigram = embedding_fixture()
         pipeline = FeaturePipeline(
@@ -211,7 +218,7 @@ class TestSaveLoad:
         ).fit(tiny_dataset())
 
     def test_relative_resource_paths_are_stored_relative_to_the_bundle(self, tmp_path, monkeypatch):
-        self.write_resources(tmp_path)
+        write_resources(tmp_path)
         pipeline = self.fitted_embedding_pipeline()
         monkeypatch.chdir(tmp_path)
         save_pipeline(pipeline, "runs/bundle", {"embeddings": "emb.txt", "subword": None, "unigram_counts": "uni.tsv"})
@@ -226,13 +233,13 @@ class TestSaveLoad:
         assert loaded.transform_one(text) == pipeline.transform_one(text)
 
     def test_absolute_resource_paths_are_kept(self, tmp_path):
-        resources = self.write_resources(tmp_path)
+        resources = write_resources(tmp_path)
         save_pipeline(self.fitted_embedding_pipeline(), tmp_path / "bundle", resources)
         meta = json.loads((tmp_path / "bundle" / "pipeline.json").read_text(encoding="utf-8"))
         assert meta["resources"] == resources
 
     def test_format_1_paths_stay_relative_to_the_working_directory(self, tmp_path, monkeypatch):
-        resources = self.write_resources(tmp_path)
+        resources = write_resources(tmp_path)
         save_pipeline(self.fitted_embedding_pipeline(), tmp_path / "bundle", resources)
         meta_path = tmp_path / "bundle" / "pipeline.json"
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
@@ -260,7 +267,7 @@ class TestSaveLoad:
     def test_tampered_layout_rejected(self, tmp_path):
         import json
 
-        resources = self.write_resources(tmp_path)
+        resources = write_resources(tmp_path)
         pipeline = make_pipeline().fit(tiny_dataset())
         save_pipeline(pipeline, tmp_path / "bundle", resources)
         meta_path = tmp_path / "bundle" / "pipeline.json"
@@ -271,7 +278,7 @@ class TestSaveLoad:
             load_pipeline(tmp_path / "bundle")
 
     def test_common_component_round_trip(self, tmp_path):
-        resources = self.write_resources(tmp_path)
+        resources = write_resources(tmp_path)
         ds = tiny_dataset()
         table, unigram = embedding_fixture()
         pipeline = FeaturePipeline(
@@ -314,14 +321,14 @@ def dataset_of(texts):
     return Dataset("toy", "test", tuple(Tweet(f"q{i}", text, None) for i, text in enumerate(texts)))
 
 
-def fitted(blocks, ngram_config, remove_common_component=False, extra=()):
+def fitted(blocks, ngram_config, remove_common_component=False, extra=(), preprocess_config=None):
     table, unigram = embedding_fixture()
     train = tiny_dataset()
     train = train.replace_tweets(
         train.tweets + tuple(Tweet(f"x{i}", text, Label.P) for i, text in enumerate(extra))
     )
     pipeline = FeaturePipeline(
-        preprocess_config=PreprocessConfig(stopwords=frozenset({"y"})),
+        preprocess_config=preprocess_config or PreprocessConfig(stopwords=frozenset({"y"})),
         ngram_config=ngram_config,
         blocks=blocks,
         embedding_table=table,
@@ -399,3 +406,211 @@ class TestBatchEquivalence:
         pipeline, _ = fitted(FeatureBlocks(), NGRAM_CONFIGS[0])
         with pytest.raises(ValueError):
             pipeline.fit_transform(dataset_of([]))
+
+
+GOLDEN_FULL_PIPELINE_JSON = """\
+{
+  "blocks": {
+    "boc": true,
+    "bow": true,
+    "embedding": true
+  },
+  "format_version": 2,
+  "layout": [
+    [
+      "bow",
+      11
+    ],
+    [
+      "boc",
+      87
+    ],
+    [
+      "embedding",
+      4
+    ]
+  ],
+  "ngrams": {
+    "binarize": false,
+    "char_n_max": 3,
+    "tfidf": true,
+    "word_n_max": 2
+  },
+  "preprocess": {
+    "lemma_table": {
+      "ladra": "ladrar",
+      "niño": "niño"
+    },
+    "negation_scope": 2,
+    "negation_words": [
+      "jamás",
+      "nada",
+      "nadie",
+      "ni",
+      "ninguna",
+      "ninguno",
+      "ningún",
+      "no",
+      "nunca",
+      "sin",
+      "tampoco"
+    ],
+    "repeat_cap": 2,
+    "stopwords": [
+      "el",
+      "y"
+    ]
+  },
+  "resources": {
+    "embeddings": "../emb.txt",
+    "subword": null,
+    "unigram_counts": "../uni.tsv"
+  },
+  "sif": {
+    "a": 0.01,
+    "remove_common_component": true
+  }
+}
+"""
+
+GOLDEN_BOW_PIPELINE_JSON = """\
+{
+  "blocks": {
+    "boc": false,
+    "bow": true,
+    "embedding": false
+  },
+  "format_version": 2,
+  "layout": [
+    [
+      "bow",
+      8
+    ]
+  ],
+  "ngrams": {
+    "binarize": true,
+    "char_n_max": 1,
+    "tfidf": false,
+    "word_n_max": 1
+  },
+  "preprocess": {
+    "lemma_table": {},
+    "negation_scope": 3,
+    "negation_words": [
+      "jamás",
+      "nada",
+      "nadie",
+      "ni",
+      "ninguna",
+      "ninguno",
+      "ningún",
+      "no",
+      "nunca",
+      "sin",
+      "tampoco"
+    ],
+    "repeat_cap": 2,
+    "stopwords": []
+  },
+  "resources": {},
+  "sif": {
+    "a": 0.1,
+    "remove_common_component": false
+  }
+}
+"""
+
+
+class TestPipelineFormat:
+    """``pipeline.json`` pinned as format 2 writes it: each config section holds its dataclass's fields."""
+
+    def check(self, pipeline, resources, expected_json):
+        save_pipeline(pipeline, "bundle", resources)
+        assert Path("bundle", "pipeline.json").read_bytes() == expected_json.encode("utf-8")
+        loaded = load_pipeline("bundle")
+        assert loaded.preprocess_config == pipeline.preprocess_config
+        assert loaded.ngram_config == pipeline.ngram_config
+        assert loaded.blocks == pipeline.blocks
+        assert loaded.sif_config == pipeline.sif_config
+        assert loaded.layout == pipeline.layout
+        assert_same_csr(loaded.transform(tiny_dataset()), pipeline.transform(tiny_dataset()))
+
+    def test_all_blocks_with_common_component_removal(self, tmp_path, monkeypatch):
+        write_resources(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        table, unigram = embedding_fixture()
+        pipeline = FeaturePipeline(
+            preprocess_config=PreprocessConfig(
+                stopwords=frozenset({"y", "el"}), lemma_table={"ladra": "ladrar", "niño": "niño"}, negation_scope=2
+            ),
+            ngram_config=NgramConfig(word_n_max=2, char_n_max=3),
+            blocks=FeatureBlocks(),
+            embedding_table=table,
+            unigram=unigram,
+            sif_config=SifConfig(a=0.01, remove_common_component=True),
+        ).fit(tiny_dataset())
+        resources = {"embeddings": "emb.txt", "subword": None, "unigram_counts": "uni.tsv"}
+        self.check(pipeline, resources, GOLDEN_FULL_PIPELINE_JSON)
+
+    def test_bow_only(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        pipeline = FeaturePipeline(
+            preprocess_config=PreprocessConfig(),
+            ngram_config=NgramConfig(word_n_max=1, char_n_max=1, binarize=True, tfidf=False),
+            blocks=FeatureBlocks(bow=True, boc=False, embedding=False),
+        ).fit(tiny_dataset())
+        self.check(pipeline, {}, GOLDEN_BOW_PIPELINE_JSON)
+
+
+class TestBundleChecks:
+    """A bundle value of the wrong type, or an unknown key, fails the load and names its key."""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("ngrams", "binarize", "false"), ("preprocess", "negation_scope", "3"), ("ngrams", "word_n_max", 5.5)],
+    )
+    def test_mistyped_value_names_its_key(self, tampered_bundle, section, key, value):
+        bundle = tampered_bundle("pipeline.json", lambda meta: meta[section].update({key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"config key '{section}.{key}' must be of type")):
+            load_bundle(bundle)
+
+    def test_unknown_key_names_its_section(self, tampered_bundle):
+        bundle = tampered_bundle("pipeline.json", lambda meta: meta["sif"].update(b=0.5))
+        with pytest.raises(ValueError, match=re.escape("config section 'sif' has unknown keys ['b']")):
+            load_bundle(bundle)
+
+    def test_missing_section_is_named(self, tampered_bundle):
+        bundle = tampered_bundle("pipeline.json", lambda meta: meta.pop("sif"))
+        with pytest.raises(ValueError, match="config section 'sif' must be a JSON object, got None"):
+            load_bundle(bundle)
+
+
+PREPROCESS_CONFIGS = [
+    PreprocessConfig(),
+    PreprocessConfig(stopwords=frozenset({"y", "el"}), negation_scope=1),
+    PreprocessConfig(lemma_table={"ladra": "ladrar", "perro": "perro"}, negation_words=frozenset({"no", "ñu"})),
+]
+
+
+class TestSaveLoadProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(tweet_texts, max_size=5),
+        st.lists(tweet_texts, min_size=1, max_size=5),
+        st.sampled_from(LAYOUTS),
+        st.sampled_from(NGRAM_CONFIGS),
+        st.sampled_from(PREPROCESS_CONFIGS),
+        st.booleans(),
+    )
+    def test_loaded_pipeline_transforms_exactly_like_the_saved_one(
+        self, extra, texts, blocks, ngram_config, preprocess_config, remove
+    ):
+        pipeline, train = fitted(blocks, ngram_config, remove, extra, preprocess_config)
+        pipeline.fit(train)
+        with tempfile.TemporaryDirectory() as directory:
+            resources = write_resources(Path(directory))
+            save_pipeline(pipeline, Path(directory) / "bundle", resources)
+            loaded = load_pipeline(Path(directory) / "bundle")
+        assert loaded.layout == pipeline.layout
+        for dataset in (train, dataset_of(texts)):
+            assert_same_csr(loaded.transform(dataset), pipeline.transform(dataset))

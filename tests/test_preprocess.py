@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetsent.preprocess import (
     DEFAULT_NEGATION_WORDS,
@@ -230,3 +232,29 @@ class TestResourceFiles:
 class TestJoinTokens:
     def test_space_joined(self):
         assert join_tokens(tokenize("hola , mundo")) == "hola , mundo"
+
+
+# Arbitrary Unicode without lone surrogates, salted with the pieces the
+# tokenizer and the repeat cap treat specially.
+PIECES = [
+    "😀", "👍🏽", "🇪🇸", "e\u0301", "\u0301", "ñ", "holaaaa", "NOOO", "ß", "İ", "ǅ", "@maria", "#viernes",
+    "https://x.co/a", "b@c.org", "URL", "EMAIL", "@USER", "123", " ", "!!", "no", "nunca", "ni",
+]
+unicode_texts = st.lists(
+    st.one_of(st.text(st.characters(blacklist_categories=("Cs",)), max_size=8), st.sampled_from(PIECES)), max_size=10
+).map("".join)
+
+
+class TestPreprocessProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(unicode_texts, st.integers(1, 4))
+    def test_basic_preprocess_is_idempotent(self, text, repeat_cap):
+        config = PreprocessConfig(repeat_cap=repeat_cap)
+        once = basic(text, config)
+        assert basic_preprocess(once, config) == once
+
+    @settings(max_examples=500, deadline=None)
+    @given(unicode_texts, st.integers(0, 6))
+    def test_negation_keeps_the_token_count(self, text, scope):
+        tokens = tokenize(text)
+        assert len(handle_negation(tokens, PreprocessConfig(negation_scope=scope))) == len(tokens)
