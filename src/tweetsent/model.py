@@ -10,11 +10,15 @@ convex, so any deterministic descent method reaching the gradient tolerance
 finds the same optimum; we run L-BFGS-B on an analytic objective/gradient
 pair and stop when the gradient infinity norm drops below ``tol``.
 
-The binary subproblems (member rows, class) are independent.  One mapper
-solves them in worker processes forked from the caller, one per available
-CPU, or in-process when there is one CPU, one problem or no ``fork``.  Each
-worker runs the same code on the same inputs as the in-process path, so the
-weights do not depend on the CPU count.
+The binary subproblems (member rows, class) are independent.
+``parallel.fork_map`` solves them in worker processes forked from the caller,
+one per available CPU, or in-process when there is one CPU, one problem or no
+``fork``.  Each worker runs the same code on the same inputs as the
+in-process path, so the weights do not depend on the CPU count.
+
+``scipy.optimize`` (and the ``scipy.linalg`` it pulls in) loads on the first
+``solver()`` call, as this module's ``optimize`` attribute: ``eval`` and
+``predict`` never solve, so they never import it.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.
@@ -22,21 +26,20 @@ samples, and plain LR is the one-member case.
 
 from __future__ import annotations
 
+import functools
 import json
-import multiprocessing
-import os
 import warnings
 from collections import Counter
 from collections.abc import Callable, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
 from scipy.special import expit
 
+from . import parallel
 from .corpus import LABELS, Label
 from .schema import dump, load_section
 
@@ -149,9 +152,23 @@ class _Problem(NamedTuple):
     sample_weight: np.ndarray
 
 
-# (features, problems, config, record) inside a worker process, set by
-# _init_worker from arguments the fork hands over without pickling.
-_worker_work: tuple | None = None
+def __getattr__(name: str):
+    """Load ``scipy.optimize`` as the module attribute ``optimize`` on first use."""
+    if name != "optimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import optimize
+
+    globals()["optimize"] = optimize
+    return optimize
+
+
+def solver():
+    """The module attribute ``optimize``, loaded by the first call.
+
+    Solves look it up here at call time, so a wrapper set on it sees every
+    in-process solve.
+    """
+    return globals().get("optimize") or __getattr__("optimize")
 
 
 def _solve(work: tuple, i: int) -> tuple[np.ndarray, SolverStats, list[float] | None]:
@@ -163,7 +180,7 @@ def _solve(work: tuple, i: int) -> tuple[np.ndarray, SolverStats, list[float] | 
     objective = binary_objective(X, problem.signs, problem.sample_weight, config.C)
     values: list[float] | None = [] if record else None
     callback = None if values is None else (lambda theta: values.append(objective(theta)[0]))
-    result = optimize.minimize(
+    result = solver().minimize(
         objective,
         x0=np.zeros(X.shape[1] + 1),
         jac=True,
@@ -182,37 +199,13 @@ def _solve(work: tuple, i: int) -> tuple[np.ndarray, SolverStats, list[float] | 
     return result.x, stats, values
 
 
-def _init_worker(work: tuple) -> None:
-    global _worker_work
-    _worker_work = work
-
-
-def _solve_in_worker(i: int) -> tuple[np.ndarray, SolverStats, list[float] | None]:
-    return _solve(_worker_work, i)
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity outside Linux
-        return os.cpu_count() or 1
-
-
 def _solve_all(features, problems: list[_Problem], config: LrConfig, record: bool) -> list[tuple]:
-    """Solve every problem, in order: in forked workers, or in-process with one of them.
+    """Solve every problem, in order, through ``parallel.fork_map``.
 
-    The workers inherit the feature matrix through the fork, so only problem
-    indices and solutions are pickled.  A worker that dies raises
-    ``BrokenProcessPool``.
+    The solver loads here, before the fork, so that no worker imports it.
     """
-    work = (features, problems, config, record)
-    workers = min(len(problems), _cpu_count())
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [_solve(work, i) for i in range(len(problems))]
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(work,)) as pool:
-        return list(pool.map(_solve_in_worker, range(len(problems))))
+    solver()
+    return parallel.fork_map(functools.partial(_solve, (features, problems, config, record)), range(len(problems)))
 
 
 def _fit(

@@ -74,12 +74,17 @@ class PreprocessConfig:
                 raise ValueError(f"lemma table key {key!r} is not lowercase")
 
 
-# The url/email alternatives also match their own placeholder literals so
-# that preprocessed text can be re-tokenized without changing token kinds.
+# The placeholder literals match too, so that preprocessed text can be
+# re-tokenized without changing token kinds.  A literal is rejected only
+# before a letter ("URLs" is a word): a digit or "_" after it is a token of
+# its own, so "URL0" tokenizes as the "URL 0" that basic preprocessing renders
+# it to.  The URL literal comes after e-mail addresses, so "URL0@x.com" stays
+# one address.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<url>https?://\S+|www\.\S+|URL(?!\w))
-    | (?P<email>[\w.+-]+@[\w-]+(?:\.[\w-]+)+|EMAIL(?!\w))
+      (?P<url>https?://\S+|www\.\S+)
+    | (?P<email>[\w.+-]+@[\w-]+(?:\.[\w-]+)+|EMAIL(?![^\W\d_]))
+    | (?P<url_literal>URL(?![^\W\d_]))
     | (?P<handle>@\w+)
     | (?P<hashtag>\#\w+)
     | (?P<number>\d+)
@@ -90,6 +95,7 @@ _TOKEN_RE = re.compile(
 
 _GROUP_KIND = {
     "url": TokenKind.URL,
+    "url_literal": TokenKind.URL,
     "email": TokenKind.EMAIL,
     "handle": TokenKind.HANDLE,
     "hashtag": TokenKind.EMOJI_OR_OTHER,

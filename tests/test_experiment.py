@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetsent import model
+from tweetsent import model, parallel
 from tweetsent.cli import main
 from tweetsent.corpus import load_tsv
 from tweetsent.experiment import (
@@ -975,7 +975,7 @@ class TestCli:
                 os._exit(1)
             raise AssertionError("solved in the parent process")
 
-        monkeypatch.setattr(model, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
         monkeypatch.setattr(model, "binary_objective", exit_in_worker)
         config_path = write_config(light_config(mini_corpus), tmp_path / "config.json")
         code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from tweetsent import model
+from tweetsent import model, parallel
 from tweetsent.corpus import LABELS, Label
 from tweetsent.experiment import load_bundle
 from tweetsent.model import (
@@ -602,13 +603,14 @@ def pooled(monkeypatch, cpus=2):
             pools.append(args)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(model, "_cpu_count", lambda: cpus)
-    monkeypatch.setattr(model, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    # fork_map imports the pool class when it first needs one.
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", RecordingPool)
     return pools
 
 
 def in_process(monkeypatch):
-    monkeypatch.setattr(model, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
 
 
 def assert_same_members(ours, theirs):
@@ -684,6 +686,20 @@ class TestParallelSolves:
         order = [cls for cls, _ in calls["pool"]]
         assert order == sorted(order, key=LABELS.index)
         assert [order.count(cls) for cls in trained.classes] == [s.nit for s in trained.stats]
+
+    def test_in_process_solves_look_up_the_module_solver(self, monkeypatch):
+        X, labels = four_class_problem(seed=25)
+        solver = model.optimize
+        calls = []
+
+        def counting_minimize(*args, **kwargs):
+            calls.append(args[0])
+            return solver.minimize(*args, **kwargs)
+
+        in_process(monkeypatch)
+        monkeypatch.setattr(model, "optimize", types.SimpleNamespace(minimize=counting_minimize))
+        trained = train_lr(X, labels, LrConfig())
+        assert len(calls) == len(trained.classes) == 4
 
     def test_dead_worker_raises(self, monkeypatch):
         X, labels = four_class_problem(seed=24)

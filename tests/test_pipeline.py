@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -22,8 +24,11 @@ from tweetsent.pipeline import (
     load_pipeline,
     save_pipeline,
 )
-from tweetsent.experiment import load_bundle
-from tweetsent.preprocess import PreprocessConfig
+from tweetsent import parallel
+from tweetsent import pipeline as pipeline_module
+from tweetsent.cli import main
+from tweetsent.experiment import AugmentConfig, ExperimentConfig, load_bundle, run_experiment
+from tweetsent.preprocess import PreprocessConfig, basic_preprocess, join_tokens, tokenize
 from tweetsent import vectorize
 from tweetsent.vectorize import NgramConfig
 
@@ -151,6 +156,27 @@ class TestTransform:
         raw = "@maria el GATO duerme https://x.co/a"
         basic = "@USER el GATO duerme URL"
         assert pipeline.transform_one(raw) == pipeline.transform_one(basic)
+
+
+# Arbitrary Unicode a Tweet accepts, salted with placeholder literals and the
+# characters that may follow them.
+VIEW_PIECES = ["URL", "EMAIL", "@USER", "URL0", "EMAIL9", "URL_x", "https://x.co/a", "b@c.org", "_", "0", "²", "é", "😀"]
+view_texts = st.lists(
+    st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"), max_size=8),
+        st.sampled_from(VIEW_PIECES),
+    ),
+    max_size=8,
+).map("".join)
+
+
+class TestViews:
+    @settings(max_examples=300, deadline=None)
+    @given(view_texts)
+    def test_preprocessed_text_has_the_views_of_its_raw_text(self, text):
+        pipeline = make_pipeline()
+        config = pipeline.preprocess_config
+        assert pipeline._views(text) == pipeline._views(join_tokens(basic_preprocess(tokenize(text), config)))
 
 
 class TestCommonComponent:
@@ -342,6 +368,7 @@ def assert_same_csr(a, b):
     assert a.shape == b.shape
     for part in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(a, part), getattr(b, part))
+    assert a.indices.dtype == b.indices.dtype and a.indptr.dtype == b.indptr.dtype
 
 
 class TestBatchEquivalence:
@@ -406,6 +433,98 @@ class TestBatchEquivalence:
         pipeline, _ = fitted(FeatureBlocks(), NGRAM_CONFIGS[0])
         with pytest.raises(ValueError):
             pipeline.fit_transform(dataset_of([]))
+
+
+def chunked(monkeypatch, cpus):
+    """Featurize batches of 2+ rows in up to ``cpus`` forked workers; returns
+    the number of chunks of every ``fork_map`` call ``transform`` makes."""
+    calls = []
+    fork_map = parallel.fork_map
+
+    def recording_fork_map(fn, items):
+        calls.append(len(items))
+        return fork_map(fn, items)
+
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(parallel, "fork_map", recording_fork_map)
+    monkeypatch.setattr(pipeline_module, "MIN_ROWS_PER_WORKER", 1)
+    return calls
+
+
+CHUNK_TEXTS = ["el gato duerme", "", "zzz qqq", "el perro no ladra 😀", "GATO y ñu", "   ", "juegan @ana https://x.co"]
+
+
+@pytest.fixture(scope="module")
+def bundle(mini_corpus, tmp_path_factory):
+    """An all-blocks bundle trained with plain LR on the mini corpus."""
+    config = ExperimentConfig.from_json(mini_corpus / "config.json")
+    config = dataclasses.replace(config, augment=AugmentConfig(), model=dataclasses.replace(config.model, bagging=None))
+    return run_experiment(config, tmp_path_factory.mktemp("bundle-run")).out_dir / "model"
+
+
+def predict_argv(bundle, data, output):
+    return ["predict", "--model", str(bundle), "--input", str(data), "--output", str(output)]
+
+
+class TestChunkedTransform:
+    """Row chunks featurized in forked workers join to exactly the one-batch matrix."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("blocks", LAYOUTS)
+    @pytest.mark.parametrize("remove", [False, True])
+    def test_chunks_join_to_the_one_batch_matrix(self, monkeypatch, cpus, blocks, remove):
+        pipeline, train = fitted(blocks, NGRAM_CONFIGS[0], remove)
+        pipeline.fit(train)
+        dataset = dataset_of(CHUNK_TEXTS)
+        whole = pipeline.transform(dataset)
+        calls = chunked(monkeypatch, cpus)
+        assert_same_csr(pipeline.transform(dataset), whole)
+        assert calls == [cpus]
+
+    @pytest.mark.parametrize("rows, expected_calls", [(0, []), (1, []), (2, [2])])
+    def test_fewer_rows_than_workers(self, monkeypatch, rows, expected_calls):
+        pipeline, train = fitted(FeatureBlocks(), NGRAM_CONFIGS[0], remove_common_component=True)
+        pipeline.fit(train)
+        dataset = dataset_of(CHUNK_TEXTS[:rows])
+        whole = pipeline.transform(dataset)
+        calls = chunked(monkeypatch, 3)
+        matrix = pipeline.transform(dataset)
+        assert_same_csr(matrix, whole)
+        assert matrix.shape == (rows, sum(dim for _, dim in pipeline.layout))
+        assert calls == expected_calls
+
+    def test_each_worker_gets_at_least_the_row_minimum(self, monkeypatch):
+        pipeline, train = fitted(FeatureBlocks(), NGRAM_CONFIGS[0])
+        pipeline.fit(train)
+        calls = chunked(monkeypatch, 2)
+        monkeypatch.setattr(pipeline_module, "MIN_ROWS_PER_WORKER", 7)
+        pipeline.transform(dataset_of(["el gato"] * 13))
+        assert calls == []
+        pipeline.transform(dataset_of(["el gato"] * 14))
+        assert calls == [2]
+
+    def test_cli_predict_writes_the_same_bytes_pooled(self, bundle, mini_corpus, tmp_path, monkeypatch):
+        assert main(predict_argv(bundle, mini_corpus / "test.tsv", tmp_path / "serial.tsv")) == 0
+        calls = chunked(monkeypatch, 2)
+        assert main(predict_argv(bundle, mini_corpus / "test.tsv", tmp_path / "pooled.tsv")) == 0
+        assert calls == [2]
+        assert (tmp_path / "pooled.tsv").read_bytes() == (tmp_path / "serial.tsv").read_bytes()
+
+    def test_dead_featurization_worker_exits_1_in_the_predict_stage(
+        self, bundle, mini_corpus, tmp_path, monkeypatch, capsys
+    ):
+        parent = os.getpid()
+
+        def exit_in_worker(*args):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise AssertionError("featurized in the parent process")
+
+        chunked(monkeypatch, 2)
+        monkeypatch.setattr(FeaturePipeline, "_views", exit_in_worker)
+        code = main(predict_argv(bundle, mini_corpus / "test.tsv", tmp_path / "labels.tsv"))
+        assert code == 1
+        assert "error [predict]" in capsys.readouterr().err
 
 
 GOLDEN_FULL_PIPELINE_JSON = """\

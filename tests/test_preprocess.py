@@ -102,6 +102,21 @@ class TestBasicPreprocess:
         tokens = basic("a b@c.org")
         assert tokens[1] == Token("EMAIL", TokenKind.EMAIL)
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("el gato URL0", [("el", "word"), ("gato", "word"), ("URL", "url"), ("0", "number")]),
+            ("URL_x", [("URL", "url"), ("_", "punctuation"), ("x", "word")]),
+            ("EMAIL9", [("EMAIL", "email"), ("9", "number")]),
+            ("URLs EMAILES", [("URLs", "word"), ("EMAILES", "word")]),
+            ("URL0@x.com URL.a@b.com", [("URL0@x.com", "email"), ("URL.a@b.com", "email")]),
+        ],
+    )
+    def test_placeholder_literal_is_a_token_unless_part_of_a_word_or_address(self, text, expected):
+        tokens = tokenize(text)
+        assert [(t.surface, t.kind.value) for t in tokens] == expected
+        assert tokenize(join_tokens(basic(text))) == basic(text)
+
     def test_repeats_collapsed_to_cap(self):
         assert surfaces(basic("holaaaaa"))[0] == "holaa"
 
