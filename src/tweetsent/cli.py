@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import sys
 from pathlib import Path
 
+from .config import ExperimentConfig
 from .experiment import (
     ABLATIONS,
-    ExperimentConfig,
     StageError,
     augment_only,
     eval_file,
@@ -77,6 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # Study counts and stage times go to stderr, never into --out.
+    logging.basicConfig(format="%(message)s", level=logging.INFO)
     try:
         if args.command == "preprocess":
             outputs = preprocess_only(_load_config(args), args.out)

@@ -11,7 +11,7 @@ finds the same optimum; we run L-BFGS-B on an analytic objective/gradient
 pair and stop when the gradient infinity norm drops below ``tol``.
 
 The binary subproblems (member rows, class) are independent.
-``parallel.fork_map`` solves them in worker processes forked from the caller,
+``parallel.fork_imap`` solves them in worker processes forked from the caller,
 one per available CPU, or in-process when there is one CPU, one problem or no
 ``fork``.  Each worker runs the same code on the same inputs as the
 in-process path, so the weights do not depend on the CPU count.
@@ -21,7 +21,11 @@ in-process path, so the weights do not depend on the CPU count.
 ``predict`` never solve, so they never import it.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
-samples, and plain LR is the one-member case.
+samples, and plain LR is the one-member case.  Training is planned, then
+solved: a ``TrainingPlan`` lists an ensemble's subproblems, each carrying its
+own matrix and ``LrConfig``, so one ``solve_all`` call can serve the plans
+of many ensembles, and ``TrainingPlan.assemble`` builds each ensemble from
+the solutions.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import functools
 import json
 import warnings
 from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -85,199 +89,6 @@ class LinearModel:
     stats: tuple[SolverStats, ...] = ()
 
 
-def compute_class_weights(label_counts: Mapping[Label, int], mode: str) -> dict[Label, float]:
-    """Per-class sample weights: 1 everywhere, or N / (K * n_c) when balanced."""
-    if mode not in CLASS_WEIGHT_MODES:
-        raise ValueError(f"class_weight must be one of {CLASS_WEIGHT_MODES}")
-    for label, count in label_counts.items():
-        if count <= 0:
-            raise ValueError(f"class {label.value} has non-positive count {count}")
-    if mode == "none":
-        return {label: 1.0 for label in label_counts}
-    total = sum(label_counts.values())
-    k = len(label_counts)
-    return {label: total / (k * count) for label, count in label_counts.items()}
-
-
-def binary_objective(
-    features: np.ndarray | sparse.spmatrix,
-    signs: np.ndarray,
-    sample_weight: np.ndarray,
-    C: float,
-) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    """Objective and gradient for one binary subproblem.
-
-    ``theta`` packs the weight vector with the bias appended.  The loss term
-    uses log1p/expit forms, so it stays finite for any margin.
-    """
-
-    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        w, b = theta[:-1], theta[-1]
-        margins = features @ w + b
-        t = signs * margins
-        value = 0.5 * float(w @ w) + C * float(sample_weight @ np.logaddexp(0.0, -t))
-        coeff = -C * sample_weight * signs * expit(-t)
-        grad_w = w + features.T @ coeff
-        grad = np.empty(theta.shape)
-        grad[:-1] = grad_w
-        grad[-1] = coeff.sum()
-        return value, grad
-
-    return value_and_grad
-
-
-def _training_classes(features: np.ndarray | sparse.spmatrix, labels: list[Label]) -> tuple[Label, ...]:
-    """The classes present, in canonical order, after checking the training inputs."""
-    if features.shape[0] != len(labels):
-        raise ValueError(f"feature matrix has {features.shape[0]} rows for {len(labels)} labels")
-    data = features.data if sparse.issparse(features) else features
-    if not np.isfinite(data).all():
-        raise ValueError("feature matrix contains non-finite values")
-    classes = tuple(label for label in LABELS if label in set(labels))
-    if len(classes) < 2:
-        raise ValueError("training needs at least 2 distinct labels")
-    return classes
-
-
-def _sample_weight(labels: list[Label], config: LrConfig) -> np.ndarray:
-    weight_by_class = compute_class_weights(Counter(labels), config.class_weight)
-    return np.array([weight_by_class[label] for label in labels])
-
-
-class _Problem(NamedTuple):
-    """One binary subproblem: a member's rows against one class."""
-
-    rows: np.ndarray | None  # the member's bootstrap rows; None is every row
-    signs: np.ndarray
-    sample_weight: np.ndarray
-
-
-def __getattr__(name: str):
-    """Load ``scipy.optimize`` as the module attribute ``optimize`` on first use."""
-    if name != "optimize":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy import optimize
-
-    globals()["optimize"] = optimize
-    return optimize
-
-
-def solver():
-    """The module attribute ``optimize``, loaded by the first call.
-
-    Solves look it up here at call time, so a wrapper set on it sees every
-    in-process solve.
-    """
-    return globals().get("optimize") or __getattr__("optimize")
-
-
-def _solve(work: tuple, i: int) -> tuple[np.ndarray, SolverStats, list[float] | None]:
-    """Problem ``i`` of ``work``: the final iterate, its stats and, when
-    recording, the objective value at every iterate."""
-    features, problems, config, record = work
-    problem = problems[i]
-    X = features if problem.rows is None else features[problem.rows]
-    objective = binary_objective(X, problem.signs, problem.sample_weight, config.C)
-    values: list[float] | None = [] if record else None
-    callback = None if values is None else (lambda theta: values.append(objective(theta)[0]))
-    result = solver().minimize(
-        objective,
-        x0=np.zeros(X.shape[1] + 1),
-        jac=True,
-        method="L-BFGS-B",
-        callback=callback,
-        options={
-            "maxiter": config.max_iter,
-            "maxfun": max(15000, 20 * config.max_iter),
-            "ftol": 0.0,
-            "gtol": config.tol,
-        },
-    )
-    stats = SolverStats(
-        bool(result.success), int(result.nit), int(result.nfev), float(np.max(np.abs(result.jac))), str(result.message)
-    )
-    return result.x, stats, values
-
-
-def _solve_all(features, problems: list[_Problem], config: LrConfig, record: bool) -> list[tuple]:
-    """Solve every problem, in order, through ``parallel.fork_map``.
-
-    The solver loads here, before the fork, so that no worker imports it.
-    """
-    solver()
-    return parallel.fork_map(functools.partial(_solve, (features, problems, config, record)), range(len(problems)))
-
-
-def _fit(
-    features: np.ndarray | sparse.spmatrix,
-    members: Sequence[tuple[np.ndarray | None, list[Label], np.ndarray]],
-    config: LrConfig,
-    iteration_callback: Callable[[Label, float], None] | None = None,
-) -> list[LinearModel]:
-    """One ``LinearModel`` per (rows, labels, sample weight) member, in order.
-
-    The one-vs-rest problems of all members are solved together; warnings and
-    ``iteration_callback`` calls follow afterwards, class by class.
-    """
-    problems: list[_Problem] = []
-    member_classes = []
-    for rows, labels, sample_weight in members:
-        present = set(labels)
-        classes = tuple(label for label in LABELS if label in present)
-        label_array = np.array([label.value for label in labels])
-        member_classes.append(classes)
-        problems += [_Problem(rows, np.where(label_array == cls.value, 1.0, -1.0), sample_weight) for cls in classes]
-    solutions = iter(_solve_all(features, problems, config, iteration_callback is not None))
-    models = []
-    for classes in member_classes:
-        weights = np.empty((len(classes), features.shape[1]))
-        biases = np.empty(len(classes))
-        stats = []
-        for k, cls in enumerate(classes):
-            x, solver_stats, values = next(solutions)
-            for value in values or ():
-                iteration_callback(cls, value)
-            if not solver_stats.converged:
-                warnings.warn(
-                    f"optimizer did not reach tol={config.tol} for class {cls.value}: {solver_stats.message}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            weights[k] = x[:-1]
-            biases[k] = x[-1]
-            stats.append(solver_stats)
-        converged = all(s.converged for s in stats)
-        models.append(LinearModel(classes, weights, biases, config, converged, tuple(stats)))
-    return models
-
-
-def train_lr(
-    features: np.ndarray | sparse.spmatrix,
-    labels: Sequence[Label],
-    config: LrConfig,
-    sample_weight: np.ndarray | None = None,
-    iteration_callback: Callable[[Label, float], None] | None = None,
-) -> LinearModel:
-    """Fit one binary L2 logistic regression per present class.
-
-    ``sample_weight`` overrides the class-weight mode (a test and calibration
-    hook).  ``iteration_callback`` receives the objective value at every
-    optimizer iterate, replayed after the solves in class order.  A
-    subproblem that fails to reach ``tol`` within ``max_iter`` still yields a
-    model, with a warning and ``converged=False``.
-    """
-    labels = list(labels)
-    _training_classes(features, labels)
-    if sample_weight is None:
-        sample_weight = _sample_weight(labels, config)
-    else:
-        sample_weight = np.asarray(sample_weight, dtype=float)
-        if sample_weight.shape != (len(labels),):
-            raise ValueError("sample_weight must have one entry per instance")
-    [model] = _fit(features, [(None, labels, sample_weight)], config, iteration_callback)
-    return model
-
-
 @dataclass(frozen=True)
 class BaggingConfig:
     n_estimators: int = 40
@@ -317,7 +128,290 @@ class Ensemble:
         return cls(model.classes, (model,), model.config)
 
 
+def compute_class_weights(label_counts: Mapping[Label, int], mode: str) -> dict[Label, float]:
+    """Per-class sample weights: 1 everywhere, or N / (K * n_c) when balanced."""
+    if mode not in CLASS_WEIGHT_MODES:
+        raise ValueError(f"class_weight must be one of {CLASS_WEIGHT_MODES}")
+    for label, count in label_counts.items():
+        if count <= 0:
+            raise ValueError(f"class {label.value} has non-positive count {count}")
+    if mode == "none":
+        return {label: 1.0 for label in label_counts}
+    total = sum(label_counts.values())
+    k = len(label_counts)
+    return {label: total / (k * count) for label, count in label_counts.items()}
+
+
+def binary_objective(
+    features: np.ndarray | sparse.spmatrix,
+    signs: np.ndarray,
+    sample_weight: np.ndarray,
+    C: float,
+) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    """Objective and gradient for one binary subproblem.
+
+    ``theta`` packs the weight vector with the bias appended.  The loss term
+    uses log1p/expit forms, so it stays finite for any margin.  What does not
+    depend on ``theta`` is computed once, in the order the per-call
+    expressions would compute it.
+    """
+    transposed = features.T
+    scale = -C * sample_weight * signs
+
+    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
+        w, b = theta[:-1], theta[-1]
+        margins = features @ w + b
+        t = signs * margins
+        value = 0.5 * float(w @ w) + C * float(sample_weight @ np.logaddexp(0.0, -t))
+        coeff = scale * expit(-t)
+        grad_w = w + transposed @ coeff
+        grad = np.empty(theta.shape)
+        grad[:-1] = grad_w
+        grad[-1] = coeff.sum()
+        return value, grad
+
+    return value_and_grad
+
+
+def _training_classes(
+    features: np.ndarray | sparse.spmatrix, labels: list[Label], columns: np.ndarray | None = None
+) -> tuple[tuple[Label, ...], int]:
+    """The classes present, in canonical order, and the feature dimension,
+    after checking the training inputs (the ``columns`` of ``features``)."""
+    if columns is not None:
+        features = features[:, columns]
+    if features.shape[0] != len(labels):
+        raise ValueError(f"feature matrix has {features.shape[0]} rows for {len(labels)} labels")
+    data = features.data if sparse.issparse(features) else features
+    if not np.isfinite(data).all():
+        raise ValueError("feature matrix contains non-finite values")
+    classes = tuple(label for label in LABELS if label in set(labels))
+    if len(classes) < 2:
+        raise ValueError("training needs at least 2 distinct labels")
+    return classes, features.shape[1]
+
+
+def _sample_weight(labels: list[Label], config: LrConfig) -> np.ndarray:
+    weight_by_class = compute_class_weights(Counter(labels), config.class_weight)
+    return np.array([weight_by_class[label] for label in labels])
+
+
+class _Problem(NamedTuple):
+    """One binary subproblem: a member's rows of a matrix, cut to some of its
+    columns, against one class."""
+
+    features: np.ndarray | sparse.spmatrix
+    rows: np.ndarray | None  # the member's bootstrap rows; None is every row
+    columns: np.ndarray | None  # the columns the problem sees; None is every column
+    signs: np.ndarray
+    sample_weight: np.ndarray
+    config: LrConfig
+
+
+def __getattr__(name: str):
+    """Load ``scipy.optimize`` as the module attribute ``optimize`` on first use."""
+    if name != "optimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import optimize
+
+    globals()["optimize"] = optimize
+    return optimize
+
+
+def solver():
+    """The module attribute ``optimize``, loaded by the first call.
+
+    Solves look it up here at call time, so a wrapper set on it sees every
+    in-process solve.
+    """
+    return globals().get("optimize") or __getattr__("optimize")
+
+
+def _solve(record: bool, problem: _Problem) -> tuple[np.ndarray, SolverStats, list[float] | None]:
+    """The final iterate of ``problem``, its stats and, when ``record``, the
+    objective value at every iterate."""
+    X = problem.features if problem.rows is None else problem.features[problem.rows]
+    if problem.columns is not None:
+        X = X[:, problem.columns]
+    config = problem.config
+    objective = binary_objective(X, problem.signs, problem.sample_weight, config.C)
+    values: list[float] | None = [] if record else None
+    callback = None if values is None else (lambda theta: values.append(objective(theta)[0]))
+    result = solver().minimize(
+        objective,
+        x0=np.zeros(X.shape[1] + 1),
+        jac=True,
+        method="L-BFGS-B",
+        callback=callback,
+        options={
+            "maxiter": config.max_iter,
+            "maxfun": max(15000, 20 * config.max_iter),
+            "ftol": 0.0,
+            "gtol": config.tol,
+        },
+    )
+    stats = SolverStats(
+        bool(result.success), int(result.nit), int(result.nfev), float(np.max(np.abs(result.jac))), str(result.message)
+    )
+    return result.x, stats, values
+
+
+def solve_all(problems: Sequence[_Problem], record: bool = False) -> Iterator[tuple]:
+    """The solution of every problem, in order, from ``parallel.fork_imap``.
+
+    The solver loads here, before the fork, so that no worker imports it.
+    """
+    solver()
+    return parallel.fork_imap(functools.partial(_solve, record), problems)
+
+
+@dataclass(frozen=True)
+class TrainingPlan:
+    """An ensemble before solving: its members' one-vs-rest problems, member
+    after member and class after class, and how their solutions assemble."""
+
+    classes: tuple[Label, ...]
+    member_classes: tuple[tuple[Label, ...], ...]
+    problems: tuple[_Problem, ...]
+    dim: int  # feature columns of every member
+    lr_config: LrConfig
+    bagging: BaggingConfig | None = None
+
+    def assemble(
+        self, solutions: Iterable[tuple], iteration_callback: Callable[[Label, float], None] | None = None
+    ) -> Ensemble:
+        """The ensemble from the solutions of ``problems``, in order.
+
+        Warnings and ``iteration_callback`` calls follow class by class.
+        """
+        solutions = iter(solutions)
+        config = self.lr_config
+        members = []
+        for classes in self.member_classes:
+            weights = np.empty((len(classes), self.dim))
+            biases = np.empty(len(classes))
+            stats = []
+            for k, cls in enumerate(classes):
+                x, solver_stats, values = next(solutions)
+                for value in values or ():
+                    iteration_callback(cls, value)
+                if not solver_stats.converged:
+                    warnings.warn(
+                        f"optimizer did not reach tol={config.tol} for class {cls.value}: {solver_stats.message}",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+                weights[k] = x[:-1]
+                biases[k] = x[-1]
+                stats.append(solver_stats)
+            converged = all(s.converged for s in stats)
+            members.append(LinearModel(classes, weights, biases, config, converged, tuple(stats)))
+        return Ensemble(self.classes, tuple(members), config, self.bagging)
+
+
+def _plan(
+    features: np.ndarray | sparse.spmatrix,
+    columns: np.ndarray | None,
+    labels: list[Label],
+    members: Iterable[tuple[np.ndarray | None, list[Label], np.ndarray]],
+    config: LrConfig,
+    bagging: BaggingConfig | None = None,
+) -> TrainingPlan:
+    """The plan for one member per (rows, labels, sample weight) of
+    ``members``, which are drawn after the training inputs are checked."""
+    classes, dim = _training_classes(features, labels, columns)
+    problems: list[_Problem] = []
+    member_classes = []
+    for rows, member_labels, sample_weight in members:
+        present = set(member_labels)
+        member_classes.append(tuple(label for label in LABELS if label in present))
+        label_array = np.array([label.value for label in member_labels])
+        problems += [
+            _Problem(features, rows, columns, np.where(label_array == cls.value, 1.0, -1.0), sample_weight, config)
+            for cls in member_classes[-1]
+        ]
+    return TrainingPlan(classes, tuple(member_classes), tuple(problems), dim, config, bagging)
+
+
+def plan_lr(
+    features: np.ndarray | sparse.spmatrix,
+    labels: Sequence[Label],
+    config: LrConfig,
+    sample_weight: np.ndarray | None = None,
+    columns: np.ndarray | None = None,
+) -> TrainingPlan:
+    """The plan of ``train_lr`` on the ``columns`` of ``features`` (all by
+    default): one member on every row."""
+    labels = list(labels)
+
+    def member():
+        weight = _sample_weight(labels, config) if sample_weight is None else np.asarray(sample_weight, dtype=float)
+        if weight.shape != (len(labels),):
+            raise ValueError("sample_weight must have one entry per instance")
+        yield None, labels, weight
+
+    return _plan(features, columns, labels, member(), config)
+
+
+def train_lr(
+    features: np.ndarray | sparse.spmatrix,
+    labels: Sequence[Label],
+    config: LrConfig,
+    sample_weight: np.ndarray | None = None,
+    iteration_callback: Callable[[Label, float], None] | None = None,
+) -> LinearModel:
+    """Fit one binary L2 logistic regression per present class.
+
+    ``sample_weight`` overrides the class-weight mode (a test and calibration
+    hook).  ``iteration_callback`` receives the objective value at every
+    optimizer iterate, replayed after the solves in class order.  A
+    subproblem that fails to reach ``tol`` within ``max_iter`` still yields a
+    model, with a warning and ``converged=False``.
+    """
+    plan = plan_lr(features, labels, config, sample_weight)
+    record = iteration_callback is not None
+    return plan.assemble(solve_all(plan.problems, record), iteration_callback).members[0]
+
+
 BootstrapFn = Callable[[int, int, np.random.Generator], np.ndarray]
+
+
+def plan_bagging(
+    features: np.ndarray | sparse.spmatrix,
+    labels: Sequence[Label],
+    lr_config: LrConfig,
+    bagging_config: BaggingConfig,
+    bootstrap_fn: BootstrapFn | None = None,
+    columns: np.ndarray | None = None,
+) -> TrainingPlan:
+    """The plan of ``train_bagging`` on the ``columns`` of ``features`` (all
+    by default): one member per bootstrap sample.
+
+    Member k draws its own generator from ``(seed, k)``, so its sample does
+    not depend on ``n_estimators``.  A sample that collapses to a single
+    class is redrawn, at most 10 times.
+    """
+    labels = list(labels)
+    n = len(labels)
+
+    def members():
+        for k in range(bagging_config.n_estimators):
+            rng = np.random.default_rng([bagging_config.seed, k])
+            for attempt in range(10):
+                if bootstrap_fn is None:
+                    idx = rng.integers(0, n, size=n)
+                else:
+                    idx = np.asarray(bootstrap_fn(k, n, rng))
+                if len({labels[i] for i in idx}) >= 2:
+                    break
+            else:
+                raise RuntimeError(
+                    f"bootstrap sample for member {k} collapsed to a single class in 10 attempts"
+                )
+            member_labels = [labels[i] for i in idx]
+            yield idx, member_labels, _sample_weight(member_labels, lr_config)
+
+    return _plan(features, columns, labels, members(), lr_config, bagging_config)
 
 
 def train_bagging(
@@ -329,31 +423,11 @@ def train_bagging(
 ) -> Ensemble:
     """Train members on bootstrap samples of the instances.
 
-    Member k draws its own generator from ``(seed, k)``, so every member and
-    the whole ensemble are reproducible.  A sample that collapses to a single
-    class is redrawn, at most 10 times.  ``bootstrap_fn`` overrides sampling
-    for tests.
+    Every member and the whole ensemble are reproducible (see
+    ``plan_bagging``).  ``bootstrap_fn`` overrides sampling for tests.
     """
-    labels = list(labels)
-    classes = _training_classes(features, labels)
-    n = len(labels)
-    members = []
-    for k in range(bagging_config.n_estimators):
-        rng = np.random.default_rng([bagging_config.seed, k])
-        for attempt in range(10):
-            if bootstrap_fn is None:
-                idx = rng.integers(0, n, size=n)
-            else:
-                idx = np.asarray(bootstrap_fn(k, n, rng))
-            if len({labels[i] for i in idx}) >= 2:
-                break
-        else:
-            raise RuntimeError(
-                f"bootstrap sample for member {k} collapsed to a single class in 10 attempts"
-            )
-        member_labels = [labels[i] for i in idx]
-        members.append((idx, member_labels, _sample_weight(member_labels, lr_config)))
-    return Ensemble(classes, tuple(_fit(features, members, lr_config)), lr_config, bagging_config)
+    plan = plan_bagging(features, labels, lr_config, bagging_config, bootstrap_fn)
+    return plan.assemble(solve_all(plan.problems))
 
 
 def _member_proba_matrix(member: LinearModel, X, classes: tuple[Label, ...]) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""One mapper for independent work: forked worker processes, or in-process.
+"""One mapper for independent work, lazy (``fork_imap``) or to a list
+(``fork_map``): forked worker processes, or in-process.
 
 The workers inherit the function and its items through the fork, so only item
 indices and results are pickled: a closure over a fitted pipeline or a
@@ -11,7 +12,7 @@ BLAS to one).  ``multiprocessing`` loads on the first pooled call only.
 from __future__ import annotations
 
 import os
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 # (fn, items) inside a worker process, set by _init_worker from arguments the
 # fork hands over without pickling.
@@ -36,21 +37,30 @@ def _call_in_worker(i: int):
     return fn(items[i])
 
 
-def fork_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(item) for item in items]``: in one forked worker per CPU (at most
-    one per item), or in-process with one CPU, one item or no ``fork``.
+def fork_imap(fn: Callable, items: Sequence) -> Iterator:
+    """``fn(item)`` for each item, in order, as a lazy iterator: from one
+    forked worker per CPU (at most one per item), or computed in-process on
+    demand with one CPU, one item or no ``fork``.
 
-    A worker that dies raises ``BrokenProcessPool``.
+    The workers start on the first ``next`` and may run ahead of the
+    consumer.  A worker that dies raises ``BrokenProcessPool``.
     """
     workers = min(len(items), cpu_count())
     if workers < 2:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     from concurrent.futures.process import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(fn, items)) as pool:
-        return list(pool.map(_call_in_worker, range(len(items))))
+        yield from pool.map(_call_in_worker, range(len(items)))
+
+
+def fork_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, computed as ``fork_imap`` does."""
+    return list(fork_imap(fn, items))

@@ -18,6 +18,11 @@ Every row depends only on its own tweet, so ``transform`` splits a large
 batch into contiguous row chunks, one per CPU, featurizes them in
 ``parallel.fork_map`` workers and joins them with ``sparse.vstack``; the
 result is bit-identical to the one-batch build.
+
+Each block is fitted and featurized on its own, so a pipeline fitted with
+several blocks serves any subset of them: ``narrowed`` shares its fitted
+state with a pipeline of the subset, and ``columns`` finds the subset's
+columns in its matrices, bit for bit the matrices that pipeline makes.
 """
 
 from __future__ import annotations
@@ -148,6 +153,48 @@ class FeaturePipeline:
             out.append(("embedding", self.embedding_table.dim))
         return out
 
+    def narrowed(self, blocks: FeatureBlocks) -> "FeaturePipeline":
+        """This fitted pipeline cut down to ``blocks``, a subset of its own.
+
+        The vocabularies and common component are shared, not copied; they
+        are what a pipeline of ``blocks`` alone fits on the same data.
+        """
+        if any(getattr(blocks, name) > getattr(self.blocks, name) for name in BLOCK_ORDER):
+            raise ValueError(f"{blocks} is not a subset of {self.blocks}")
+        if blocks == self.blocks:
+            return self
+        embedding = blocks.embedding
+        narrow = FeaturePipeline(
+            self.preprocess_config,
+            self.ngram_config,
+            blocks,
+            self.embedding_table if embedding else None,
+            self.unigram if embedding else None,
+            self.sif_config,
+        )
+        narrow.bow_vocabulary = self.bow_vocabulary if blocks.bow else None
+        narrow.boc_vocabulary = self.boc_vocabulary if blocks.boc else None
+        narrow.common_component = self.common_component if embedding else None
+        narrow.fitted = self.fitted
+        return narrow
+
+    def columns(self, blocks: FeatureBlocks) -> np.ndarray | None:
+        """Where the columns of ``blocks``, a subset of this pipeline's own,
+        lie in its matrices; None when they are every column.
+
+        ``matrix[:, columns]`` is, bit for bit, the matrix that
+        ``narrowed(blocks)`` makes of the same data.
+        """
+        if blocks == self.blocks:
+            return None
+        bounds = np.cumsum([0] + [dim for _, dim in self.layout])
+        ranges = [
+            np.arange(start, end)
+            for (name, _), start, end in zip(self.layout, bounds, bounds[1:])
+            if getattr(blocks, name)
+        ]
+        return np.concatenate(ranges)
+
     def transform_one(self, text: str) -> SparseVector:
         return SparseVector.from_row(self._matrix([self._views(text)]))
 
@@ -273,9 +320,9 @@ def load_pipeline(directory: str | Path) -> FeaturePipeline:
         sif_config=sif_config,
     )
     if blocks.bow:
-        pipeline.bow_vocabulary, _ = vectorize.load_vocabulary(directory / "bow_vocab.tsv")
+        pipeline.bow_vocabulary = vectorize.load_vocabulary(directory / "bow_vocab.tsv", ngram_config)
     if blocks.boc:
-        pipeline.boc_vocabulary, _ = vectorize.load_vocabulary(directory / "boc_vocab.tsv")
+        pipeline.boc_vocabulary = vectorize.load_vocabulary(directory / "boc_vocab.tsv", ngram_config)
     component_path = directory / "common_component.npy"
     if component_path.exists():
         pipeline.common_component = np.load(component_path)

@@ -215,40 +215,39 @@ def transform(counts: Mapping[str, int], vocabulary: Vocabulary, config: NgramCo
 _HEADER_PREFIX = "#"
 
 
+def _header(doc_count: int, config: NgramConfig) -> str:
+    """The first line of a saved vocabulary."""
+    return (
+        f"{_HEADER_PREFIX}doc_count={doc_count}"
+        f"\tword_n_max={config.word_n_max}\tchar_n_max={config.char_n_max}"
+        f"\tbinarize={int(config.binarize)}\ttfidf={int(config.tfidf)}\n"
+    )
+
+
 def save_vocabulary(vocabulary: Vocabulary, config: NgramConfig, path: str | Path) -> None:
     """Write ``term<TAB>index<TAB>idf`` rows under a one-line header."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(
-            f"{_HEADER_PREFIX}doc_count={vocabulary.doc_count}"
-            f"\tword_n_max={config.word_n_max}\tchar_n_max={config.char_n_max}"
-            f"\tbinarize={int(config.binarize)}\ttfidf={int(config.tfidf)}\n"
-        )
+        handle.write(_header(vocabulary.doc_count, config))
         for term, i in sorted(vocabulary.index.items(), key=lambda item: item[1]):
             # float() first: numpy scalars repr as np.float64(...) and would
             # not parse back.  Plain float repr round-trips exactly.
             handle.write(f"{term}\t{i}\t{float(vocabulary.idf[i])!r}\n")
 
 
-def load_vocabulary(path: str | Path) -> tuple[Vocabulary, NgramConfig]:
+def load_vocabulary(path: str | Path, config: NgramConfig) -> Vocabulary:
+    """Read a vocabulary that ``save_vocabulary`` wrote with ``config``.
+
+    The header must be exactly the one ``save_vocabulary`` writes for
+    ``config`` and the stored document count; anything else raises.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if not header.startswith(_HEADER_PREFIX):
-            raise ValueError(f"{path}: missing vocabulary header")
-        meta: dict[str, str] = {}
-        for part in header[len(_HEADER_PREFIX) :].split("\t"):
-            key, _, value = part.partition("=")
-            meta[key] = value
-        try:
-            doc_count = int(meta["doc_count"])
-            config = NgramConfig(
-                word_n_max=int(meta["word_n_max"]),
-                char_n_max=int(meta["char_n_max"]),
-                binarize=bool(int(meta["binarize"])),
-                tfidf=bool(int(meta["tfidf"])),
+        header = handle.readline()
+        count, _, _ = header.removeprefix(f"{_HEADER_PREFIX}doc_count=").partition("\t")
+        if not count.isdigit() or header != _header(int(count), config):
+            raise ValueError(
+                f"{path}: vocabulary header {header.rstrip()!r} does not match the n-gram config {config}"
             )
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed vocabulary header: {exc}") from None
         index: dict[str, int] = {}
         idf_by_index: dict[int, float] = {}
         for lineno, line in enumerate(handle, start=2):
@@ -264,5 +263,4 @@ def load_vocabulary(path: str | Path) -> tuple[Vocabulary, NgramConfig]:
     idf = np.empty(len(index))
     for i, value in idf_by_index.items():
         idf[i] = value
-    vocabulary = Vocabulary(index=index, idf=idf, doc_count=doc_count)
-    return vocabulary, config
+    return Vocabulary(index=index, idf=idf, doc_count=int(count))

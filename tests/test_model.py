@@ -8,6 +8,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from tweetsent import model, parallel
@@ -21,10 +23,12 @@ from tweetsent.model import (
     binary_objective,
     compute_class_weights,
     load_model,
+    plan_bagging,
     predict,
     predict_many,
     predict_proba_matrix,
     save_model,
+    solve_all,
     train_bagging,
     train_lr,
 )
@@ -339,6 +343,30 @@ class TestBagging:
         X, labels = four_class_problem(seed=2)
         bag = train_bagging(X, labels, LrConfig(), BaggingConfig(n_estimators=3, seed=0))
         assert not np.array_equal(bag.members[0].weights, bag.members[1].weights)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data_seed=st.integers(0, 2**16), seed=st.integers(0, 2**31 - 1), as_sparse=st.booleans())
+    def test_a_larger_ensemble_extends_a_smaller_one(self, data_seed, seed, as_sparse):
+        # Member k depends only on (seed, k), so studies solve shared members once.
+        X, labels = four_class_problem(seed=data_seed, per_class=8, d=5)
+        X = sparse.csr_matrix(X) if as_sparse else X
+        config = LrConfig()
+        two = train_bagging(X, labels, config, BaggingConfig(n_estimators=2, seed=seed))
+        three = train_bagging(X, labels, config, BaggingConfig(n_estimators=3, seed=seed))
+        assert_same_members(two.members, three.members[:2])
+
+    @settings(max_examples=10, deadline=None)
+    @given(data_seed=st.integers(0, 2**16), keep=st.sets(st.integers(0, 5), min_size=1))
+    def test_a_plan_on_some_columns_equals_training_on_those_columns(self, data_seed, keep):
+        X, labels = four_class_problem(seed=data_seed, per_class=8, d=6)
+        X = sparse.csr_matrix(X)
+        columns = np.array(sorted(keep))
+        config, bagging = LrConfig(), BaggingConfig(n_estimators=2, seed=data_seed)
+        plan = plan_bagging(X, labels, config, bagging, columns=columns)
+        assert plan.dim == len(columns)
+        cut = sparse.csr_matrix(X[:, columns].toarray())
+        planned = plan.assemble(solve_all(plan.problems))
+        assert_same_members(planned.members, train_bagging(cut, labels, config, bagging).members)
 
     def test_identity_bootstrap_equals_plain_lr(self):
         X, labels = four_class_problem(seed=3)
@@ -657,7 +685,7 @@ class TestParallelSolves:
         X, labels = two_class_problem(seed=22)
         signs = np.array([1.0 if label is Label.P else -1.0 for label in labels])
         pools = pooled(monkeypatch)
-        [(x, stats, values)] = model._solve_all(X, [model._Problem(None, signs, np.ones(len(labels)))], LrConfig(), False)
+        [(x, stats, values)] = model.solve_all([model._Problem(X, None, None, signs, np.ones(len(labels)), LrConfig())])
         assert pools == []
         assert stats.converged and values is None
         assert np.array_equal(x[:-1], train_lr(X, labels, LrConfig()).weights[0])

@@ -703,6 +703,27 @@ class TestBundleChecks:
         with pytest.raises(ValueError, match="config section 'sif' must be a JSON object, got None"):
             load_bundle(bundle)
 
+    @pytest.mark.parametrize(
+        "old, new", [("binarize=0", "binarize=1"), ("char_n_max=3", "char_n_max=4"), ("doc_count=3", "doc_count=03")]
+    )
+    def test_edited_vocabulary_header_fails_predict_in_the_bundle_stage(
+        self, tampered_bundle, tmp_path, capsys, old, new
+    ):
+        bundle = tampered_bundle("pipeline.json", lambda meta: None)
+        vocab = bundle / "boc_vocab.tsv"
+        header, rest = vocab.read_text(encoding="utf-8").split("\n", 1)
+        assert old in header
+        vocab.write_text(header.replace(old, new) + "\n" + rest, encoding="utf-8")
+        (tmp_path / "input.tsv").write_text("p1\tel gato duerme\n", encoding="utf-8")
+        argv = ["predict", "--model", str(bundle), "--input", str(tmp_path / "input.tsv")]
+        assert main([*argv, "--output", str(tmp_path / "labels.tsv")]) == 1
+        assert "error [bundle]" in capsys.readouterr().err
+
+    def test_vocabulary_header_must_match_the_stored_ngram_config(self, tampered_bundle):
+        bundle = tampered_bundle("pipeline.json", lambda meta: meta["ngrams"].update(char_n_max=4))
+        with pytest.raises(ValueError, match="does not match the n-gram config"):
+            load_bundle(bundle)
+
 
 PREPROCESS_CONFIGS = [
     PreprocessConfig(),

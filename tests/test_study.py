@@ -10,6 +10,7 @@ once in-process.
 
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,12 @@ def standalone_root(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("standalone")
 
 
+def study_counts(caplog) -> dict[str, int]:
+    """The counts of the study line the last study logged."""
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("study: ")]
+    return {name: int(count) for name, count in (item.split("=") for item in lines[-1].split()[1:])}
+
+
 def standalone(config: ExperimentConfig, root: Path, name: str) -> dict[str, str]:
     """Digests of the standalone run of ``config``, run once per ``root/name``."""
     out = root / name
@@ -80,9 +87,14 @@ def standalone(config: ExperimentConfig, root: Path, name: str) -> dict[str, str
 
 
 @pytest.mark.parametrize("cpus", [2, 1])
-def test_ablation_variants_equal_standalone_runs(cpus, study_config, standalone_root, tmp_path, monkeypatch):
+def test_ablation_variants_equal_standalone_runs(cpus, study_config, standalone_root, tmp_path, monkeypatch, caplog):
     monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    caplog.set_level(logging.INFO, logger="tweetsent.experiment")
     rows = run_ablation(study_config, tmp_path / "ablation")
+    counts = study_counts(caplog)
+    # Only the two augmentation removals change the feature inputs.
+    assert (counts["variants"], counts["builds"], counts["builds_reused"]) == (8, 3, 5)
+    assert counts["solved"] == counts["problems"]
     assert [row["variant"] for row in rows] == ["full-system", *ABLATIONS]
     assert all("skipped" not in row for row in rows)
     root = standalone_root / "ablation"
@@ -94,11 +106,19 @@ def test_ablation_variants_equal_standalone_runs(cpus, study_config, standalone_
 @pytest.mark.parametrize("cpus", [2, 1])
 @pytest.mark.parametrize("grid_name", sorted(GRIDS))
 def test_grid_combinations_equal_standalone_runs(
-    grid_name, cpus, study_config, standalone_root, tmp_path, monkeypatch
+    grid_name, cpus, study_config, standalone_root, tmp_path, monkeypatch, caplog
 ):
     monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    caplog.set_level(logging.INFO, logger="tweetsent.experiment")
     summary = grid_search(study_config, GRIDS[grid_name], tmp_path / "grid")
     assert len(summary["rows"]) == 4
+    counts = study_counts(caplog)
+    if grid_name == "model":
+        # One build; the 2-member ensembles reuse the first two members of the 3-member ones.
+        assert (counts["builds"], counts["builds_reused"]) == (1, 3)
+        assert counts["solved"] < counts["problems"]
+    else:
+        assert (counts["builds"], counts["solved"]) == (4, counts["problems"])
     root = standalone_root / f"grid-{grid_name}"
     for row in summary["rows"]:
         combination = with_values(study_config, {GRID_KEYS[name]: value for name, value in row["params"].items()})

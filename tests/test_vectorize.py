@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -149,18 +150,19 @@ class TestSaveLoad:
         config = NgramConfig(word_n_max=4, char_n_max=3, binarize=True, tfidf=False)
         path = tmp_path / "vocab.tsv"
         save_vocabulary(vocab, config, path)
-        loaded, loaded_config = load_vocabulary(path)
+        loaded = load_vocabulary(path, config)
         assert loaded.index == vocab.index
         assert loaded.doc_count == vocab.doc_count
         assert np.array_equal(loaded.idf, vocab.idf)
-        assert loaded_config == config
+        with pytest.raises(ValueError, match="does not match the n-gram config"):
+            load_vocabulary(path, dataclasses.replace(config, binarize=False))
 
     def test_vector_identical_after_reload(self, tmp_path):
         vocab = fit_vocabulary([{"a": 1, "b": 1, "c": 1}, {"a": 1}, {"b": 1}])
         config = NgramConfig()
         path = tmp_path / "vocab.tsv"
         save_vocabulary(vocab, config, path)
-        loaded, _ = load_vocabulary(path)
+        loaded = load_vocabulary(path, config)
         counts = {"a": 2, "c": 1}
         assert transform(counts, vocab, config) == transform(counts, loaded, config)
 
