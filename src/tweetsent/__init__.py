@@ -41,14 +41,17 @@ from .embeddings import (
     sif_embed,
     word_vector,
 )
-from .config import PRESET_NAMES, ExperimentConfig, derive_seed, load_preset
 from .experiment import (
+    PRESET_NAMES,
+    ExperimentConfig,
     IncompatibleAblation,
     StageError,
     ablation_variant,
+    derive_seed,
     eval_file,
     grid_search,
     load_bundle,
+    load_preset,
     predict_file,
     run_ablation,
     run_experiment,

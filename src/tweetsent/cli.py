@@ -14,9 +14,9 @@ import logging
 import sys
 from pathlib import Path
 
-from .config import ExperimentConfig
 from .experiment import (
     ABLATIONS,
+    ExperimentConfig,
     StageError,
     augment_only,
     eval_file,

@@ -1,53 +1,58 @@
-"""Experiment orchestration: studies of one or more configs, ablations, grid search.
+"""Experiment orchestration: config files, studies, ablations, grid search.
 
-Every run is a study: ``run_experiment`` studies one config, ``run_ablation``
-and ``grid_search`` study one config per variant.  A study takes its
-variants through ``STAGES`` together and writes each variant's reports and
-reloadable model bundle to its own directory, byte for byte what a
-standalone ``train`` of that variant writes.  Variants share the work their
-configs agree on: data, preprocessing and augmentation are computed once per
-distinct config subtree; a feature build is fitted once per distinct
-feature input, with every block its variants enable, and each variant sees
-its own blocks' columns; one worker pool solves the distinct one-vs-rest
-problems of all variants, each once.  Then each variant in turn is
-assembled, evaluated and persisted while the pool solves ahead.
-``preprocess_only`` and ``augment_only`` run a prefix of the same stages.
-Augmentation only ever sees the training split.  The config itself is
-``config.ExperimentConfig``.
+A JSON config describes one experiment end to end.  Its sections are the
+dataclasses below: field names are the JSON keys, fields without a default
+are required, and each section builds the component configs it describes.
+
+Every run is a study of one or more configs: ``run_experiment`` studies one,
+``run_ablation`` and ``grid_search`` one per variant.  A study executes
+``STAGES`` in order and writes each variant's reports and reloadable model
+bundle to its own directory, byte for byte what a standalone ``train`` of
+that variant writes.  Data, preprocessing and augmentation are computed once
+per distinct config subtree.  Variants that agree on the feature inputs form
+one build: its pipeline is fitted once, with every block they enable, and
+each variant trains and predicts on its own blocks' columns.  Build after
+build, one worker pool solves the problems of all the build's variants, and
+each variant is evaluated and persisted as its solutions come in, so the
+study holds one build's matrices at a time.  ``preprocess_only`` and
+``augment_only`` run a prefix of the same stages.  Augmentation only ever
+sees the training split.
+
+Randomness discipline: the config carries one top-level seed and every
+consumer (crossover, bagging) gets its own seed derived by hashing, so runs
+are reproducible end to end and adding a consumer does not shift the others.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
+import json
 import logging
 import time
 import typing
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
+from importlib import resources
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .augment import FixtureTranslator, RemoteTranslator, assert_unaugmented, crossover_augment, translation_augment
-from .config import (  # noqa: F401 - the config names are also importable from here
-    PRESET_NAMES,
-    AugmentConfig,
-    BaggingSection,
-    CrossoverSection,
-    DataConfig,
-    ExperimentConfig,
-    FeatureConfig,
-    ModelConfig,
-    PreprocessFiles,
-    TranslationBackend,
-    TranslationSection,
-    derive_seed,
-    load_preset,
+from .augment import (
+    CrossoverConfig,
+    FixtureTranslator,
+    RemoteTranslator,
+    TranslationConfig,
+    assert_unaugmented,
+    crossover_augment,
+    translation_augment,
 )
 from .corpus import Dataset, Label, Tweet, load_tsv, merge, save_tsv
-from .embeddings import load_embeddings, load_unigram_counts
+from .embeddings import SifConfig, load_embeddings, load_unigram_counts
 from .metrics import ClassificationReport, ConfusionMatrix, evaluate, format_report, report_to_json, score
 from .model import (
+    BaggingConfig,
     Ensemble,
+    LrConfig,
     TrainingPlan,
     load_model,
     plan_bagging,
@@ -56,15 +61,32 @@ from .model import (
     save_model,
     solve_all,
     solver,
-    # Studies train through plans; bench/tracing.py still wraps these names.
+    # A study trains through plans; bench/tracing.py still wraps these names.
     train_bagging,  # noqa: F401
     train_lr,  # noqa: F401
 )
 from .pipeline import BLOCK_ORDER, FeatureBlocks, FeaturePipeline, load_pipeline, save_pipeline
-from .preprocess import PreprocessConfig, basic_preprocess, join_tokens, semantic_preprocess, tokenize
-from .schema import dump
+from .preprocess import (
+    DEFAULT_NEGATION_WORDS,
+    PreprocessConfig,
+    basic_preprocess,
+    join_tokens,
+    load_lemma_table,
+    load_wordlist,
+    semantic_preprocess,
+    tokenize,
+)
+from .schema import dump, load_section
+from .vectorize import NgramConfig
 
 logger = logging.getLogger(__name__)
+
+
+def derive_seed(seed: int, consumer: str, k: int | None = None) -> int:
+    """Deterministic per-consumer seed from the top-level experiment seed."""
+    material = f"{seed}:{consumer}" if k is None else f"{seed}:{consumer}:{k}"
+    digest = hashlib.sha256(material.encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
 
 
 class StageError(RuntimeError):
@@ -87,6 +109,193 @@ def stage(name: str):
         raise StageError(name, exc) from exc
 
 
+# Field metadata marking an input file, which must exist before a run.  Every
+# field with a "path" mark resolves against the config file's directory.
+_INPUT = {"path": "input"}
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    name: str
+    train: tuple[str, ...] = field(metadata=_INPUT)
+    dev: str = field(metadata=_INPUT)
+    test: str | None = field(default=None, metadata=_INPUT)
+
+
+@dataclass(frozen=True)
+class PreprocessFiles:
+    stopwords: str | None = field(default=None, metadata=_INPUT)
+    lemmas: str | None = field(default=None, metadata=_INPUT)
+    negation_words: str | None = field(default=None, metadata=_INPUT)
+    negation_scope: int = 3
+    repeat_cap: int = 2
+
+    def build(self, read_files: bool = True) -> PreprocessConfig:
+        """The preprocessing config; without ``read_files`` the word lists keep their defaults."""
+
+        def read(path, loader, default):
+            return loader(path) if read_files and path else default
+
+        return PreprocessConfig(
+            stopwords=read(self.stopwords, load_wordlist, frozenset()),
+            lemma_table=read(self.lemmas, load_lemma_table, {}),
+            negation_words=read(self.negation_words, load_wordlist, DEFAULT_NEGATION_WORDS),
+            negation_scope=self.negation_scope,
+            repeat_cap=self.repeat_cap,
+        )
+
+
+@dataclass(frozen=True)
+class FeatureConfig:
+    bow: bool = True
+    boc: bool = True
+    embedding: bool = True
+    word_n_max: int = 5
+    char_n_max: int = 6
+    binarize: bool = False
+    tfidf: bool = True
+    embeddings: str | None = field(default=None, metadata=_INPUT)
+    subword: str | None = field(default=None, metadata=_INPUT)
+    unigram_counts: str | None = field(default=None, metadata=_INPUT)
+    sif_a: float = 0.1
+    remove_common_component: bool = False
+
+    def blocks(self) -> FeatureBlocks:
+        return FeatureBlocks(bow=self.bow, boc=self.boc, embedding=self.embedding)
+
+    def ngram(self) -> NgramConfig:
+        return NgramConfig(
+            word_n_max=self.word_n_max, char_n_max=self.char_n_max, binarize=self.binarize, tfidf=self.tfidf
+        )
+
+    def sif(self) -> SifConfig:
+        return SifConfig(a=self.sif_a, remove_common_component=self.remove_common_component)
+
+
+@dataclass(frozen=True)
+class TranslationBackend:
+    type: str = "remote"
+    tables: str | None = field(default=None, metadata=_INPUT)
+
+
+@dataclass(frozen=True)
+class TranslationSection:
+    pivots: tuple[str, ...]
+    source: str = "es"
+    cache: str = field(default="translations.cache.jsonl", metadata={"path": "cache"})
+    backend: TranslationBackend = TranslationBackend()
+
+    def build(self) -> TranslationConfig:
+        return TranslationConfig(pivots=self.pivots, source=self.source, cache_path=self.cache)
+
+
+@dataclass(frozen=True)
+class CrossoverSection:
+    factor: int
+
+    def build(self, experiment_seed: int) -> CrossoverConfig:
+        return CrossoverConfig(factor=self.factor, seed=derive_seed(experiment_seed, "crossover"))
+
+
+@dataclass(frozen=True)
+class AugmentConfig:
+    translation: TranslationSection | None = None
+    crossover: CrossoverSection | None = None
+
+
+@dataclass(frozen=True)
+class BaggingSection:
+    n_estimators: int = 40
+
+    def build(self, experiment_seed: int) -> BaggingConfig:
+        return BaggingConfig(n_estimators=self.n_estimators, seed=derive_seed(experiment_seed, "bagging"))
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    C: float = 1.0
+    class_weight: str = "none"
+    tol: float = 1e-6
+    max_iter: int = 1000
+    bagging: BaggingSection | None = None
+
+    def lr(self) -> LrConfig:
+        return LrConfig(C=self.C, class_weight=self.class_weight, tol=self.tol, max_iter=self.max_iter)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    seed: int
+    data: DataConfig
+    preprocess: PreprocessFiles = PreprocessFiles()
+    features: FeatureConfig = FeatureConfig()
+    augment: AugmentConfig = AugmentConfig()
+    model: ModelConfig = ModelConfig()
+
+    @classmethod
+    def from_dict(cls, raw: dict, base_dir: Path | None = None) -> "ExperimentConfig":
+        config = load_section(cls, raw, "<root>", base_dir)
+        config.validate()
+        return config
+
+    @classmethod
+    def from_json(cls, path: str | Path) -> "ExperimentConfig":
+        path = Path(path)
+        return cls.from_dict(json.loads(path.read_text(encoding="utf-8")), base_dir=path.parent)
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    def validate(self, require_files: bool = False) -> None:
+        """Value checks; with ``require_files`` every referenced input file must exist."""
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not self.data.train:
+            raise ValueError("data.train must name at least one file")
+        # The component configs raise on out-of-range values.
+        self.preprocess.build(read_files=False)
+        self.features.blocks()
+        self.features.ngram()
+        self.features.sif()
+        self.model.lr()
+        if self.model.bagging is not None:
+            self.model.bagging.build(self.seed)
+        if self.features.embedding:
+            if not self.features.embeddings or not self.features.unigram_counts:
+                raise ValueError(
+                    "features.embeddings and features.unigram_counts are required "
+                    "while the embedding block is enabled"
+                )
+        if self.augment.translation is not None:
+            section = self.augment.translation
+            section.build()
+            if section.backend.type not in ("fixture", "remote"):
+                raise ValueError(f"unknown translation backend type {section.backend.type!r}")
+            if section.backend.type == "fixture" and not section.backend.tables:
+                raise ValueError("the fixture translation backend needs a tables file")
+        if self.augment.crossover is not None:
+            self.augment.crossover.build(self.seed)
+        if require_files:
+            for role, path in self._file_references():
+                if not Path(path).exists():
+                    raise FileNotFoundError(f"{role} file not found: {path}")
+
+    def _file_references(self) -> list[tuple[str, str]]:
+        return list(_input_files(self))
+
+
+def _input_files(section, where: str = ""):
+    """(key path, path) of every input file named in ``section``."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _input_files(value, f"{where}{f.name}.")
+        elif f.metadata.get("path") == "input" and isinstance(value, tuple):
+            yield from ((f"{where}{f.name}[{i}]", path) for i, path in enumerate(value))
+        elif f.metadata.get("path") == "input" and value is not None:
+            yield f"{where}{f.name}", value
+
+
 @dataclass
 class RunResult:
     out_dir: Path
@@ -106,7 +315,6 @@ class _Run:
     dev: Dataset = field(init=False)
     test: Dataset | None = field(init=False)
     preprocess_config: PreprocessConfig = field(init=False)
-    build_key: str = field(init=False)  # the key of its feature inputs: variants with one key share a build
     pipeline: FeaturePipeline = field(init=False)  # its build, narrowed to its own blocks
     features: dict[str, typing.Any] = field(init=False)  # the build's matrix of each split
     columns: typing.Any = field(init=False)  # this variant's columns of the build's matrices; None is all
@@ -124,14 +332,6 @@ class _Run:
         raw = self.config.to_dict()
         raw["features"] = {name: value for name, value in raw["features"].items() if name not in BLOCK_ORDER}
         return hashlib.sha256(dump({name: raw[name] for name in entries}).encode("utf-8")).hexdigest()
-
-
-@dataclass
-class _Study:
-    """The variants a study takes through the stages, and its counts for the log."""
-
-    runs: list[_Run]
-    counts: dict[str, int] = field(default_factory=dict)
 
 
 #: The config entries the feature stage reads: variants that agree on them share one build.
@@ -158,8 +358,8 @@ def _preprocessed(dataset: Dataset, config: PreprocessConfig, semantic: bool = F
     return dataset.replace_tweets(Tweet(t.id, text(t.text), t.label) for t in dataset.tweets)
 
 
-def _check_config(study: _Study) -> None:
-    for run in study.runs:
+def _check_config(runs: list[_Run]) -> None:
+    for run in runs:
         run.config.validate(require_files=True)
         _write(run.out_dir / "config.json", dump(run.config.to_dict()))
 
@@ -172,20 +372,19 @@ def _read(run: _Run) -> tuple[Dataset, Dataset, Dataset | None]:
     return Dataset(data.name, "train", merged.tweets), load_tsv(data.dev, split="dev"), test
 
 
-def _load(study: _Study) -> None:
-    for run, (train, dev, test) in zip(study.runs, _shared(study.runs, ("data",), _read)):
+def _load(runs: list[_Run]) -> None:
+    for run, (train, dev, test) in zip(runs, _shared(runs, ("data",), _read)):
         run.train, run.dev, run.test = train, dev, test
 
 
-def _load_resources(study: _Study) -> None:
-    configs = _shared(study.runs, ("preprocess",), lambda run: run.config.preprocess.build())
-    for run, config in zip(study.runs, configs):
+def _load_resources(runs: list[_Run]) -> None:
+    for run, config in zip(runs, _shared(runs, ("preprocess",), lambda run: run.config.preprocess.build())):
         run.preprocess_config = config
 
 
-def _preprocess(study: _Study) -> None:
-    trains = _shared(study.runs, ("data", "preprocess"), lambda run: _preprocessed(run.train, run.preprocess_config))
-    for run, train in zip(study.runs, trains):
+def _preprocess(runs: list[_Run]) -> None:
+    trains = _shared(runs, ("data", "preprocess"), lambda run: _preprocessed(run.train, run.preprocess_config))
+    for run, train in zip(runs, trains):
         run.train = train
 
 
@@ -201,53 +400,42 @@ def _augmented(run: _Run) -> Dataset:
     return train
 
 
-def _augment(study: _Study) -> None:
-    trains = _shared(study.runs, ("seed", "data", "preprocess", "augment"), _augmented)
-    for run, train in zip(study.runs, trains):
+def _augment(runs: list[_Run]) -> None:
+    for run, train in zip(runs, _shared(runs, ("seed", "data", "preprocess", "augment"), _augmented)):
         run.train = train
         save_tsv(train, run.out_dir / "train_augmented.tsv")
 
 
-def _featurize(study: _Study) -> None:
-    """Fit one pipeline per distinct feature input, with every block its
-    variants enable; each variant takes the share of its own blocks."""
-    builds: dict[str, list[_Run]] = {}
-    for run in study.runs:
-        run.build_key = run.key(*_FEATURE_INPUTS)
-        builds.setdefault(run.build_key, []).append(run)
-    tables: dict[tuple, tuple] = {}
-    for variants in builds.values():
-        first = variants[0]
-        features = first.config.features
-        enabled = [run.config.features for run in variants]
-        blocks = FeatureBlocks(**{name: any(getattr(f, name) for f in enabled) for name in BLOCK_ORDER})
-        table = unigram = None
-        if blocks.embedding:
-            paths = (features.embeddings, features.subword, features.unigram_counts)
-            if paths not in tables:
-                tables[paths] = (
-                    load_embeddings(features.embeddings, features.subword),
-                    load_unigram_counts(features.unigram_counts),
-                )
-            table, unigram = tables[paths]
-        build = FeaturePipeline(
-            preprocess_config=first.preprocess_config,
-            ngram_config=features.ngram(),
-            blocks=blocks,
-            embedding_table=table,
-            unigram=unigram,
-            sif_config=features.sif(),
-        )
-        # Dev and test are featurized here, before the solve pool starts its
-        # threads: a large batch forks workers of its own.
-        matrices = {"train": build.fit_transform(first.train), "dev": build.transform(first.dev)}
+def _featurize(runs: list[_Run]) -> None:
+    """Fit one pipeline for the variants of a build, with every block they
+    enable; each variant takes the share of its own blocks."""
+    first = runs[0]
+    features = first.config.features
+    blocks = FeatureBlocks(**{name: any(getattr(run.config.features, name) for run in runs) for name in BLOCK_ORDER})
+    table = unigram = None
+    if blocks.embedding:
+        table = load_embeddings(features.embeddings, features.subword)
+        unigram = load_unigram_counts(features.unigram_counts)
+    build = FeaturePipeline(
+        preprocess_config=first.preprocess_config,
+        ngram_config=features.ngram(),
+        blocks=blocks,
+        embedding_table=table,
+        unigram=unigram,
+        sif_config=features.sif(),
+    )
+    matrices = {"train": build.fit_transform(first.train)}
+    # Dev and test are featurized before the solve pool starts its threads,
+    # as a large batch forks workers of its own.  Their failures belong to
+    # the evaluate stage, as in a standalone run.
+    with stage("evaluate"):
+        matrices["dev"] = build.transform(first.dev)
         if first.test is not None and len(first.test):
             matrices["test"] = build.transform(first.test)
-        for run in variants:
-            run.features = dict(matrices)
-            run.pipeline = build.narrowed(run.config.features.blocks())
-            run.columns = build.columns(run.pipeline.blocks)
-    study.counts.update(builds=len(builds), builds_reused=len(study.runs) - len(builds))
+    for run in runs:
+        run.features = matrices
+        run.pipeline = build.narrowed(run.config.features.blocks())
+        run.columns = build.columns(run.pipeline.blocks)
 
 
 def _plan(run: _Run) -> TrainingPlan:
@@ -259,81 +447,53 @@ def _plan(run: _Run) -> TrainingPlan:
     return plan_lr(run.features["train"], labels, model.lr(), columns=run.columns)
 
 
-def _problem_key(run: _Run, problem) -> tuple:
-    """Everything the solve of ``problem`` reads: the matrix (build and
-    blocks), rows, signs, sample weights and LR config."""
-    arrays = [a for a in (problem.rows, problem.signs, problem.sample_weight) if a is not None]
-    digest = hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
-    return run.build_key, run.pipeline.blocks, problem.rows is None, digest, problem.config
+def _train(runs: list[_Run], counts: dict[str, int]):
+    """One pool solves the problems of every variant of a build, in order;
+    each next step gives the next variant its predictor."""
+    plans = [_plan(run) for run in runs]
+    counts["problems"] += sum(len(plan.problems) for plan in plans)
+    with closing(solve_all([problem for plan in plans for problem in plan.problems])) as solutions:
+        for run, plan in zip(runs, plans):
+            run.predictor = plan.assemble(itertools.islice(solutions, len(plan.problems)))
+            yield
 
 
-def _train(study: _Study):
-    """One pool solves the distinct problems of every variant, each once;
-    variant after variant takes its predictor as its solutions come in."""
-    plans = [_plan(run) for run in study.runs]
-    keys = [[_problem_key(run, problem) for problem in plan.problems] for run, plan in zip(study.runs, plans)]
-    distinct: dict[tuple, typing.Any] = {}
-    last_use: dict[tuple, int] = {}
-    for i, (plan, plan_keys) in enumerate(zip(plans, keys)):
-        for key, problem in zip(plan_keys, plan.problems):
-            distinct.setdefault(key, problem)
-            last_use[key] = i
-    study.counts.update(problems=sum(map(len, keys)), solved=len(distinct))
-    # Solutions arrive in order of first use, so each variant's new ones come next.
-    arriving = zip(distinct, solve_all(list(distinct.values())))
-    solved: dict[tuple, typing.Any] = {}
-    for i, (run, plan, plan_keys) in enumerate(zip(study.runs, plans, keys)):
-        solved.update(itertools.islice(arriving, len(set(plan_keys) - set(solved))))
-        run.predictor = plan.assemble(solved[key] for key in plan_keys)
-        solved = {key: solution for key, solution in solved.items() if last_use[key] > i}
-        yield
+def _evaluate(run: _Run) -> None:
+    assert_unaugmented(run.dev)
+    run.result = RunResult(run.out_dir, *score(run.dev, predict_many(run.predictor, run.matrix("dev"))))
+    if run.test is not None:
+        assert_unaugmented(run.test)
+        if len(run.test):
+            run.test_predictions = predict_many(run.predictor, run.matrix("test"))
+            if run.test.is_labeled():
+                run.result.test_report, run.result.test_matrix = score(run.test, run.test_predictions)
 
 
-def _evaluate(study: _Study):
-    for run in study.runs:
-        assert_unaugmented(run.dev)
-        run.result = RunResult(run.out_dir, *score(run.dev, predict_many(run.predictor, run.matrix("dev"))))
-        if run.test is not None:
-            assert_unaugmented(run.test)
-            if len(run.test):
-                run.test_predictions = predict_many(run.predictor, run.matrix("test"))
-                if run.test.is_labeled():
-                    run.result.test_report, run.result.test_matrix = score(run.test, run.test_predictions)
-        # A build's matrices go once its last variant is scored.
-        del run.features
-        yield
+def _persist(run: _Run) -> None:
+    features = run.config.features
+    bundle_dir = run.out_dir / "model"
+    save_pipeline(
+        run.pipeline,
+        bundle_dir,
+        resources={
+            "embeddings": features.embeddings,
+            "subword": features.subword,
+            "unigram_counts": features.unigram_counts,
+        },
+    )
+    save_model(run.predictor, bundle_dir, run.pipeline.layout)
+    result = run.result
+    _write_report(run.out_dir, "dev", result.dev_report, result.dev_matrix)
+    if result.test_report is not None and result.test_matrix is not None:
+        _write_report(run.out_dir, "test", result.test_report, result.test_matrix)
+    if run.test_predictions is not None:
+        _write_predictions(run.out_dir / "predictions_test.tsv", run.test, run.test_predictions)
+    # Only the result outlives the stages.
+    del run.train, run.features, run.pipeline, run.predictor
 
 
-def _persist(study: _Study):
-    for run in study.runs:
-        features = run.config.features
-        bundle_dir = run.out_dir / "model"
-        save_pipeline(
-            run.pipeline,
-            bundle_dir,
-            resources={
-                "embeddings": features.embeddings,
-                "subword": features.subword,
-                "unigram_counts": features.unigram_counts,
-            },
-        )
-        save_model(run.predictor, bundle_dir, run.pipeline.layout)
-        result = run.result
-        _write_report(run.out_dir, "dev", result.dev_report, result.dev_matrix)
-        if result.test_report is not None and result.test_matrix is not None:
-            _write_report(run.out_dir, "test", result.test_report, result.test_matrix)
-        if run.test_predictions is not None:
-            _write_predictions(run.out_dir / "predictions_test.tsv", run.test, run.test_predictions)
-        # Only one variant's model is held at a time.
-        del run.predictor
-        yield
-
-
-#: The stages of a full run, in order.  A study runs the first six once over
-#: all its variants, so that variants share inputs and feature builds.  The
-#: last three are generators that step one variant at a time: each variant
-#: is trained, evaluated and persisted before the next, while the one pool
-#: that ``train`` starts solves ahead.
+#: The stages of a full run, in order; ``_study`` says how a study of
+#: several variants runs them.
 STAGES = {
     "config": _check_config,
     "load": _load,
@@ -345,35 +505,47 @@ STAGES = {
     "evaluate": _evaluate,
     "persist": _persist,
 }
-_PER_VARIANT = ("train", "evaluate", "persist")
 
 
 def _study(variants: list[tuple[ExperimentConfig, str | Path]], stages) -> list[_Run]:
-    """Run the named ``stages`` in order over every (config, out_dir) variant.
+    """Run the named ``stages``, a prefix of ``STAGES``, over every
+    (config, out_dir) variant.
 
-    Failures are tagged with their stage.  One line of counts and one of
-    stage wall times go to the log.
+    The stages before ``features`` run once over all variants.  Then build
+    after build, in the order of each build's first variant, the build is
+    featurized and its variants are trained, evaluated and persisted one
+    after another.  Failures are tagged with their stage.  One line of
+    counts and one of stage wall times go to the log.
     """
-    study = _Study([_Run(config, Path(out_dir)) for config, out_dir in variants], {"variants": len(variants)})
-    for run in study.runs:
+    runs = [_Run(config, Path(out_dir)) for config, out_dir in variants]
+    for run in runs:
         run.out_dir.mkdir(parents=True, exist_ok=True)
+    counts = {"variants": len(runs)}
     times = dict.fromkeys(stages, 0.0)
-    steps = [(name, STAGES[name](study)) for name in stages if name in _PER_VARIANT]
-    for name in stages:
-        if name not in _PER_VARIANT:
-            start = time.perf_counter()
-            with stage(name):
-                STAGES[name](study)
-            times[name] = time.perf_counter() - start
-    for _ in study.runs:
-        for name, step in steps:
-            start = time.perf_counter()
-            with stage(name):
-                next(step)
-            times[name] += time.perf_counter() - start
-    logger.info("study: %s", " ".join(f"{name}={count}" for name, count in study.counts.items()))
+
+    def timed(name: str, step, *args) -> None:
+        start = time.perf_counter()
+        with stage(name):
+            step(*args)
+        times[name] += time.perf_counter() - start
+
+    for name in itertools.takewhile(lambda name: name != "features", stages):
+        timed(name, STAGES[name], runs)
+    if "features" in stages:
+        builds: dict[str, list[_Run]] = {}
+        for run in runs:
+            builds.setdefault(run.key(*_FEATURE_INPUTS), []).append(run)
+        counts.update(builds=len(builds), builds_reused=len(runs) - len(builds), problems=0)
+        for build in builds.values():
+            timed("features", STAGES["features"], build)
+            with closing(STAGES["train"](build, counts)) as trained:
+                for run in build:
+                    timed("train", next, trained)
+                    timed("evaluate", STAGES["evaluate"], run)
+                    timed("persist", STAGES["persist"], run)
+    logger.info("study: %s", " ".join(f"{name}={count}" for name, count in counts.items()))
     logger.info("study times: %s", " ".join(f"{name}={seconds:.3f}s" for name, seconds in times.items()))
-    return study.runs
+    return runs
 
 
 def _run_all(variants: list[tuple[ExperimentConfig, str | Path]]) -> list[_Run]:
@@ -605,3 +777,20 @@ def augment_only(config: ExperimentConfig, out_dir: str | Path) -> Path:
     """Run basic preprocessing plus the configured augmentations on train."""
     [run] = _study([(config, out_dir)], ("load", "resources", "preprocess", "augment"))
     return run.out_dir / "train_augmented.tsv"
+
+
+PRESET_NAMES = ("CR", "ES", "MX", "PE", "UY")
+
+
+def load_preset(name: str) -> ExperimentConfig:
+    """Load one of the bundled per-country starting configs.
+
+    Presets fix the feature setup and the tuned training knobs; their data
+    and resource paths are placeholders relative to the working directory,
+    so point them at real files before running.
+    """
+    if name not in PRESET_NAMES:
+        known = ", ".join(PRESET_NAMES)
+        raise ValueError(f"unknown preset {name!r}, expected one of: {known}")
+    text = resources.files("tweetsent").joinpath("presets").joinpath(f"{name}.json").read_text("utf-8")
+    return ExperimentConfig.from_dict(json.loads(text))

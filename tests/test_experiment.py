@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetsent import model, parallel
+from tweetsent import pipeline as pipeline_module
 from tweetsent.cli import main
 from tweetsent.corpus import load_tsv
 from tweetsent.experiment import (
@@ -44,6 +45,7 @@ from tweetsent.experiment import (
 )
 from tweetsent.metrics import confusion, report_from_confusion
 from tweetsent.model import CLASS_WEIGHT_MODES, predict_many
+from tweetsent.pipeline import FeaturePipeline
 
 
 def demo_config(corpus_dir: Path) -> ExperimentConfig:
@@ -981,6 +983,26 @@ class TestCli:
         code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "error [train]" in capsys.readouterr().err
+
+    def test_dead_dev_featurization_worker_exits_1_in_the_evaluate_stage(
+        self, mini_corpus, tmp_path, monkeypatch, capsys
+    ):
+        parent = os.getpid()
+        views = FeaturePipeline._views
+
+        def exit_in_worker(self, text):
+            if os.getpid() != parent:
+                os._exit(1)
+            return views(self, text)
+
+        # Fitting featurizes train in-process; the 60-row dev split goes to two workers.
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pipeline_module, "MIN_ROWS_PER_WORKER", 10)
+        monkeypatch.setattr(FeaturePipeline, "_views", exit_in_worker)
+        config_path = write_config(light_config(mini_corpus), tmp_path / "config.json")
+        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "error [evaluate]" in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -347,7 +347,7 @@ class TestBagging:
     @settings(max_examples=10, deadline=None)
     @given(data_seed=st.integers(0, 2**16), seed=st.integers(0, 2**31 - 1), as_sparse=st.booleans())
     def test_a_larger_ensemble_extends_a_smaller_one(self, data_seed, seed, as_sparse):
-        # Member k depends only on (seed, k), so studies solve shared members once.
+        # Member k depends only on (seed, k), so a study could solve shared members once.
         X, labels = four_class_problem(seed=data_seed, per_class=8, d=5)
         X = sparse.csr_matrix(X) if as_sparse else X
         config = LrConfig()

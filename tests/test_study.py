@@ -8,14 +8,16 @@ bundles agree.  Each study runs once in a pool of two forked workers and
 once in-process.
 """
 
+import gc
 import hashlib
 import json
 import logging
+import weakref
 from pathlib import Path
 
 import pytest
 
-from tweetsent import parallel, synthetic
+from tweetsent import experiment, parallel, synthetic
 from tweetsent.experiment import (
     ABLATIONS,
     ExperimentConfig,
@@ -33,7 +35,7 @@ GRID_KEYS = {
     "sif_a": ("features", "sif_a"),
 }
 
-#: Overlapping bagging sizes share members; crossover and sif_a change the features.
+#: The model grid shares one feature build; crossover and sif_a change the features.
 GRIDS = {
     "model": {"C": [0.5, 1.0], "bagging_n": [2, 3]},
     "features": {"crossover_factor": [1, 2], "sif_a": [0.01, 0.1]},
@@ -94,7 +96,6 @@ def test_ablation_variants_equal_standalone_runs(cpus, study_config, standalone_
     counts = study_counts(caplog)
     # Only the two augmentation removals change the feature inputs.
     assert (counts["variants"], counts["builds"], counts["builds_reused"]) == (8, 3, 5)
-    assert counts["solved"] == counts["problems"]
     assert [row["variant"] for row in rows] == ["full-system", *ABLATIONS]
     assert all("skipped" not in row for row in rows)
     root = standalone_root / "ablation"
@@ -113,12 +114,7 @@ def test_grid_combinations_equal_standalone_runs(
     summary = grid_search(study_config, GRIDS[grid_name], tmp_path / "grid")
     assert len(summary["rows"]) == 4
     counts = study_counts(caplog)
-    if grid_name == "model":
-        # One build; the 2-member ensembles reuse the first two members of the 3-member ones.
-        assert (counts["builds"], counts["builds_reused"]) == (1, 3)
-        assert counts["solved"] < counts["problems"]
-    else:
-        assert (counts["builds"], counts["solved"]) == (4, counts["problems"])
+    assert (counts["builds"], counts["builds_reused"]) == ((1, 3) if grid_name == "model" else (4, 0))
     root = standalone_root / f"grid-{grid_name}"
     for row in summary["rows"]:
         combination = with_values(study_config, {GRID_KEYS[name]: value for name, value in row["params"].items()})
@@ -127,3 +123,19 @@ def test_grid_combinations_equal_standalone_runs(
     best = json.loads((tmp_path / "grid" / "best_config.json").read_text(encoding="utf-8"))
     best_run = tmp_path / "grid" / summary["best"]["out_dir"]
     assert best == json.loads((best_run / "config.json").read_text(encoding="utf-8"))
+
+
+def test_a_study_holds_one_build_at_a_time(study_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+    built = []
+    featurize = experiment.STAGES["features"]
+
+    def featurize_after_the_last_build_is_freed(runs):
+        gc.collect()
+        assert [ref() for ref in built] == [None] * len(built)
+        featurize(runs)
+        built.append(weakref.ref(runs[0].features["train"]))
+
+    monkeypatch.setitem(experiment.STAGES, "features", featurize_after_the_last_build_is_freed)
+    grid_search(study_config, GRIDS["features"], tmp_path / "grid")
+    assert len(built) == 4
