@@ -8,11 +8,15 @@ is idempotent the pipeline accepts raw and already-preprocessed datasets
 alike.
 
 A dataset is featurized in one batch: the two views are computed once per
-tweet, each n-gram block is built straight into one CSR matrix
-(``vectorize.ngram_matrix``), the SIF rows are stacked once, and
-``sparse.hstack`` joins the blocks.  ``fit_transform`` reuses the training
-views for both steps.  ``transform_one`` is a one-row batch, so a tweet's
-features do not depend on which batch it is in.
+tweet (the preprocessing steps memoize per word, see ``preprocess``), each
+n-gram block is built straight into one CSR matrix, the SIF rows are stacked
+once, and ``sparse.hstack`` joins the blocks.  The BoW block lists word
+n-grams as strings (``vectorize.ngram_matrix``); the BoC block reads the
+basic texts as code points and walks a character trie
+(``vectorize.CharTrie``), built from the BoC vocabulary at fit and by
+``load_pipeline``.  ``fit_transform`` reuses the training views for both
+steps.  ``transform_one`` is a one-row batch, so a tweet's features do not
+depend on which batch it is in.
 
 Every row depends only on its own tweet, so ``transform`` splits a large
 batch into contiguous row chunks, one per CPU, featurizes them in
@@ -47,16 +51,16 @@ from .embeddings import (
 )
 from .preprocess import PreprocessConfig, basic_preprocess, join_tokens, semantic_preprocess, tokenize
 from .schema import dump, load_section
-from .vectorize import NgramConfig, SparseVector, Vocabulary
+from .vectorize import CharTrie, NgramConfig, SparseVector, Vocabulary
 
 BLOCK_ORDER = ("bow", "boc", "embedding")
 
 #: Fewest rows ``transform`` hands to one worker.  Forking a loaded pipeline
-#: and shipping a chunk back costs 45-65 ms, so on 2 CPUs a batch pays for
-#: the split from 500-700 rows (700 rows: 0.13 s in-process, 0.11 s in two
-#: workers; 500 rows: 0.11 s against 0.14 s).  The dev and test splits of a
-#: run stay in-process.
-MIN_ROWS_PER_WORKER = 350
+#: and shipping a chunk back costs about 50 ms, so on 2 CPUs a batch pays for
+#: the split from about 1,000 rows (900 rows: 0.10 s in-process, 0.11-0.15 s
+#: in two workers; 1,000 rows: 0.11 s either way; 1,300 rows: 0.14 s against
+#: 0.13 s).  The dev and test splits of a run stay in-process.
+MIN_ROWS_PER_WORKER = 500
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,7 @@ class FeaturePipeline:
         self.sif_config = sif_config if sif_config is not None else SifConfig()
         self.bow_vocabulary: Vocabulary | None = None
         self.boc_vocabulary: Vocabulary | None = None
+        self.boc_trie: CharTrie | None = None
         self.common_component: np.ndarray | None = None
         self.fitted = False
 
@@ -123,9 +128,8 @@ class FeaturePipeline:
                 vectorize.word_ngrams(tokens, config.word_n_max) for _, tokens in views
             )
         if self.blocks.boc:
-            self.boc_vocabulary = vectorize.fit_vocabulary(
-                vectorize.char_ngrams(text, config.char_n_max) for text, _ in views
-            )
+            self.boc_vocabulary = vectorize.fit_char_vocabulary([text for text, _ in views], config.char_n_max)
+            self.boc_trie = CharTrie.of(self.boc_vocabulary)
         if self.blocks.embedding and self.sif_config.remove_common_component:
             matrix = np.stack([self._embed(tokens) for _, tokens in views])
             if matrix.any():
@@ -174,6 +178,7 @@ class FeaturePipeline:
         )
         narrow.bow_vocabulary = self.bow_vocabulary if blocks.bow else None
         narrow.boc_vocabulary = self.boc_vocabulary if blocks.boc else None
+        narrow.boc_trie = self.boc_trie if blocks.boc else None
         narrow.common_component = self.common_component if embedding else None
         narrow.fitted = self.fitted
         return narrow
@@ -221,9 +226,9 @@ class FeaturePipeline:
             word_grams = (vectorize.word_ngrams(tokens, config.word_n_max) for _, tokens in views)
             blocks.append(vectorize.ngram_matrix(word_grams, self.bow_vocabulary, config))
         if self.blocks.boc:
-            assert self.boc_vocabulary is not None
-            char_grams = (vectorize.char_ngrams(text, config.char_n_max) for text, _ in views)
-            blocks.append(vectorize.ngram_matrix(char_grams, self.boc_vocabulary, config))
+            assert self.boc_vocabulary is not None and self.boc_trie is not None
+            counts = self.boc_trie.count_matrix([text for text, _ in views])
+            blocks.append(vectorize.weigh(counts, self.boc_vocabulary, config))
         if self.blocks.embedding:
             assert self.embedding_table is not None
             embedded = np.zeros((len(views), self.embedding_table.dim))
@@ -322,7 +327,8 @@ def load_pipeline(directory: str | Path) -> FeaturePipeline:
     if blocks.bow:
         pipeline.bow_vocabulary = vectorize.load_vocabulary(directory / "bow_vocab.tsv", ngram_config)
     if blocks.boc:
-        pipeline.boc_vocabulary = vectorize.load_vocabulary(directory / "boc_vocab.tsv", ngram_config)
+        pipeline.boc_vocabulary = vectorize.load_vocabulary(directory / "boc_vocab.tsv", ngram_config, chars=True)
+        pipeline.boc_trie = CharTrie.of(pipeline.boc_vocabulary)
     component_path = directory / "common_component.npy"
     if component_path.exists():
         pipeline.common_component = np.load(component_path)

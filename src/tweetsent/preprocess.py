@@ -6,11 +6,18 @@ shortened ("holaaaa" -> "holaa").  Semantic preprocessing then lowercases,
 lemmatizes, marks negated words with a ``NOT_`` prefix and finally drops
 punctuation, numbers and stopwords.  Hashtags, emoji and other symbols pass
 through both levels untouched.
+
+The steps that depend on nothing but their input are memoized in bounded
+``functools.lru_cache``s behind the public functions: tokenizing one
+whitespace-free chunk of text, shortening one word's letter runs, and
+making the word token of one surface.  Tweets repeat a small set of words,
+so most calls hit.  Tokens are frozen, so the cached ones are shared.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 import unicodedata
 from collections.abc import Iterable, Mapping, Sequence
@@ -108,6 +115,10 @@ def _is_punctuation(char: str) -> bool:
     return unicodedata.category(char).startswith("P")
 
 
+#: Entries each memo keeps: more than the distinct words of a large corpus.
+_MEMO_SIZE = 1 << 14
+
+
 def tokenize(text: str) -> list[Token]:
     """Split a tweet into classified tokens.
 
@@ -116,7 +127,20 @@ def tokenize(text: str) -> list[Token]:
     ``x@y.z`` shape, letter runs are words, digit runs are numbers and each
     punctuation mark is its own token.  Hashtags and anything else (emoji,
     symbols) fall into the catch-all kind and are never altered downstream.
+
+    No token spans whitespace, so the tokens are those of each
+    whitespace-separated chunk in turn (``_chunk_tokens``, memoized).
     """
+    return [token for chunk in text.split() for token in _chunk_tokens(chunk)]
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _chunk_tokens(chunk: str) -> tuple[Token, ...]:
+    return tuple(_scan(chunk))
+
+
+def _scan(text: str) -> list[Token]:
+    """``tokenize`` without the memo: one left-to-right scan of the text."""
     tokens: list[Token] = []
     pos = 0
     end = len(text)
@@ -149,15 +173,27 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _word(surface: str) -> Token:
+    """The word token of ``surface``."""
+    return Token(surface, TokenKind.WORD)
+
+
 _REPEAT_PATTERNS: dict[int, re.Pattern[str]] = {}
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
 def _collapse_repeats(surface: str, cap: int) -> str:
     pattern = _REPEAT_PATTERNS.get(cap)
     if pattern is None:
         pattern = re.compile(r"(.)\1{%d,}" % cap)
         _REPEAT_PATTERNS[cap] = pattern
     return pattern.sub(lambda m: m.group(1) * cap, surface)
+
+
+_HANDLE = Token(HANDLE_TOKEN, TokenKind.HANDLE)
+_URL = Token(URL_TOKEN, TokenKind.URL)
+_EMAIL = Token(EMAIL_TOKEN, TokenKind.EMAIL)
 
 
 def basic_preprocess(tokens: Sequence[Token], config: PreprocessConfig) -> list[Token]:
@@ -168,13 +204,13 @@ def basic_preprocess(tokens: Sequence[Token], config: PreprocessConfig) -> list[
     out: list[Token] = []
     for token in tokens:
         if token.kind is TokenKind.HANDLE:
-            out.append(Token(HANDLE_TOKEN, TokenKind.HANDLE))
+            out.append(_HANDLE)
         elif token.kind is TokenKind.URL:
-            out.append(Token(URL_TOKEN, TokenKind.URL))
+            out.append(_URL)
         elif token.kind is TokenKind.EMAIL:
-            out.append(Token(EMAIL_TOKEN, TokenKind.EMAIL))
+            out.append(_EMAIL)
         elif token.kind is TokenKind.WORD:
-            out.append(Token(_collapse_repeats(token.surface, config.repeat_cap), TokenKind.WORD))
+            out.append(_word(_collapse_repeats(token.surface, config.repeat_cap)))
         else:
             out.append(token)
     return out
@@ -199,7 +235,7 @@ def handle_negation(tokens: Sequence[Token], config: PreprocessConfig) -> list[T
                 remaining = 0
                 out.append(token)
             else:
-                out.append(Token(NEGATION_PREFIX + token.surface, TokenKind.WORD))
+                out.append(_word(NEGATION_PREFIX + token.surface))
                 remaining -= 1
             continue
         out.append(token)
@@ -225,7 +261,7 @@ def semantic_preprocess(tokens: Sequence[Token], config: PreprocessConfig) -> li
     for token in tokens:
         if token.kind is TokenKind.WORD:
             lowered = token.surface.lower()
-            staged.append(Token(config.lemma_table.get(lowered, lowered), TokenKind.WORD))
+            staged.append(_word(config.lemma_table.get(lowered, lowered)))
         else:
             staged.append(token)
     staged = handle_negation(staged, config)

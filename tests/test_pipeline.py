@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweetsent.corpus import Dataset, Label, Tweet
@@ -24,7 +24,7 @@ from tweetsent.pipeline import (
     load_pipeline,
     save_pipeline,
 )
-from tweetsent import parallel
+from tweetsent import parallel, preprocess
 from tweetsent import pipeline as pipeline_module
 from tweetsent.cli import main
 from tweetsent.experiment import AugmentConfig, ExperimentConfig, load_bundle, run_experiment
@@ -333,6 +333,13 @@ NGRAM_CONFIGS = [
     NgramConfig(word_n_max=2, char_n_max=3, binarize=True),
     NgramConfig(word_n_max=2, char_n_max=3, tfidf=False),
 ]
+PREPROCESS_CONFIGS = [
+    PreprocessConfig(),
+    PreprocessConfig(stopwords=frozenset({"y", "el"}), negation_scope=1),
+    PreprocessConfig(lemma_table={"ladra": "ladrar", "perro": "perro"}, negation_words=frozenset({"no", "ñu"})),
+]
+
+
 WORDS = ["el", "gato", "perro", "duerme", "ladra", "fuerte", "juegan", "y", "no", "GATO", "ñu", "😀"]
 
 # Arbitrary Unicode a Tweet accepts (no tabs or newlines), and sentences
@@ -362,6 +369,11 @@ def fitted(blocks, ngram_config, remove_common_component=False, extra=(), prepro
         sif_config=SifConfig(a=0.1, remove_common_component=remove_common_component),
     )
     return pipeline, train
+
+
+def clear_memos():
+    for memo in (preprocess._chunk_tokens, preprocess._collapse_repeats, preprocess._word):
+        memo.cache_clear()
 
 
 def assert_same_csr(a, b):
@@ -394,6 +406,24 @@ class TestBatchEquivalence:
         reference, _ = fitted(blocks, NGRAM_CONFIGS[0], remove, extra)
         assert_same_csr(pipeline.fit_transform(train), reference.fit(train).transform(train))
         assert pipeline.layout == reference.layout
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(tweet_texts, min_size=1, max_size=5),
+        st.lists(tweet_texts, min_size=1, max_size=5),
+        st.sampled_from(PREPROCESS_CONFIGS),
+        st.sampled_from(PREPROCESS_CONFIGS),
+    )
+    def test_a_row_does_not_depend_on_what_the_memos_hold(self, texts, other, config, other_config):
+        pipeline, train = fitted(FeatureBlocks(), NGRAM_CONFIGS[0], preprocess_config=config)
+        pipeline.fit(train)
+        warmer, warm_train = fitted(FeatureBlocks(), NGRAM_CONFIGS[0], extra=other, preprocess_config=other_config)
+        warmer.fit(warm_train)
+        clear_memos()
+        cold = pipeline.transform(dataset_of(texts))
+        clear_memos()
+        warmer.transform(dataset_of(other + texts))
+        assert_same_csr(pipeline.transform(dataset_of(texts)), cold)
 
     @pytest.mark.parametrize("blocks", LAYOUTS)
     @pytest.mark.parametrize("ngram_config", NGRAM_CONFIGS)
@@ -681,6 +711,14 @@ class TestPipelineFormat:
         self.check(pipeline, {}, GOLDEN_BOW_PIPELINE_JSON)
 
 
+def drop_term(rows, term):
+    """Remove ``term``'s row from vocabulary ``rows``, renumbering the later ones."""
+    (dropped,) = [i for i, row in enumerate(rows) if row[0] == term]
+    del rows[dropped]
+    for row in rows[dropped:]:
+        row[1] = str(int(row[1]) - 1)
+
+
 class TestBundleChecks:
     """A bundle value of the wrong type, or an unknown key, fails the load and names its key."""
 
@@ -719,17 +757,42 @@ class TestBundleChecks:
         assert main([*argv, "--output", str(tmp_path / "labels.tsv")]) == 1
         assert "error [bundle]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # The second row takes the first row's index: idf slot 1 was left unset.
+            (
+                lambda rows: rows[1].__setitem__(1, rows[0][1]),
+                r"boc_vocab.tsv:3: index 0 is negative or taken by an earlier row",
+            ),
+            (lambda rows: rows[1].__setitem__(0, rows[0][0]), r"boc_vocab.tsv:3: term ' ' is listed by an earlier row"),
+            (lambda rows: rows[-1].__setitem__(1, str(len(rows))), r"boc_vocab.tsv:\d+: index \d+ leaves a gap"),
+            (lambda rows: drop_term(rows, "el"), r"boc_vocab.tsv:\d+: the prefix 'el' of term 'el ' is not a term"),
+        ],
+    )
+    def test_inconsistent_vocabulary_rows_fail_predict_and_eval_in_the_bundle_stage(
+        self, tampered_bundle, tmp_path, capsys, edit, message
+    ):
+        bundle = tampered_bundle("pipeline.json", lambda meta: None)
+        vocab = bundle / "boc_vocab.tsv"
+        header, *lines = vocab.read_text(encoding="utf-8").splitlines()
+        rows = [line.split("\t") for line in lines]
+        edit(rows)
+        vocab.write_text("\n".join([header, *("\t".join(row) for row in rows)]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            load_bundle(bundle)
+        (tmp_path / "input.tsv").write_text("p1\tel gato duerme\n", encoding="utf-8")
+        (tmp_path / "dev.tsv").write_text("d1\tel gato duerme\tP\n", encoding="utf-8")
+        argv = ["predict", "--model", str(bundle), "--input", str(tmp_path / "input.tsv")]
+        assert main([*argv, "--output", str(tmp_path / "labels.tsv")]) == 1
+        assert "error [bundle]" in capsys.readouterr().err
+        assert main(["eval", "--model", str(bundle), "--data", str(tmp_path / "dev.tsv")]) == 1
+        assert "error [bundle]" in capsys.readouterr().err
+
     def test_vocabulary_header_must_match_the_stored_ngram_config(self, tampered_bundle):
         bundle = tampered_bundle("pipeline.json", lambda meta: meta["ngrams"].update(char_n_max=4))
         with pytest.raises(ValueError, match="does not match the n-gram config"):
             load_bundle(bundle)
-
-
-PREPROCESS_CONFIGS = [
-    PreprocessConfig(),
-    PreprocessConfig(stopwords=frozenset({"y", "el"}), negation_scope=1),
-    PreprocessConfig(lemma_table={"ladra": "ladrar", "perro": "perro"}, negation_words=frozenset({"no", "ñu"})),
-]
 
 
 class TestSaveLoadProperties:
@@ -742,6 +805,8 @@ class TestSaveLoadProperties:
         st.sampled_from(PREPROCESS_CONFIGS),
         st.booleans(),
     )
+    # A lone surrogate is a str a vocabulary file must hold.
+    @example(["\ud800"], [""], LAYOUTS[0], NGRAM_CONFIGS[0], PREPROCESS_CONFIGS[0], False)
     def test_loaded_pipeline_transforms_exactly_like_the_saved_one(
         self, extra, texts, blocks, ngram_config, preprocess_config, remove
     ):

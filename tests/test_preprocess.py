@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tweetsent import preprocess
 from tweetsent.preprocess import (
     DEFAULT_NEGATION_WORDS,
     PreprocessConfig,
@@ -273,3 +274,59 @@ class TestPreprocessProperties:
     def test_negation_keeps_the_token_count(self, text, scope):
         tokens = tokenize(text)
         assert len(handle_negation(tokens, PreprocessConfig(negation_scope=scope))) == len(tokens)
+
+
+#: Every character ``str.isspace`` accepts, among them U+001C-U+001F, U+0085,
+#: U+00A0, U+2028 and U+3000.
+WHITESPACE = [chr(code) for code in range(0x110000) if chr(code).isspace()]
+# Arbitrary Unicode around whitespace of every kind and the placeholder
+# literals, which the tokenizer matches by lookahead.
+chunked_texts = st.lists(
+    st.one_of(
+        st.text(max_size=8),
+        st.sampled_from(WHITESPACE),
+        st.sampled_from(PIECES + ["URL0", "URL0@x.com", "EMAIL9", "URLs", "www.x.es", "a@b", "x.com"]),
+    ),
+    max_size=12,
+).map("".join)
+
+
+class TestMemos:
+    """The memoized steps give what the plain steps give, whatever the memos hold."""
+
+    def test_the_whitespace_list_is_complete(self):
+        assert {"\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", " ", "　", " ", "\t"} <= set(WHITESPACE)
+        assert "".join(WHITESPACE).split() == []
+
+    @settings(max_examples=500, deadline=None)
+    @given(chunked_texts)
+    def test_tokenize_is_the_concatenation_over_whitespace_chunks(self, text):
+        expected = preprocess._scan(text)
+        assert tokenize(text) == expected
+        assert [token for chunk in text.split() for token in tokenize(chunk)] == expected
+
+    def test_tokenize_returns_a_fresh_list(self):
+        first = tokenize("hola mundo")
+        first.append(Token("x", TokenKind.WORD))
+        second = tokenize("hola mundo")
+        assert surfaces(second) == ["hola", "mundo"] and second is not first
+
+    def test_the_repeat_cap_is_part_of_the_memo_key(self):
+        assert surfaces(basic("holaaaa", PreprocessConfig(repeat_cap=2))) == ["holaa"]
+        assert surfaces(basic("holaaaa", PreprocessConfig(repeat_cap=3))) == ["holaaa"]
+        assert surfaces(basic("holaaaa", PreprocessConfig(repeat_cap=2))) == ["holaa"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(chunked_texts, chunked_texts, st.integers(1, 3))
+    def test_cold_and_warm_memos_agree(self, text, other, repeat_cap):
+        config = PreprocessConfig(repeat_cap=repeat_cap, lemma_table={"gato": "gat"})
+        clear_memos()
+        cold = semantic(text, config), basic(text, config), tokenize(text)
+        clear_memos()
+        semantic(other, PreprocessConfig(repeat_cap=repeat_cap % 3 + 1))
+        assert (semantic(text, config), basic(text, config), tokenize(text)) == cold
+
+
+def clear_memos():
+    for memo in (preprocess._chunk_tokens, preprocess._collapse_repeats, preprocess._word):
+        memo.cache_clear()

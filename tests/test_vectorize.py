@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetsent.vectorize import (
+    CharTrie,
     NgramConfig,
     SparseVector,
     Vocabulary,
     char_ngrams,
+    count_matrix,
     extract_char_ngrams,
     extract_word_ngrams,
+    fit_char_vocabulary,
     fit_vocabulary,
     load_vocabulary,
     ngram_matrix,
@@ -166,6 +170,73 @@ class TestSaveLoad:
         counts = {"a": 2, "c": 1}
         assert transform(counts, vocab, config) == transform(counts, loaded, config)
 
+    def test_any_str_term_round_trips(self, tmp_path):
+        vocab = fit_vocabulary([["\ud800", "a\udfff", "😀"], ["\ud800"]])
+        path = tmp_path / "vocab.tsv"
+        save_vocabulary(vocab, NgramConfig(), path)
+        loaded = load_vocabulary(path, NgramConfig())
+        assert loaded.index == vocab.index and np.array_equal(loaded.idf, vocab.idf)
+
+    def test_a_vocabulary_without_surrogates_keeps_its_bytes(self, tmp_path):
+        vocab = fit_vocabulary([["ñu", "😀", "a b"]])
+        path = tmp_path / "vocab.tsv"
+        save_vocabulary(vocab, NgramConfig(), path)
+        body = "".join(f"{term}\t{i}\t{float(vocab.idf[i])!r}\n" for term, i in vocab.index.items())
+        assert path.read_bytes() == (_header_line(vocab.doc_count) + body).encode("utf-8")
+
+
+def _header_line(doc_count):
+    return f"#doc_count={doc_count}\tword_n_max=5\tchar_n_max=6\tbinarize=0\ttfidf=1\n"
+
+
+class TestLoadChecks:
+    """A vocabulary file is checked row by row; a bad row is named by ``path:line``."""
+
+    def load(self, tmp_path, rows, chars=False):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(_header_line(3) + "".join(f"{row}\n" for row in rows), encoding="utf-8")
+        return load_vocabulary(path, NgramConfig(), chars=chars), str(path)
+
+    def test_a_well_formed_file_loads(self, tmp_path):
+        vocab, _ = self.load(tmp_path, ["a\t0\t1.25", "ab\t1\t1.5", "b\t2\t2.0"], chars=True)
+        assert vocab.index == {"a": 0, "ab": 1, "b": 2}
+        assert vocab.idf.tolist() == [1.25, 1.5, 2.0]
+
+    def test_rows_may_come_in_any_order(self, tmp_path):
+        vocab, _ = self.load(tmp_path, ["abc\t2\t1.5", "b\t3\t2.0", "ab\t1\t1.25", "a\t0\t1.0"], chars=True)
+        assert vocab.index == {"abc": 2, "b": 3, "ab": 1, "a": 0}
+        assert vocab.idf.tolist() == [1.0, 1.25, 1.5, 2.0]
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            (["a\t0\t1.25", "b\t0\t1.5", "c\t2\t2.0"], 3, "index 0 is negative or taken by an earlier row"),
+            (["a\t0\t1.25", "a\t1\t1.5"], 3, "term 'a' is listed by an earlier row"),
+            (["a\t2\t1.25", "b\t0\t1.5"], 2, "index 2 leaves a gap: 2 terms need indices 0..1"),
+            (["a\t-1\t1.25"], 2, "index -1 is negative or taken by an earlier row"),
+            (["a\t0"], 2, "expected 'term<TAB>index<TAB>idf'"),
+            (["a\tzero\t1.25"], 2, "expected 'term<TAB>index<TAB>idf'"),
+            (["a\t0\tx"], 2, "expected 'term<TAB>index<TAB>idf'"),
+        ],
+    )
+    def test_a_bad_row_is_named(self, tmp_path, rows, line, message):
+        with pytest.raises(ValueError, match=re.escape(f"vocab.tsv:{line}: {message}")):
+            self.load(tmp_path, rows)
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            (["a\t0\t1.25", "abc\t1\t1.5"], 3, "the prefix 'ab' of term 'abc' is not a term"),
+            (["ab\t0\t1.25", "b\t1\t1.5"], 2, "the prefix 'a' of term 'ab' is not a term"),
+            (["\t0\t1.25"], 2, "term '' is not 1 to 6 characters long"),
+            (["abcdefg\t0\t1.25"], 2, "term 'abcdefg' is not 1 to 6 characters long"),
+        ],
+    )
+    def test_a_character_vocabulary_must_be_a_trie(self, tmp_path, rows, line, message):
+        self.load(tmp_path, rows)
+        with pytest.raises(ValueError, match=re.escape(f"vocab.tsv:{line}: {message}")):
+            self.load(tmp_path, rows, chars=True)
+
 
 CONFIGS = [
     NgramConfig(char_n_max=3),
@@ -272,3 +343,47 @@ class TestNgramMatrix:
         vocabulary = fit_vocabulary(documents["fit"])
         matrix = ngram_matrix(documents["query"], vocabulary, NgramConfig())
         assert np.array_equal(matrix.toarray(), dense_reference(documents, vocabulary, NgramConfig()))
+
+
+# Arbitrary Unicode with lone surrogates mixed in, and texts over a few
+# letters, so that fitted and queried texts share n-grams.
+surrogates = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF, categories=["Cs"])
+any_texts = st.one_of(
+    st.text(st.one_of(st.characters(), surrogates), max_size=12),
+    st.text(alphabet="ab \ud800😀", max_size=12),
+)
+
+
+class TestCharTrie:
+    """The array BoC path equals ``fit_vocabulary`` and ``count_matrix`` over ``char_ngrams``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(any_texts, min_size=1, max_size=6), st.lists(any_texts, max_size=6), st.integers(1, 6))
+    def test_equals_the_string_path(self, fit_texts, query_texts, n_max):
+        vocabulary = fit_char_vocabulary(fit_texts, n_max)
+        expected = fit_vocabulary(char_ngrams(text, n_max) for text in fit_texts)
+        assert list(vocabulary.index.items()) == list(expected.index.items())
+        assert vocabulary.idf.tolist() == expected.idf.tolist() and vocabulary.idf.dtype == expected.idf.dtype
+        assert vocabulary.doc_count == expected.doc_count
+        trie = CharTrie.of(vocabulary)
+        for texts in (fit_texts, query_texts):
+            counts = trie.count_matrix(texts)
+            reference = count_matrix([char_ngrams(text, n_max) for text in texts], expected)
+            assert counts.shape == reference.shape
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(counts, part), getattr(reference, part))
+                assert getattr(counts, part).dtype == getattr(reference, part).dtype
+
+    def test_empty_texts_give_an_empty_vocabulary(self):
+        vocabulary = fit_char_vocabulary(["", ""], 6)
+        assert vocabulary.index == {} and vocabulary.doc_count == 2 and len(vocabulary.idf) == 0
+        trie = CharTrie.of(vocabulary)
+        matrix = trie.count_matrix(["abc", ""])
+        assert trie.keys == () and matrix.shape == (2, 0) and matrix.nnz == 0
+
+    def test_no_texts_give_an_empty_matrix(self):
+        assert CharTrie.of(fit_char_vocabulary(["ab"], 2)).count_matrix([]).shape == (0, 3)
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError):
+            fit_char_vocabulary([], 3)
