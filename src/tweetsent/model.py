@@ -176,10 +176,8 @@ def binary_objective(
 def _training_classes(
     features: np.ndarray | sparse.spmatrix, labels: list[Label], columns: np.ndarray | None = None
 ) -> tuple[tuple[Label, ...], int]:
-    """The classes present, in canonical order, and the feature dimension,
-    after checking the training inputs (the ``columns`` of ``features``)."""
-    if columns is not None:
-        features = features[:, columns]
+    """The classes present, in canonical order, and the feature dimension
+    (of the ``columns`` of ``features``), after checking the training inputs."""
     if features.shape[0] != len(labels):
         raise ValueError(f"feature matrix has {features.shape[0]} rows for {len(labels)} labels")
     data = features.data if sparse.issparse(features) else features
@@ -188,7 +186,7 @@ def _training_classes(
     classes = tuple(label for label in LABELS if label in set(labels))
     if len(classes) < 2:
         raise ValueError("training needs at least 2 distinct labels")
-    return classes, features.shape[1]
+    return classes, features.shape[1] if columns is None else len(columns)
 
 
 def _sample_weight(labels: list[Label], config: LrConfig) -> np.ndarray:

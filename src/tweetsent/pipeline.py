@@ -7,21 +7,21 @@ views are derived here from the stored text, and because basic preprocessing
 is idempotent the pipeline accepts raw and already-preprocessed datasets
 alike.
 
-A dataset is featurized in one batch: the two views are computed once per
-tweet (the preprocessing steps memoize per word, see ``preprocess``), each
-n-gram block is built straight into one CSR matrix, the SIF rows are stacked
-once, and ``sparse.hstack`` joins the blocks.  The BoW block lists word
-n-grams as strings (``vectorize.ngram_matrix``); the BoC block reads the
-basic texts as code points and walks a character trie
+Every matrix is built by ``_featurize``, for one batch of texts: the two
+views are computed once per tweet (the preprocessing steps memoize per word,
+see ``preprocess``), each n-gram block is built straight into one CSR matrix,
+the SIF rows are stacked once, and ``sparse.hstack`` joins the blocks.  The
+BoW block lists word n-grams as strings (``vectorize.ngram_matrix``); the BoC
+block reads the basic texts as code points and walks a character trie
 (``vectorize.CharTrie``), built from the BoC vocabulary at fit and by
-``load_pipeline``.  ``fit_transform`` reuses the training views for both
-steps.  ``transform_one`` is a one-row batch, so a tweet's features do not
-depend on which batch it is in.
+``load_pipeline``.  ``transform_one`` is a one-row batch, so a tweet's
+features do not depend on which batch it is in, and ``fit_transform`` is
+``fit`` then ``transform``, so training rows are built like any others.
 
 Every row depends only on its own tweet, so ``transform`` splits a large
-batch into contiguous row chunks, one per CPU, featurizes them in
-``parallel.fork_map`` workers and joins them with ``sparse.vstack``; the
-result is bit-identical to the one-batch build.
+batch, training sets included, into contiguous row chunks, one per CPU,
+featurizes them in ``parallel.fork_map`` workers and joins them with
+``sparse.vstack``; the result is bit-identical to the one-batch build.
 
 Each block is fitted and featurized on its own, so a pipeline fitted with
 several blocks serves any subset of them: ``narrowed`` shares its fitted
@@ -59,7 +59,8 @@ BLOCK_ORDER = ("bow", "boc", "embedding")
 #: and shipping a chunk back costs about 50 ms, so on 2 CPUs a batch pays for
 #: the split from about 1,000 rows (900 rows: 0.10 s in-process, 0.11-0.15 s
 #: in two workers; 1,000 rows: 0.11 s either way; 1,300 rows: 0.14 s against
-#: 0.13 s).  The dev and test splits of a run stay in-process.
+#: 0.13 s).  A run's training set splits from 1,000 rows, as ``predict``
+#: batches do; its smaller dev and test splits stay in-process.
 MIN_ROWS_PER_WORKER = 500
 
 
@@ -106,22 +107,10 @@ class FeaturePipeline:
         semantic = semantic_preprocess(basic, self.preprocess_config)
         return join_tokens(basic), [token.surface for token in semantic]
 
-    def _dataset_views(self, dataset: Dataset) -> list[tuple[str, list[str]]]:
-        return [self._views(tweet.text) for tweet in dataset.tweets]
-
     def fit(self, train: Dataset) -> "FeaturePipeline":
-        self._fit(self._dataset_views(train))
-        return self
-
-    def fit_transform(self, train: Dataset) -> sparse.csr_matrix:
-        """``fit(train)`` then ``transform(train)``, computing the views once."""
-        views = self._dataset_views(train)
-        self._fit(views)
-        return self._matrix(views)
-
-    def _fit(self, views: list[tuple[str, list[str]]]) -> None:
-        if not views:
+        if not len(train):
             raise ValueError("cannot fit the feature pipeline on an empty dataset")
+        views = [self._views(tweet.text) for tweet in train.tweets]
         config = self.ngram_config
         if self.blocks.bow:
             self.bow_vocabulary = vectorize.fit_vocabulary(
@@ -135,6 +124,10 @@ class FeaturePipeline:
             if matrix.any():
                 self.common_component = leading_component(matrix)
         self.fitted = True
+        return self
+
+    def fit_transform(self, train: Dataset) -> sparse.csr_matrix:
+        return self.fit(train).transform(train)
 
     def _embed(self, tokens: list[str]) -> np.ndarray:
         assert self.embedding_table is not None and self.unigram is not None
@@ -201,7 +194,7 @@ class FeaturePipeline:
         return np.concatenate(ranges)
 
     def transform_one(self, text: str) -> SparseVector:
-        return SparseVector.from_row(self._matrix([self._views(text)]))
+        return SparseVector.from_row(self._featurize([text]))
 
     def transform(self, dataset: Dataset) -> sparse.csr_matrix:
         texts = [tweet.text for tweet in dataset.tweets]
@@ -213,12 +206,10 @@ class FeaturePipeline:
         return sparse.vstack(parallel.fork_map(self._featurize, parts), format="csr")
 
     def _featurize(self, texts: list[str]) -> sparse.csr_matrix:
-        return self._matrix([self._views(text) for text in texts])
-
-    def _matrix(self, views: list[tuple[str, list[str]]]) -> sparse.csr_matrix:
-        """One row per (basic text, semantic tokens) view, blocks side by side."""
+        """One row per text, blocks side by side."""
         if not self.fitted:
             raise RuntimeError("the pipeline must be fitted before transforming")
+        views = [self._views(text) for text in texts]
         blocks: list[sparse.csr_matrix] = []
         config = self.ngram_config
         if self.blocks.bow:

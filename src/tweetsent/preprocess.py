@@ -179,16 +179,9 @@ def _word(surface: str) -> Token:
     return Token(surface, TokenKind.WORD)
 
 
-_REPEAT_PATTERNS: dict[int, re.Pattern[str]] = {}
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _collapse_repeats(surface: str, cap: int) -> str:
-    pattern = _REPEAT_PATTERNS.get(cap)
-    if pattern is None:
-        pattern = re.compile(r"(.)\1{%d,}" % cap)
-        _REPEAT_PATTERNS[cap] = pattern
-    return pattern.sub(lambda m: m.group(1) * cap, surface)
+    return re.sub(r"(.)\1{%d,}" % cap, lambda m: m.group(1) * cap, surface)
 
 
 _HANDLE = Token(HANDLE_TOKEN, TokenKind.HANDLE)

@@ -132,14 +132,19 @@ def fit_vocabulary(documents: Iterable[Iterable[str]]) -> Vocabulary:
     for counts in documents:
         doc_count += 1
         document_frequency.update(set(counts))
+    return _vocabulary(document_frequency, doc_count)
+
+
+def _vocabulary(document_frequency: Mapping[str, int], doc_count: int) -> Vocabulary:
+    """The vocabulary of the terms of ``document_frequency``: columns in
+    sorted term order, each with its smoothed idf."""
     if doc_count == 0:
         raise ValueError("cannot fit a vocabulary on an empty corpus")
     terms = sorted(document_frequency)
-    index = {term: i for i, term in enumerate(terms)}
-    idf = np.empty(len(terms))
-    for term, i in index.items():
-        idf[i] = math.log((1.0 + doc_count) / (1.0 + document_frequency[term])) + 1.0
-    return Vocabulary(index=index, idf=idf, doc_count=doc_count)
+    idf = [math.log((1.0 + doc_count) / (1.0 + document_frequency[term])) + 1.0 for term in terms]
+    return Vocabulary(
+        index={term: i for i, term in enumerate(terms)}, idf=np.array(idf, dtype=np.float64), doc_count=doc_count
+    )
 
 
 def count_matrix(documents: Iterable[Sequence[str]], vocabulary: Vocabulary) -> sparse.csr_matrix:
@@ -266,25 +271,15 @@ def fit_char_vocabulary(texts: Sequence[str], n_max: int) -> Vocabulary:
     """``fit_vocabulary`` over ``char_ngrams(text, n_max)`` of each text,
     found in arrays (``_char_ngram_frequencies``).
 
-    The terms, their columns, idf values and document count are those
-    ``fit_vocabulary`` gives: columns follow Python's string order and each
-    idf is computed by the same expression.
+    Both find the document frequencies, then build the vocabulary with
+    ``_vocabulary``, so the terms, columns, idf values and document count
+    are the same.
     """
-    if not texts:
-        raise ValueError("cannot fit a vocabulary on an empty corpus")
     joined = "".join(texts)
-    terms: list[str] = []
-    frequencies: list[int] = []
+    document_frequency: dict[str, int] = {}
     for n, (starts, counts) in enumerate(_char_ngram_frequencies(texts, n_max), start=1):
-        terms += [joined[start : start + n] for start in starts.tolist()]
-        frequencies += counts.tolist()
-    doc_count = len(texts)
-    order = sorted(range(len(terms)), key=terms.__getitem__)
-    return Vocabulary(
-        index={terms[k]: i for i, k in enumerate(order)},
-        idf=np.array([math.log((1.0 + doc_count) / (1.0 + frequencies[k])) + 1.0 for k in order], dtype=np.float64),
-        doc_count=doc_count,
-    )
+        document_frequency.update(zip((joined[start : start + n] for start in starts.tolist()), counts.tolist()))
+    return _vocabulary(document_frequency, len(texts))
 
 
 def _char_ngram_frequencies(texts: Sequence[str], n_max: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -481,6 +481,25 @@ class TestRunExperiment:
         assert tree_digest(again.out_dir) == tree_digest(demo_run.out_dir)
         assert again.dev_report == demo_run.dev_report
 
+    def test_forked_training_featurization_writes_the_in_process_tree(self, mini_corpus, tmp_path, monkeypatch):
+        chunked = []
+        fork_map = parallel.fork_map
+
+        def recording_fork_map(fn, items):
+            chunked.append(len(items))
+            return fork_map(fn, items)
+
+        monkeypatch.setattr(parallel, "fork_map", recording_fork_map)
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 1)
+        in_process = run_experiment(demo_config(mini_corpus), tmp_path / "in-process")
+        assert chunked == []
+        monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pipeline_module, "MIN_ROWS_PER_WORKER", 10)
+        forked = run_experiment(demo_config(mini_corpus), tmp_path / "forked")
+        # Train, dev and test each split in two.
+        assert chunked == [2, 2, 2]
+        assert tree_digest(forked.out_dir) == tree_digest(in_process.out_dir)
+
     def test_without_test_split(self, mini_corpus, tmp_path):
         config = light_config(mini_corpus)
         config = dataclasses.replace(config, data=dataclasses.replace(config.data, test=None))
@@ -984,25 +1003,39 @@ class TestCli:
         assert code == 1
         assert "error [train]" in capsys.readouterr().err
 
-    def test_dead_dev_featurization_worker_exits_1_in_the_evaluate_stage(
-        self, mini_corpus, tmp_path, monkeypatch, capsys
-    ):
+    @staticmethod
+    def train_with_a_dead_featurization_worker(split, mini_corpus, tmp_path, monkeypatch, capsys) -> str:
+        """Train where a featurization worker exits on the texts of ``split``
+        only; returns stderr."""
         parent = os.getpid()
         views = FeaturePipeline._views
+        train, dev = ({t.text for t in load_tsv(mini_corpus / f"{name}.tsv", name).tweets} for name in ("train", "dev"))
+        doomed = train - dev if split == "train" else dev - train
 
         def exit_in_worker(self, text):
-            if os.getpid() != parent:
+            if os.getpid() != parent and text in doomed:
                 os._exit(1)
             return views(self, text)
 
-        # Fitting featurizes train in-process; the 60-row dev split goes to two workers.
+        # The 120-row train split and the 60-row dev split each go to two workers.
         monkeypatch.setattr(parallel, "cpu_count", lambda: 2)
         monkeypatch.setattr(pipeline_module, "MIN_ROWS_PER_WORKER", 10)
         monkeypatch.setattr(FeaturePipeline, "_views", exit_in_worker)
         config_path = write_config(light_config(mini_corpus), tmp_path / "config.json")
-        code = main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")])
-        assert code == 1
-        assert "error [evaluate]" in capsys.readouterr().err
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+        return capsys.readouterr().err
+
+    def test_dead_training_featurization_worker_exits_1_in_the_features_stage(
+        self, mini_corpus, tmp_path, monkeypatch, capsys
+    ):
+        err = self.train_with_a_dead_featurization_worker("train", mini_corpus, tmp_path, monkeypatch, capsys)
+        assert "error [features]" in err
+
+    def test_dead_dev_featurization_worker_exits_1_in_the_evaluate_stage(
+        self, mini_corpus, tmp_path, monkeypatch, capsys
+    ):
+        err = self.train_with_a_dead_featurization_worker("dev", mini_corpus, tmp_path, monkeypatch, capsys)
+        assert "error [evaluate]" in err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
