@@ -47,6 +47,7 @@ from .augment import (
     translation_augment,
 )
 from .corpus import Dataset, Label, Tweet, load_tsv, merge, save_tsv
+from .csr import take_columns
 from .embeddings import SifConfig, load_embeddings, load_unigram_counts
 from .metrics import ClassificationReport, ConfusionMatrix, evaluate, format_report, report_to_json, score
 from .model import (
@@ -325,7 +326,7 @@ class _Run:
     def matrix(self, split: str):
         """This variant's columns of its build's matrix of ``split``."""
         matrix = self.features[split]
-        return matrix if self.columns is None else matrix[:, self.columns]
+        return matrix if self.columns is None else take_columns(matrix, self.columns)
 
     def key(self, *entries: str) -> str:
         """sha256 of the named top-level config entries, feature block switches left out."""

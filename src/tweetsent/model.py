@@ -16,9 +16,14 @@ one per available CPU, or in-process when there is one CPU, one problem or no
 ``fork``.  Each worker runs the same code on the same inputs as the
 in-process path, so the weights do not depend on the CPU count.
 
-``scipy.optimize`` (and the ``scipy.linalg`` it pulls in) loads on the first
-``solver()`` call, as this module's ``optimize`` attribute: ``eval`` and
-``predict`` never solve, so they never import it.
+scipy serves the solves alone.  ``scipy.optimize`` (with the
+``scipy.linalg`` it pulls in), ``scipy.sparse`` and ``scipy.special`` load
+together on the first ``solver()`` call, as this module's attributes of
+those names.  A solve wraps a ``csr.CsrMatrix`` in a scipy ``csr_matrix``
+without copying it.  Prediction scores with numpy alone: ``csr.matmul``
+and ``expit`` give scipy's values bit for bit, so ``eval`` and ``predict``
+never import scipy.  Features may be a ``CsrMatrix``, a scipy sparse matrix
+or a dense array.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
@@ -32,6 +37,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import sys
 import warnings
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -40,11 +47,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.special import expit
 
 from . import parallel
 from .corpus import LABELS, Label
+from .csr import CsrMatrix, as_csr, matmul
 from .schema import dump, load_section
 
 CLASS_WEIGHT_MODES = ("none", "balanced")
@@ -143,7 +149,7 @@ def compute_class_weights(label_counts: Mapping[Label, int], mode: str) -> dict[
 
 
 def binary_objective(
-    features: np.ndarray | sparse.spmatrix,
+    features: np.ndarray | CsrMatrix,
     signs: np.ndarray,
     sample_weight: np.ndarray,
     C: float,
@@ -155,6 +161,8 @@ def binary_objective(
     depend on ``theta`` is computed once, in the order the per-call
     expressions would compute it.
     """
+    special = _scipy("special")
+    features = _scipy_matrix(features)
     transposed = features.T
     scale = -C * sample_weight * signs
 
@@ -163,7 +171,7 @@ def binary_objective(
         margins = features @ w + b
         t = signs * margins
         value = 0.5 * float(w @ w) + C * float(sample_weight @ np.logaddexp(0.0, -t))
-        coeff = scale * expit(-t)
+        coeff = scale * special.expit(-t)
         grad_w = w + transposed @ coeff
         grad = np.empty(theta.shape)
         grad[:-1] = grad_w
@@ -174,13 +182,13 @@ def binary_objective(
 
 
 def _training_classes(
-    features: np.ndarray | sparse.spmatrix, labels: list[Label], columns: np.ndarray | None = None
+    features: np.ndarray | CsrMatrix, labels: list[Label], columns: np.ndarray | None = None
 ) -> tuple[tuple[Label, ...], int]:
     """The classes present, in canonical order, and the feature dimension
     (of the ``columns`` of ``features``), after checking the training inputs."""
     if features.shape[0] != len(labels):
         raise ValueError(f"feature matrix has {features.shape[0]} rows for {len(labels)} labels")
-    data = features.data if sparse.issparse(features) else features
+    data = features if isinstance(features, np.ndarray) else features.data
     if not np.isfinite(data).all():
         raise ValueError("feature matrix contains non-finite values")
     classes = tuple(label for label in LABELS if label in set(labels))
@@ -198,7 +206,7 @@ class _Problem(NamedTuple):
     """One binary subproblem: a member's rows of a matrix, cut to some of its
     columns, against one class."""
 
-    features: np.ndarray | sparse.spmatrix
+    features: np.ndarray | CsrMatrix
     rows: np.ndarray | None  # the member's bootstrap rows; None is every row
     columns: np.ndarray | None  # the columns the problem sees; None is every column
     signs: np.ndarray
@@ -207,13 +215,19 @@ class _Problem(NamedTuple):
 
 
 def __getattr__(name: str):
-    """Load ``scipy.optimize`` as the module attribute ``optimize`` on first use."""
-    if name != "optimize":
+    """Load ``scipy.optimize``, ``scipy.sparse`` and ``scipy.special``, as
+    the module attributes of those names, on first use of any."""
+    if name not in ("optimize", "sparse", "special"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy import optimize
+    from scipy import optimize, sparse, special
 
-    globals()["optimize"] = optimize
-    return optimize
+    globals().update(optimize=optimize, sparse=sparse, special=special)
+    return globals()[name]
+
+
+def _scipy(name: str):
+    """The module attribute ``name``, one of the scipy modules, loaded by the first call."""
+    return globals().get(name) or __getattr__(name)
 
 
 def solver():
@@ -222,13 +236,22 @@ def solver():
     Solves look it up here at call time, so a wrapper set on it sees every
     in-process solve.
     """
-    return globals().get("optimize") or __getattr__("optimize")
+    return _scipy("optimize")
+
+
+def _scipy_matrix(features):
+    """``features`` as the solver takes them: a ``CsrMatrix`` becomes a scipy
+    ``csr_matrix`` of the same arrays, not copied."""
+    if isinstance(features, CsrMatrix):
+        return _scipy("sparse").csr_matrix((features.data, features.indices, features.indptr), shape=features.shape)
+    return features
 
 
 def _solve(record: bool, problem: _Problem) -> tuple[np.ndarray, SolverStats, list[float] | None]:
     """The final iterate of ``problem``, its stats and, when ``record``, the
     objective value at every iterate."""
-    X = problem.features if problem.rows is None else problem.features[problem.rows]
+    features = _scipy_matrix(problem.features)
+    X = features if problem.rows is None else features[problem.rows]
     if problem.columns is not None:
         X = X[:, problem.columns]
     config = problem.config
@@ -308,7 +331,7 @@ class TrainingPlan:
 
 
 def _plan(
-    features: np.ndarray | sparse.spmatrix,
+    features: np.ndarray | CsrMatrix,
     columns: np.ndarray | None,
     labels: list[Label],
     members: Iterable[tuple[np.ndarray | None, list[Label], np.ndarray]],
@@ -332,7 +355,7 @@ def _plan(
 
 
 def plan_lr(
-    features: np.ndarray | sparse.spmatrix,
+    features: np.ndarray | CsrMatrix,
     labels: Sequence[Label],
     config: LrConfig,
     sample_weight: np.ndarray | None = None,
@@ -352,7 +375,7 @@ def plan_lr(
 
 
 def train_lr(
-    features: np.ndarray | sparse.spmatrix,
+    features: np.ndarray | CsrMatrix,
     labels: Sequence[Label],
     config: LrConfig,
     sample_weight: np.ndarray | None = None,
@@ -375,7 +398,7 @@ BootstrapFn = Callable[[int, int, np.random.Generator], np.ndarray]
 
 
 def plan_bagging(
-    features: np.ndarray | sparse.spmatrix,
+    features: np.ndarray | CsrMatrix,
     labels: Sequence[Label],
     lr_config: LrConfig,
     bagging_config: BaggingConfig,
@@ -413,7 +436,7 @@ def plan_bagging(
 
 
 def train_bagging(
-    features: np.ndarray | sparse.spmatrix,
+    features: np.ndarray | CsrMatrix,
     labels: Sequence[Label],
     lr_config: LrConfig,
     bagging_config: BaggingConfig,
@@ -428,9 +451,28 @@ def train_bagging(
     return plan.assemble(solve_all(plan.problems))
 
 
-def _member_proba_matrix(member: LinearModel, X, classes: tuple[Label, ...]) -> np.ndarray:
-    """Normalized sigmoids of the raw scores; all-zero scores land on the uniform distribution."""
-    raw = expit(np.asarray(X @ member.weights.T) + member.biases)
+#: The largest double whose exp is finite: ``math.exp`` raises OverflowError
+#: past it, where the C library's ``exp`` returns inf.
+_EXP_LIMIT = math.log(sys.float_info.max)
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` elementwise, bit for bit ``scipy.special.expit``.
+
+    Both take ``exp`` from the C library (here through ``math.exp``); numpy's
+    vectorized ``np.exp`` differs from it in the last bit on some values.
+    Where ``exp(-x)`` overflows, the result is 0.0.
+    """
+    negated = -np.asarray(x, dtype=np.float64)
+    negated[negated > _EXP_LIMIT] = np.inf
+    exps = np.fromiter(map(math.exp, negated.ravel().tolist()), dtype=np.float64, count=negated.size)
+    return 1.0 / (1.0 + exps.reshape(negated.shape))
+
+
+def _member_proba_matrix(member: LinearModel, scores: np.ndarray, classes: tuple[Label, ...]) -> np.ndarray:
+    """Normalized sigmoids of the member's raw scores (without its biases);
+    all-zero scores land on the uniform distribution."""
+    raw = expit(scores + member.biases)
     totals = raw.sum(axis=1, keepdims=True)
     uniform = totals[:, 0] == 0.0
     totals[uniform] = 1.0
@@ -443,13 +485,26 @@ def _member_proba_matrix(member: LinearModel, X, classes: tuple[Label, ...]) -> 
     return aligned
 
 
-def predict_proba_matrix(predictor: Ensemble, X: np.ndarray | sparse.spmatrix) -> np.ndarray:
-    """Row-wise class distributions for a batch, members averaged."""
-    total = sum(_member_proba_matrix(member, X, predictor.classes) for member in predictor.members)
-    return total / len(predictor.members)
+def predict_proba_matrix(predictor: Ensemble, X: np.ndarray | CsrMatrix) -> np.ndarray:
+    """Row-wise class distributions for a batch, members averaged.
+
+    One ``matmul`` scores every member; ``X`` must have as many columns as
+    the members' weights, or this raises ``ValueError``.
+    """
+    members = predictor.members
+    # The members' weights side by side, laid out for matmul's row gathers.
+    table = np.empty((members[0].weights.shape[1], sum(len(member.classes) for member in members)))
+    np.concatenate([member.weights.T for member in members], axis=1, out=table)
+    scores = matmul(as_csr(X), table)
+    bounds = np.cumsum([0] + [len(member.classes) for member in members]).tolist()
+    total = sum(
+        _member_proba_matrix(member, scores[:, start:end], predictor.classes)
+        for member, start, end in zip(members, bounds, bounds[1:])
+    )
+    return total / len(members)
 
 
-def predict_many(predictor: Ensemble, X: np.ndarray | sparse.spmatrix) -> list[Label]:
+def predict_many(predictor: Ensemble, X: np.ndarray | CsrMatrix) -> list[Label]:
     """Argmax of ``predict_proba_matrix`` per row; ties break in class order."""
     proba = predict_proba_matrix(predictor, X)
     return [predictor.classes[int(i)] for i in np.argmax(proba, axis=1)]

@@ -7,10 +7,11 @@ views are derived here from the stored text, and because basic preprocessing
 is idempotent the pipeline accepts raw and already-preprocessed datasets
 alike.
 
-Every matrix is built by ``_featurize``, for one batch of texts: the two
-views are computed once per tweet (the preprocessing steps memoize per word,
-see ``preprocess``), each n-gram block is built straight into one CSR matrix,
-the SIF rows are stacked once, and ``sparse.hstack`` joins the blocks.  The
+Every matrix is a ``csr.CsrMatrix`` built by ``_featurize``, for one batch
+of texts: the two views are computed once per tweet (the preprocessing steps
+memoize per word, see ``preprocess``), each n-gram block is built straight
+into one CSR matrix, the SIF rows are stacked once and turned into CSR
+(``csr.from_dense``), and ``csr.hstack`` joins the blocks.  The
 BoW block lists word n-grams as strings (``vectorize.ngram_matrix``); the BoC
 block reads the basic texts as code points and walks a character trie
 (``vectorize.CharTrie``), built from the BoC vocabulary at fit and by
@@ -21,7 +22,8 @@ features do not depend on which batch it is in, and ``fit_transform`` is
 Every row depends only on its own tweet, so ``transform`` splits a large
 batch, training sets included, into contiguous row chunks, one per CPU,
 featurizes them in ``parallel.fork_map`` workers and joins them with
-``sparse.vstack``; the result is bit-identical to the one-batch build.
+``csr.vstack``; the result is bit-identical to the one-batch build.  Neither
+featurizing nor predicting imports scipy (see ``csr``).
 
 Each block is fitted and featurized on its own, so a pipeline fitted with
 several blocks serves any subset of them: ``narrowed`` shares its fitted
@@ -37,9 +39,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
-from . import parallel, vectorize
+from . import csr, parallel, vectorize
 from .corpus import Dataset
 from .embeddings import (
     EmbeddingTable,
@@ -126,7 +127,7 @@ class FeaturePipeline:
         self.fitted = True
         return self
 
-    def fit_transform(self, train: Dataset) -> sparse.csr_matrix:
+    def fit_transform(self, train: Dataset) -> csr.CsrMatrix:
         return self.fit(train).transform(train)
 
     def _embed(self, tokens: list[str]) -> np.ndarray:
@@ -180,7 +181,7 @@ class FeaturePipeline:
         """Where the columns of ``blocks``, a subset of this pipeline's own,
         lie in its matrices; None when they are every column.
 
-        ``matrix[:, columns]`` is, bit for bit, the matrix that
+        ``csr.take_columns(matrix, columns)`` is, bit for bit, the matrix that
         ``narrowed(blocks)`` makes of the same data.
         """
         if blocks == self.blocks:
@@ -196,21 +197,21 @@ class FeaturePipeline:
     def transform_one(self, text: str) -> SparseVector:
         return SparseVector.from_row(self._featurize([text]))
 
-    def transform(self, dataset: Dataset) -> sparse.csr_matrix:
+    def transform(self, dataset: Dataset) -> csr.CsrMatrix:
         texts = [tweet.text for tweet in dataset.tweets]
         chunks = max(1, min(parallel.cpu_count(), len(texts) // MIN_ROWS_PER_WORKER))
         if chunks == 1:
             return self._featurize(texts)
         bounds = [len(texts) * k // chunks for k in range(chunks + 1)]
         parts = [texts[start:end] for start, end in zip(bounds, bounds[1:])]
-        return sparse.vstack(parallel.fork_map(self._featurize, parts), format="csr")
+        return csr.vstack(parallel.fork_map(self._featurize, parts))
 
-    def _featurize(self, texts: list[str]) -> sparse.csr_matrix:
+    def _featurize(self, texts: list[str]) -> csr.CsrMatrix:
         """One row per text, blocks side by side."""
         if not self.fitted:
             raise RuntimeError("the pipeline must be fitted before transforming")
         views = [self._views(text) for text in texts]
-        blocks: list[sparse.csr_matrix] = []
+        blocks: list[csr.CsrMatrix] = []
         config = self.ngram_config
         if self.blocks.bow:
             assert self.bow_vocabulary is not None
@@ -231,8 +232,8 @@ class FeaturePipeline:
                     vector = remove_component(vector.reshape(1, -1), self.common_component)[0]
                 embedded[row] = vector
             # CSR keeps no explicit zeros, so zero components are not stored.
-            blocks.append(sparse.csr_matrix(embedded))
-        return sparse.hstack(blocks, format="csr")
+            blocks.append(csr.from_dense(embedded))
+        return csr.hstack(blocks)
 
 
 #: Format 2 stores a relative resource path relative to the bundle directory;

@@ -5,9 +5,10 @@ single spaces), character n-grams from the tweet text itself.  Term weights
 follow the smoothed idf convention ``ln((1 + N) / (1 + df)) + 1`` and tf-idf
 vectors are L2-normalized.
 
-A block of documents becomes one CSR matrix of term counts, every (row,
-column) pair counted with one ``np.unique``; binarizing, idf scaling and the
-per-row L2 norm are then applied to the whole block in numpy (``weigh``).
+A block of documents becomes one CSR matrix of term counts (a
+``csr.CsrMatrix``, numpy arrays only), every (row, column) pair counted with
+one ``np.unique``; binarizing, idf scaling and the per-row L2 norm are then
+applied to the whole block in numpy (``weigh``).
 The single-document ``transform`` is a one-row call of the same ``weigh``,
 so every feature value comes from one code path.
 
@@ -36,7 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
+
+from .csr import CsrMatrix, csr_matrix
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class SparseVector:
             previous = index
 
     @classmethod
-    def from_row(cls, row: sparse.csr_matrix) -> "SparseVector":
+    def from_row(cls, row: CsrMatrix) -> "SparseVector":
         """The only row of a one-row CSR matrix."""
         return cls(dim=row.shape[1], entries=tuple(zip(row.indices.tolist(), row.data.tolist())))
 
@@ -147,7 +149,7 @@ def _vocabulary(document_frequency: Mapping[str, int], doc_count: int) -> Vocabu
     )
 
 
-def count_matrix(documents: Iterable[Sequence[str]], vocabulary: Vocabulary) -> sparse.csr_matrix:
+def count_matrix(documents: Iterable[Sequence[str]], vocabulary: Vocabulary) -> CsrMatrix:
     """Term counts of each document (a list of term occurrences), one row each.
 
     Unseen terms are dropped.  Rows hold their columns in ascending order.
@@ -164,13 +166,13 @@ def count_matrix(documents: Iterable[Sequence[str]], vocabulary: Vocabulary) -> 
     return _pair_counts(rows * dim + np.asarray(columns, dtype=np.int64), len(lengths), dim)
 
 
-def _pair_counts(pairs: np.ndarray, n_rows: int, dim: int) -> sparse.csr_matrix:
+def _pair_counts(pairs: np.ndarray, n_rows: int, dim: int) -> CsrMatrix:
     """How often each (row, column) pair, given as ``row * dim + column``,
     occurs: a CSR matrix."""
     # Sorting the keys row * dim + column orders the pairs by row, then column.
     keys, counts = np.unique(pairs, return_counts=True)
     indptr = np.searchsorted(keys, np.arange(n_rows + 1, dtype=np.int64) * dim)
-    return sparse.csr_matrix((counts, keys % max(dim, 1), indptr), shape=(n_rows, dim))
+    return csr_matrix(counts, keys % max(dim, 1), indptr, (n_rows, dim))
 
 
 #: One more than the largest code point.  A trie key is
@@ -233,7 +235,7 @@ class CharTrie:
             columns.append(np.array([vocabulary.index[term] for term in terms], dtype=np.int64)[order])
         return cls(tuple(keys), tuple(columns), len(vocabulary))
 
-    def count_matrix(self, texts: Sequence[str]) -> sparse.csr_matrix:
+    def count_matrix(self, texts: Sequence[str]) -> CsrMatrix:
         """The character n-gram counts of each text, one row each: what
         ``count_matrix`` gives over ``char_ngrams(text, n)`` for any ``n`` at
         least the longest term's length."""
@@ -311,7 +313,7 @@ def _char_ngram_frequencies(texts: Sequence[str], n_max: int) -> list[tuple[np.n
     return levels
 
 
-def _row_norms(matrix: sparse.csr_matrix) -> np.ndarray:
+def _row_norms(matrix: CsrMatrix) -> np.ndarray:
     """L2 norm of each row, its squares summed one after another in column order.
 
     Rows go longest first, so step ``k`` adds the ``k``-th square of every
@@ -330,25 +332,25 @@ def _row_norms(matrix: sparse.csr_matrix) -> np.ndarray:
     return np.sqrt(sums)
 
 
-def weigh(counts: sparse.csr_matrix, vocabulary: Vocabulary, config: NgramConfig) -> sparse.csr_matrix:
+def weigh(counts: CsrMatrix, vocabulary: Vocabulary, config: NgramConfig) -> CsrMatrix:
     """Turn a term-count matrix into feature values.
 
     Values are counts (or 1 when binarizing), scaled by idf and
     L2-normalized per row when tf-idf is on.  Rows without terms stay empty.
     """
     values = np.ones(counts.nnz) if config.binarize else counts.data.astype(np.float64)
-    weighted = sparse.csr_matrix((values, counts.indices, counts.indptr), shape=counts.shape)
+    weighted = CsrMatrix(values, counts.indices, counts.indptr, counts.shape)
     if config.tfidf:
-        weighted.data *= vocabulary.idf[weighted.indices]
+        values *= vocabulary.idf[weighted.indices]
         norms = _row_norms(weighted)
         norms[norms == 0.0] = 1.0
-        weighted.data /= np.repeat(norms, np.diff(weighted.indptr))
+        values /= np.repeat(norms, np.diff(weighted.indptr))
     return weighted
 
 
 def ngram_matrix(
     documents: Iterable[Sequence[str]], vocabulary: Vocabulary, config: NgramConfig
-) -> sparse.csr_matrix:
+) -> CsrMatrix:
     """One block's feature matrix: a row per document's term occurrences."""
     return weigh(count_matrix(documents, vocabulary), vocabulary, config)
 
@@ -364,7 +366,7 @@ def transform(counts: Mapping[str, int], vocabulary: Vocabulary, config: NgramCo
     )
     columns = np.array([i for i, _ in pairs], dtype=np.int64)
     row_counts = np.array([count for _, count in pairs], dtype=np.float64)
-    counts_row = sparse.csr_matrix((row_counts, columns, [0, len(pairs)]), shape=(1, len(vocabulary)))
+    counts_row = csr_matrix(row_counts, columns, [0, len(pairs)], (1, len(vocabulary)))
     return SparseVector.from_row(weigh(counts_row, vocabulary, config))
 
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from scipy import sparse
 
 from tweetsent import synthetic
 from tweetsent.corpus import Dataset, Label, Tweet
@@ -55,3 +56,16 @@ def tampered_bundle(tmp_path):
         return bundle
 
     return tamper
+
+
+def assert_same_csr(a, b):
+    """``a`` and ``b`` hold the same CSR arrays, bit for bit and dtypes included."""
+    assert a.shape == b.shape
+    for part in ("data", "indices", "indptr"):
+        assert getattr(a, part).dtype == getattr(b, part).dtype
+        assert getattr(a, part).tobytes() == getattr(b, part).tobytes()
+
+
+def scipy_csr(matrix):
+    """A ``csr.CsrMatrix`` as a scipy ``csr_matrix`` of the same arrays."""
+    return sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.special import expit
 
-from tweetsent import model, parallel
+from tweetsent import csr, model, parallel
 from tweetsent.corpus import LABELS, Label
 from tweetsent.experiment import load_bundle
 from tweetsent.model import (
@@ -315,6 +316,28 @@ class TestPredict:
         model = train_lr(X, labels, LrConfig())
         many = predict_many(Ensemble.of(model), X)
         assert many == [predict(model, x) for x in X]
+
+    @pytest.mark.parametrize("extra_columns", [-1, 1])
+    @pytest.mark.parametrize("as_csr", [False, True])
+    def test_a_matrix_of_another_width_is_rejected(self, extra_columns, as_csr):
+        # A gather by column would index past a narrower weight matrix, or
+        # quietly score a narrower feature matrix on its first columns.
+        model = self.make_model([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]], [0.1, -0.2])
+        X = np.ones((2, 3 + extra_columns))
+        X = csr.from_dense(X) if as_csr else X
+        with pytest.raises(ValueError):
+            predict_many(Ensemble.of(model), X)
+        with pytest.raises(ValueError):
+            predict_proba_matrix(Ensemble.of(model), X)
+
+    def test_an_empty_row_scores_its_biases(self):
+        model = self.make_model([[1.0, 0.0], [0.0, 1.0]], [0.3, -0.2])
+        X = csr.vstack([csr.from_dense(np.zeros((1, 2))), csr.from_dense(np.array([[0.5, 1.5]]))])
+        scipy_X = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        proba = predict_proba_matrix(Ensemble.of(model), X)
+        raw = expit(np.array([0.3, -0.2]))
+        assert np.array_equal(proba[0], raw / raw.sum())
+        assert np.array_equal(proba, predict_proba_matrix(Ensemble.of(model), scipy_X))
 
 
 def four_class_problem(seed=0, per_class=15, d=6):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,7 +6,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import tweetsent
+from tweetsent.experiment import AugmentConfig, ExperimentConfig, run_experiment
 
 THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -42,15 +46,45 @@ def test_import_keeps_a_value_the_user_set():
     assert seen == {**{var: "1" for var in THREAD_VARS}, "OPENBLAS_NUM_THREADS": "3"}
 
 
+#: Prints, as JSON, the scipy modules and the process pool modules loaded.
+LOADED = (
+    "print(json.dumps(sorted(m for m in sys.modules"
+    " if m.split('.')[0] == 'scipy' or m in ('multiprocessing', 'concurrent.futures.process'))))"
+)
+
+
 def test_cli_import_leaves_out_the_solver_and_the_process_pool():
-    code = "import json, sys, tweetsent.cli; print(json.dumps(sorted(m for m in %r if m in sys.modules)))" % (
-        ("scipy.optimize", "multiprocessing", "concurrent.futures.process"),
+    assert json.loads(run_fresh("import json, sys, tweetsent.cli; " + LOADED)) == []
+
+
+@pytest.fixture(scope="module")
+def bagged_run(mini_corpus, tmp_path_factory):
+    """The run directory of an all-blocks, five-member bagging bundle,
+    trained on the mini corpus without augmentation."""
+    config = ExperimentConfig.from_json(mini_corpus / "config.json")
+    config = dataclasses.replace(config, augment=AugmentConfig())
+    return run_experiment(config, tmp_path_factory.mktemp("bagged-run")).out_dir
+
+
+def test_predict_and_eval_leave_out_scipy(bagged_run, mini_corpus, tmp_path):
+    model, test = str(bagged_run / "model"), str(mini_corpus / "test.tsv")
+    predictions, report = str(tmp_path / "predictions.tsv"), str(tmp_path / "report.json")
+    code = textwrap.dedent(
+        f"""
+        import json, sys
+        from tweetsent import cli
+
+        assert cli.main(["predict", "--model", {model!r}, "--input", {test!r}, "--output", {predictions!r}]) == 0
+        assert cli.main(["eval", "--model", {model!r}, "--data", {test!r}, "--out", {report!r}]) == 0
+        """
     )
-    assert json.loads(run_fresh(code)) == []
+    assert json.loads(run_fresh(code + LOADED).splitlines()[-1]) == []
+    assert (tmp_path / "predictions.tsv").read_bytes() == (bagged_run / "predictions_test.tsv").read_bytes()
+    assert (tmp_path / "report.json").read_bytes() == (bagged_run / "report_test.json").read_bytes()
 
 
 def test_pooled_training_loads_the_solver_before_the_fork():
-    # Each worker reports whether scipy.optimize was loaded when its solve began.
+    # Each worker reports which solver modules were loaded when its solve began.
     code = textwrap.dedent(
         """
         import os, sys
@@ -58,14 +92,15 @@ def test_pooled_training_loads_the_solver_before_the_fork():
         from tweetsent import model, parallel
         from tweetsent.corpus import Label
 
-        assert "scipy.optimize" not in sys.modules
+        assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
         parallel.cpu_count = lambda: 2
         parent = os.getpid()
         objective = model.binary_objective
 
         def probe(*args):
             if os.getpid() != parent:
-                os.write(1, b"loaded\\n" if "scipy.optimize" in sys.modules else b"missing\\n")
+                loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.special") if m in sys.modules]
+                os.write(1, (",".join(loaded) + "\\n").encode())
             return objective(*args)
 
         model.binary_objective = probe
@@ -74,4 +109,4 @@ def test_pooled_training_loads_the_solver_before_the_fork():
         model.train_lr(X, labels, model.LrConfig())
         """
     )
-    assert run_fresh(code).split() == ["loaded", "loaded"]
+    assert run_fresh(code).split() == ["scipy.optimize,scipy.sparse,scipy.special"] * 2

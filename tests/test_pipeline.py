@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_same_csr, scipy_csr
 from tweetsent.corpus import Dataset, Label, Tweet
 from tweetsent.embeddings import (
     EmbeddingTable,
@@ -376,13 +377,6 @@ def clear_memos():
         memo.cache_clear()
 
 
-def assert_same_csr(a, b):
-    assert a.shape == b.shape
-    for part in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(a, part), getattr(b, part))
-    assert a.indices.dtype == b.indices.dtype and a.indptr.dtype == b.indptr.dtype
-
-
 class TestBatchEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -394,7 +388,7 @@ class TestBatchEquivalence:
     def test_transform_equals_stacked_transform_one(self, texts, blocks, ngram_config, remove):
         pipeline, train = fitted(blocks, ngram_config, remove)
         pipeline.fit(train)
-        matrix = pipeline.transform(dataset_of(texts))
+        matrix = scipy_csr(pipeline.transform(dataset_of(texts)))
         expected = np.array([pipeline.transform_one(text).to_dense() for text in texts])
         assert np.array_equal(matrix.toarray(), expected)
         assert matrix.has_sorted_indices and np.all(matrix.data != 0.0)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scipy_csr
 from tweetsent.vectorize import (
     CharTrie,
     NgramConfig,
@@ -299,7 +300,7 @@ class TestNgramMatrix:
         fit_docs = [char_ngrams(text, config.char_n_max) for text in fit_texts]
         query_docs = [char_ngrams(text, config.char_n_max) for text in query_texts]
         vocabulary = fit_vocabulary(fit_docs)
-        matrix = ngram_matrix(query_docs, vocabulary, config)
+        matrix = scipy_csr(ngram_matrix(query_docs, vocabulary, config))
         expected = dense_reference({"fit": fit_docs, "query": query_docs}, vocabulary, config)
         assert matrix.shape == expected.shape
         assert np.array_equal(matrix.toarray(), expected)
@@ -310,7 +311,7 @@ class TestNgramMatrix:
     def test_rows_equal_single_document_transform(self, query_texts, config):
         vocabulary = fit_vocabulary([char_ngrams(text, 3) for text in ["abñ a", "é😀 b", "ab"]])
         docs = [char_ngrams(text, config.char_n_max) for text in query_texts]
-        matrix = ngram_matrix(docs, vocabulary, config)
+        matrix = scipy_csr(ngram_matrix(docs, vocabulary, config))
         for i, terms in enumerate(docs):
             assert np.array_equal(matrix[i].toarray()[0], transform(Counter(terms), vocabulary, config).to_dense())
 
@@ -319,7 +320,7 @@ class TestNgramMatrix:
         vocabulary = fit_vocabulary([["a", "b"], ["a"]])
         with np.errstate(all="raise"):
             matrix = ngram_matrix([[], ["zzz", "q"], ["a", "zzz"]], vocabulary, config)
-        dense = matrix.toarray()
+        dense = scipy_csr(matrix).toarray()
         assert matrix.shape == (3, 2)
         assert not dense[:2].any()
         assert dense[2, vocabulary.index["a"]] > 0.0
@@ -342,7 +343,7 @@ class TestNgramMatrix:
         documents = {"fit": [terms[: i + 1] for i in range(len(terms))], "query": [terms + terms[:37] + terms[:5]]}
         vocabulary = fit_vocabulary(documents["fit"])
         matrix = ngram_matrix(documents["query"], vocabulary, NgramConfig())
-        assert np.array_equal(matrix.toarray(), dense_reference(documents, vocabulary, NgramConfig()))
+        assert np.array_equal(scipy_csr(matrix).toarray(), dense_reference(documents, vocabulary, NgramConfig()))
 
 
 # Arbitrary Unicode with lone surrogates mixed in, and texts over a few
