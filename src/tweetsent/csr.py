@@ -3,17 +3,19 @@
 A ``CsrMatrix`` is the three arrays of the CSR format and a shape.  Every
 operation here gives, bit for bit, what ``scipy.sparse`` gives for the same
 operation on a ``csr_matrix``: the data, indices and index pointer, their
-dtypes and the order of the entries in each row.  So featurizing and
-predicting need numpy alone, and only fitting loads scipy, which wraps the
-arrays without copying them (``model.solver``).
+dtypes and the order of the entries in each row.  So featurizing needs
+numpy alone, and so does scoring a small batch
+(``model.NUMPY_SCORING_LIMIT``); fitting loads scipy, which wraps the arrays
+without copying them (``model.solver``).
 
 Index arrays are ``int32`` while every column index and entry count fits in
 one, as scipy downcasts them; ``int64`` otherwise.
 
 ``matmul`` sums each row's products in stored order, starting from 0.0, as
-scipy's ``csr_matvecs`` does.  A pairwise sum of a row's products
-(``np.add.reduceat``) or a dense ``matmul`` groups the terms differently and
-moves scores by ulps.
+scipy's ``csr_matvecs`` does; it is the one such ordered sum, and also sums
+the squares of the tf-idf row norms (``vectorize._row_norms``).  A pairwise
+sum of a row's products (``np.add.reduceat``) or a dense ``matmul`` groups
+the terms differently and moves values by ulps.
 """
 
 from __future__ import annotations

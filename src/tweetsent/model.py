@@ -16,14 +16,17 @@ one per available CPU, or in-process when there is one CPU, one problem or no
 ``fork``.  Each worker runs the same code on the same inputs as the
 in-process path, so the weights do not depend on the CPU count.
 
-scipy serves the solves alone.  ``scipy.optimize`` (with the
-``scipy.linalg`` it pulls in), ``scipy.sparse`` and ``scipy.special`` load
-together on the first ``solver()`` call, as this module's attributes of
-those names.  A solve wraps a ``csr.CsrMatrix`` in a scipy ``csr_matrix``
-without copying it.  Prediction scores with numpy alone: ``csr.matmul``
-and ``expit`` give scipy's values bit for bit, so ``eval`` and ``predict``
-never import scipy.  Features may be a ``CsrMatrix``, a scipy sparse matrix
-or a dense array.
+``scipy.optimize`` (with the ``scipy.linalg`` it pulls in), ``scipy.sparse``
+and ``scipy.special`` load together on the first ``solver()`` call, as this
+module's attributes of those names.  A solve wraps a ``csr.CsrMatrix`` in a
+scipy ``csr_matrix`` without copying it.
+
+Prediction scores a batch with numpy alone while it is small
+(``NUMPY_SCORING_LIMIT``) and scipy is not loaded: ``csr.matmul`` and
+``expit`` give scipy's values bit for bit, so ``eval`` and ``predict`` of
+such a batch never import scipy.  A larger batch loads ``scipy.sparse`` and
+``scipy.special`` and scores with them, as it costs less.  Features may be a
+``CsrMatrix``, a scipy sparse matrix or a dense array.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
@@ -36,6 +39,7 @@ the solutions.
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import math
 import sys
@@ -215,14 +219,13 @@ class _Problem(NamedTuple):
 
 
 def __getattr__(name: str):
-    """Load ``scipy.optimize``, ``scipy.sparse`` and ``scipy.special``, as
-    the module attributes of those names, on first use of any."""
+    """Load ``scipy.optimize``, ``scipy.sparse`` or ``scipy.special`` as the
+    module attribute of that name on first use."""
     if name not in ("optimize", "sparse", "special"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy import optimize, sparse, special
-
-    globals().update(optimize=optimize, sparse=sparse, special=special)
-    return globals()[name]
+    module = importlib.import_module(f"scipy.{name}")
+    globals()[name] = module
+    return module
 
 
 def _scipy(name: str):
@@ -231,11 +234,14 @@ def _scipy(name: str):
 
 
 def solver():
-    """The module attribute ``optimize``, loaded by the first call.
+    """The module attribute ``optimize``, loaded by the first call together
+    with the ``sparse`` and ``special`` that solves use.
 
     Solves look it up here at call time, so a wrapper set on it sees every
     in-process solve.
     """
+    _scipy("sparse")
+    _scipy("special")
     return _scipy("optimize")
 
 
@@ -469,10 +475,12 @@ def expit(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + exps.reshape(negated.shape))
 
 
-def _member_proba_matrix(member: LinearModel, scores: np.ndarray, classes: tuple[Label, ...]) -> np.ndarray:
+def _member_proba_matrix(
+    member: LinearModel, scores: np.ndarray, classes: tuple[Label, ...], sigmoid: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
     """Normalized sigmoids of the member's raw scores (without its biases);
     all-zero scores land on the uniform distribution."""
-    raw = expit(scores + member.biases)
+    raw = sigmoid(scores + member.biases)
     totals = raw.sum(axis=1, keepdims=True)
     uniform = totals[:, 0] == 0.0
     totals[uniform] = 1.0
@@ -485,23 +493,57 @@ def _member_proba_matrix(member: LinearModel, scores: np.ndarray, classes: tuple
     return aligned
 
 
+#: The most multiplications (stored entries times the members' weight rows)
+#: that a batch scores in numpy when scipy is not loaded.  ``csr.matmul`` and
+#: ``expit`` cost about 1.3-1.9 ns more per multiplication than scipy's
+#: compiled product and expit; importing ``scipy.sparse`` and
+#: ``scipy.special`` costs about 0.37 s.  End to end on the 5,000 bench
+#: tweets (2-core Xeon VM), numpy scoring beat scipy scoring by about 0.1 s
+#: at 87 million multiplications (a 20-member bundle) and lost by about
+#: 0.1 s at 173 million (40 members).
+NUMPY_SCORING_LIMIT = 100_000_000
+
+
+def _scores_with_scipy(multiplications: int) -> bool:
+    """Whether a batch of this many multiplications is scored with scipy:
+    when scipy is loaded already, or when the batch is too large to gain
+    from scoring without it."""
+    loaded = all(name in sys.modules for name in ("scipy.sparse", "scipy.special"))
+    return loaded or multiplications > NUMPY_SCORING_LIMIT
+
+
+def _member_scores(members: Sequence[LinearModel], X: CsrMatrix) -> tuple[list[np.ndarray], Callable]:
+    """Each member's raw scores of ``X`` (without its biases), and the
+    sigmoid to apply to them: scipy's product and ``expit``, or
+    ``csr.matmul`` and this module's ``expit``, equal bit for bit."""
+    widths = [len(member.classes) for member in members]
+    if _scores_with_scipy(X.nnz * sum(widths)):
+        features = _scipy_matrix(X)
+        return [np.asarray(features @ member.weights.T) for member in members], _scipy("special").expit
+    # The members' weights side by side, laid out for matmul's row gathers.
+    table = np.empty((X.shape[1], sum(widths)))
+    np.concatenate([member.weights.T for member in members], axis=1, out=table)
+    scores = matmul(X, table)
+    bounds = np.cumsum([0] + widths).tolist()
+    return [scores[:, start:end] for start, end in zip(bounds, bounds[1:])], expit
+
+
 def predict_proba_matrix(predictor: Ensemble, X: np.ndarray | CsrMatrix) -> np.ndarray:
     """Row-wise class distributions for a batch, members averaged.
 
-    One ``matmul`` scores every member; ``X`` must have as many columns as
-    the members' weights, or this raises ``ValueError``.
+    ``X`` must have as many columns as the members' weights, or this raises
+    ``ValueError``.
     """
-    members = predictor.members
-    # The members' weights side by side, laid out for matmul's row gathers.
-    table = np.empty((members[0].weights.shape[1], sum(len(member.classes) for member in members)))
-    np.concatenate([member.weights.T for member in members], axis=1, out=table)
-    scores = matmul(as_csr(X), table)
-    bounds = np.cumsum([0] + [len(member.classes) for member in members]).tolist()
+    X = as_csr(X)
+    dim = predictor.members[0].weights.shape[1]
+    if X.shape[1] != dim:
+        raise ValueError(f"a matrix of {X.shape[1]} columns cannot be scored by weights of {dim} columns")
+    scores, sigmoid = _member_scores(predictor.members, X)
     total = sum(
-        _member_proba_matrix(member, scores[:, start:end], predictor.classes)
-        for member, start, end in zip(members, bounds, bounds[1:])
+        _member_proba_matrix(member, member_scores, predictor.classes, sigmoid)
+        for member, member_scores in zip(predictor.members, scores)
     )
-    return total / len(members)
+    return total / len(predictor.members)
 
 
 def predict_many(predictor: Ensemble, X: np.ndarray | CsrMatrix) -> list[Label]:

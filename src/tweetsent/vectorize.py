@@ -22,10 +22,10 @@ sort per n over the same keys, and gives the terms, columns and idf that
 ``fit_vocabulary`` gives over ``char_ngrams``.
 
 Each row's norm is summed exactly: squares added one after another in
-ascending column order (``_row_norms``).  Pairwise summation
-(``np.sum``, ``np.add.reduceat``, ``np.linalg.norm``) groups the terms
-differently and moves values by ulps, which changes trained models and the
-byte-identical run artifacts.
+ascending column order, by ``csr.matmul`` (``_row_norms``).  Pairwise
+summation (``np.sum``, ``np.add.reduceat``, ``np.linalg.norm``) groups the
+terms differently and moves values by ulps, which changes trained models and
+the byte-identical run artifacts.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csr import CsrMatrix, csr_matrix
+from .csr import CsrMatrix, csr_matrix, matmul
 
 
 @dataclass(frozen=True)
@@ -314,22 +314,10 @@ def _char_ngram_frequencies(texts: Sequence[str], n_max: int) -> list[tuple[np.n
 
 
 def _row_norms(matrix: CsrMatrix) -> np.ndarray:
-    """L2 norm of each row, its squares summed one after another in column order.
-
-    Rows go longest first, so step ``k`` adds the ``k``-th square of every
-    row that has one.  Do not swap this for ``np.linalg.norm`` or any
-    pairwise sum: see the module docstring.
-    """
-    squares = matrix.data * matrix.data
-    starts = matrix.indptr[:-1]
-    lengths = np.diff(matrix.indptr)
-    order = np.argsort(-lengths, kind="stable")
-    descending = lengths[order]
-    sums = np.zeros(len(lengths))
-    for k in range(int(lengths.max(initial=0))):
-        live = order[: np.searchsorted(-descending, -k, side="left")]
-        sums[live] += squares[starts[live] + k]
-    return np.sqrt(sums)
+    """L2 norm of each row, its squares summed one after another in column
+    order, as ``matmul`` sums a row's products."""
+    squares = CsrMatrix(matrix.data * matrix.data, matrix.indices, matrix.indptr, matrix.shape)
+    return np.sqrt(matmul(squares, np.ones((matrix.shape[1], 1)))[:, 0])
 
 
 def weigh(counts: CsrMatrix, vocabulary: Vocabulary, config: NgramConfig) -> CsrMatrix:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 import types
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -274,6 +275,15 @@ def row_proba(predictor, x):
     return predict_proba_matrix(predictor, np.atleast_2d(x))[0]
 
 
+@pytest.fixture(params=["numpy", "scipy"])
+def scorer(request, monkeypatch):
+    """Score every batch with numpy (``csr.matmul`` and ``model.expit``) or
+    with scipy, whatever its size and whether scipy is loaded."""
+    monkeypatch.setattr(model, "_scores_with_scipy", lambda multiplications: request.param == "scipy")
+    return request.param
+
+
+@pytest.mark.usefixtures("scorer")
 class TestPredict:
     def make_model(self, weights, biases, classes=(Label.P, Label.N)):
         return LinearModel(
@@ -338,6 +348,32 @@ class TestPredict:
         raw = expit(np.array([0.3, -0.2]))
         assert np.array_equal(proba[0], raw / raw.sum())
         assert np.array_equal(proba, predict_proba_matrix(Ensemble.of(model), scipy_X))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 9), st.integers(1, 4))
+def test_numpy_and_scipy_scoring_agree_bit_for_bit(seed, n_rows, n_columns, n_members):
+    rng = np.random.default_rng(seed)
+    dense = rng.normal(0.0, 40.0, (n_rows, n_columns))
+    X = sparse.csr_matrix(np.where(rng.random(dense.shape) < 0.5, dense, 0.0))
+    members = tuple(
+        LinearModel(LABELS, rng.normal(0.0, 30.0, (len(LABELS), n_columns)), rng.normal(0.0, 5.0, len(LABELS)), LrConfig())
+        for _ in range(n_members)
+    )
+    ensemble = Ensemble(LABELS, members, LrConfig(), BaggingConfig(n_estimators=n_members))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_scores_with_scipy", lambda multiplications: False)
+        with_numpy = predict_proba_matrix(ensemble, X)
+        patch.setattr(model, "_scores_with_scipy", lambda multiplications: True)
+        with_scipy = predict_proba_matrix(ensemble, X)
+    assert with_numpy.tobytes() == with_scipy.tobytes()
+
+
+def test_scipy_scores_a_large_batch_or_once_it_is_loaded(monkeypatch):
+    assert model._scores_with_scipy(0)  # this test process has loaded scipy
+    monkeypatch.delitem(sys.modules, "scipy.special")
+    assert not model._scores_with_scipy(model.NUMPY_SCORING_LIMIT)
+    assert model._scores_with_scipy(model.NUMPY_SCORING_LIMIT + 1)
 
 
 def four_class_problem(seed=0, per_class=15, d=6):

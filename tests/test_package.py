@@ -66,21 +66,37 @@ def bagged_run(mini_corpus, tmp_path_factory):
     return run_experiment(config, tmp_path_factory.mktemp("bagged-run")).out_dir
 
 
-def test_predict_and_eval_leave_out_scipy(bagged_run, mini_corpus, tmp_path):
+def predict_and_eval(bagged_run, mini_corpus, tmp_path, scoring_limit=None):
+    """Run ``predict`` and ``eval`` of the bagged bundle on the test split in
+    a fresh interpreter; returns the scipy and process pool modules loaded,
+    after checking that both outputs equal the training run's."""
     model, test = str(bagged_run / "model"), str(mini_corpus / "test.tsv")
     predictions, report = str(tmp_path / "predictions.tsv"), str(tmp_path / "report.json")
     code = textwrap.dedent(
         f"""
         import json, sys
-        from tweetsent import cli
+        from tweetsent import cli, model
 
+        if {scoring_limit!r} is not None:
+            model.NUMPY_SCORING_LIMIT = {scoring_limit!r}
         assert cli.main(["predict", "--model", {model!r}, "--input", {test!r}, "--output", {predictions!r}]) == 0
         assert cli.main(["eval", "--model", {model!r}, "--data", {test!r}, "--out", {report!r}]) == 0
         """
     )
-    assert json.loads(run_fresh(code + LOADED).splitlines()[-1]) == []
+    loaded = json.loads(run_fresh(code + LOADED).splitlines()[-1])
     assert (tmp_path / "predictions.tsv").read_bytes() == (bagged_run / "predictions_test.tsv").read_bytes()
     assert (tmp_path / "report.json").read_bytes() == (bagged_run / "report_test.json").read_bytes()
+    return loaded
+
+
+def test_predict_and_eval_leave_out_scipy(bagged_run, mini_corpus, tmp_path):
+    assert predict_and_eval(bagged_run, mini_corpus, tmp_path) == []
+
+
+def test_a_large_batch_loads_scipy_sparse_and_special_but_not_the_solver(bagged_run, mini_corpus, tmp_path):
+    loaded = predict_and_eval(bagged_run, mini_corpus, tmp_path, scoring_limit=0)
+    assert {"scipy.sparse", "scipy.special"} <= set(loaded)
+    assert "scipy.optimize" not in loaded
 
 
 def test_pooled_training_loads_the_solver_before_the_fork():
