@@ -83,7 +83,7 @@ from .preprocess import (
     semantic_preprocess,
     tokenize,
 )
-from .vectorize import NgramConfig, SparseVector, Vocabulary, fit_vocabulary, transform
+from .vectorize import NgramConfig, Vocabulary, fit_vocabulary, transform
 
 __version__ = "0.1.0"
 
@@ -110,7 +110,6 @@ __all__ = [
     "RemoteTranslator",
     "SifConfig",
     "SolverStats",
-    "SparseVector",
     "StageError",
     "Token",
     "TokenKind",

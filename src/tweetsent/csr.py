@@ -50,6 +50,13 @@ class CsrMatrix:
         """The number of stored entries."""
         return int(self.indptr[-1])
 
+    def to_dense(self) -> np.ndarray:
+        """The matrix as a 2-D array: each entry added into zeros, as scipy's ``toarray()`` does."""
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        np.add.at(dense, (rows, self.indices), self.data)
+        return dense
+
 
 def _index_dtype(*sizes: int) -> type:
     return np.int32 if max(sizes, default=0) <= _INT32_MAX else np.int64

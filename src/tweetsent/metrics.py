@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
-import numpy as np
-
 from .corpus import LABELS, Dataset, Label
 
 
@@ -51,9 +49,6 @@ class ConfusionMatrix:
     def column_sum(self, label: Label) -> int:
         j = LABELS.index(label)
         return sum(row[j] for row in self.counts)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64)
 
 
 def confusion(golds: Sequence[Label], predictions: Sequence[Label]) -> ConfusionMatrix:

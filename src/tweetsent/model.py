@@ -38,7 +38,6 @@ the solutions.
 
 from __future__ import annotations
 
-import functools
 import importlib
 import json
 import math
@@ -253,23 +252,18 @@ def _scipy_matrix(features):
     return features
 
 
-def _solve(record: bool, problem: _Problem) -> tuple[np.ndarray, SolverStats, list[float] | None]:
-    """The final iterate of ``problem``, its stats and, when ``record``, the
-    objective value at every iterate."""
+def _solve(problem: _Problem) -> tuple[np.ndarray, SolverStats]:
+    """The final iterate of ``problem`` and its stats."""
     features = _scipy_matrix(problem.features)
     X = features if problem.rows is None else features[problem.rows]
     if problem.columns is not None:
         X = X[:, problem.columns]
     config = problem.config
-    objective = binary_objective(X, problem.signs, problem.sample_weight, config.C)
-    values: list[float] | None = [] if record else None
-    callback = None if values is None else (lambda theta: values.append(objective(theta)[0]))
     result = solver().minimize(
-        objective,
+        binary_objective(X, problem.signs, problem.sample_weight, config.C),
         x0=np.zeros(X.shape[1] + 1),
         jac=True,
         method="L-BFGS-B",
-        callback=callback,
         options={
             "maxiter": config.max_iter,
             "maxfun": max(15000, 20 * config.max_iter),
@@ -280,16 +274,16 @@ def _solve(record: bool, problem: _Problem) -> tuple[np.ndarray, SolverStats, li
     stats = SolverStats(
         bool(result.success), int(result.nit), int(result.nfev), float(np.max(np.abs(result.jac))), str(result.message)
     )
-    return result.x, stats, values
+    return result.x, stats
 
 
-def solve_all(problems: Sequence[_Problem], record: bool = False) -> Iterator[tuple]:
+def solve_all(problems: Sequence[_Problem]) -> Iterator[tuple[np.ndarray, SolverStats]]:
     """The solution of every problem, in order, from ``parallel.fork_imap``.
 
     The solver loads here, before the fork, so that no worker imports it.
     """
     solver()
-    return parallel.fork_imap(functools.partial(_solve, record), problems)
+    return parallel.fork_imap(_solve, problems)
 
 
 @dataclass(frozen=True)
@@ -304,13 +298,9 @@ class TrainingPlan:
     lr_config: LrConfig
     bagging: BaggingConfig | None = None
 
-    def assemble(
-        self, solutions: Iterable[tuple], iteration_callback: Callable[[Label, float], None] | None = None
-    ) -> Ensemble:
-        """The ensemble from the solutions of ``problems``, in order.
-
-        Warnings and ``iteration_callback`` calls follow class by class.
-        """
+    def assemble(self, solutions: Iterable[tuple[np.ndarray, SolverStats]]) -> Ensemble:
+        """The ensemble from the solutions of ``problems``, in order; warnings
+        follow class by class."""
         solutions = iter(solutions)
         config = self.lr_config
         members = []
@@ -319,9 +309,7 @@ class TrainingPlan:
             biases = np.empty(len(classes))
             stats = []
             for k, cls in enumerate(classes):
-                x, solver_stats, values = next(solutions)
-                for value in values or ():
-                    iteration_callback(cls, value)
+                x, solver_stats = next(solutions)
                 if not solver_stats.converged:
                     warnings.warn(
                         f"optimizer did not reach tol={config.tol} for class {cls.value}: {solver_stats.message}",
@@ -385,19 +373,15 @@ def train_lr(
     labels: Sequence[Label],
     config: LrConfig,
     sample_weight: np.ndarray | None = None,
-    iteration_callback: Callable[[Label, float], None] | None = None,
 ) -> LinearModel:
     """Fit one binary L2 logistic regression per present class.
 
     ``sample_weight`` overrides the class-weight mode (a test and calibration
-    hook).  ``iteration_callback`` receives the objective value at every
-    optimizer iterate, replayed after the solves in class order.  A
-    subproblem that fails to reach ``tol`` within ``max_iter`` still yields a
-    model, with a warning and ``converged=False``.
+    hook).  A subproblem that fails to reach ``tol`` within ``max_iter`` still
+    yields a model, with a warning and ``converged=False``.
     """
     plan = plan_lr(features, labels, config, sample_weight)
-    record = iteration_callback is not None
-    return plan.assemble(solve_all(plan.problems, record), iteration_callback).members[0]
+    return plan.assemble(solve_all(plan.problems)).members[0]
 
 
 BootstrapFn = Callable[[int, int, np.random.Generator], np.ndarray]

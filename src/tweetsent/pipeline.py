@@ -15,9 +15,9 @@ into one CSR matrix, the SIF rows are stacked once and turned into CSR
 BoW block lists word n-grams as strings (``vectorize.ngram_matrix``); the BoC
 block reads the basic texts as code points and walks a character trie
 (``vectorize.CharTrie``), built from the BoC vocabulary at fit and by
-``load_pipeline``.  ``transform_one`` is a one-row batch, so a tweet's
-features do not depend on which batch it is in, and ``fit_transform`` is
-``fit`` then ``transform``, so training rows are built like any others.
+``load_pipeline``.  ``transform`` is the one way in: a tweet's features do
+not depend on which batch it is in, and ``fit_transform`` is ``fit`` then
+``transform``, so training rows are built like any others.
 
 Every row depends only on its own tweet, so ``transform`` splits a large
 batch, training sets included, into contiguous row chunks, one per CPU,
@@ -52,7 +52,7 @@ from .embeddings import (
 )
 from .preprocess import PreprocessConfig, basic_preprocess, join_tokens, semantic_preprocess, tokenize
 from .schema import dump, load_section
-from .vectorize import CharTrie, NgramConfig, SparseVector, Vocabulary
+from .vectorize import CharTrie, NgramConfig, Vocabulary
 
 BLOCK_ORDER = ("bow", "boc", "embedding")
 
@@ -193,9 +193,6 @@ class FeaturePipeline:
             if getattr(blocks, name)
         ]
         return np.concatenate(ranges)
-
-    def transform_one(self, text: str) -> SparseVector:
-        return SparseVector.from_row(self._featurize([text]))
 
     def transform(self, dataset: Dataset) -> csr.CsrMatrix:
         texts = [tweet.text for tweet in dataset.tweets]

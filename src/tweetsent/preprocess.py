@@ -239,10 +239,6 @@ def handle_negation(tokens: Sequence[Token], config: PreprocessConfig) -> list[T
     return out
 
 
-#: Placeholder surfaces that must survive semantic preprocessing verbatim.
-REPLACEMENT_SURFACES = frozenset({HANDLE_TOKEN, URL_TOKEN, EMAIL_TOKEN})
-
-
 def semantic_preprocess(tokens: Sequence[Token], config: PreprocessConfig) -> list[Token]:
     """Lowercase, lemmatize, mark negation, then drop the uninformative kinds.
 

@@ -9,8 +9,8 @@ A block of documents becomes one CSR matrix of term counts (a
 ``csr.CsrMatrix``, numpy arrays only), every (row, column) pair counted with
 one ``np.unique``; binarizing, idf scaling and the per-row L2 norm are then
 applied to the whole block in numpy (``weigh``).
-The single-document ``transform`` is a one-row call of the same ``weigh``,
-so every feature value comes from one code path.
+The single-document ``transform`` gives the one-row matrix of the same
+``weigh``, so every feature value comes from one code path.
 
 The two blocks find their columns differently.  Word n-grams are listed as
 strings and mapped to columns with ``dict.get`` (``count_matrix``).
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,39 +53,6 @@ class NgramConfig:
             raise ValueError("word_n_max must be >= 1")
         if self.char_n_max < 1:
             raise ValueError("char_n_max must be >= 1")
-
-
-@dataclass(frozen=True)
-class SparseVector:
-    """Immutable sparse vector: (index, value) entries sorted by index.
-
-    Indices are strictly increasing and below ``dim``; zeros are never stored.
-    """
-
-    dim: int
-    entries: tuple[tuple[int, float], ...]
-
-    def __post_init__(self) -> None:
-        previous = -1
-        for index, value in self.entries:
-            if index <= previous:
-                raise ValueError("sparse vector indices must be strictly increasing")
-            if index >= self.dim:
-                raise ValueError(f"index {index} out of range for dim {self.dim}")
-            if value == 0.0:
-                raise ValueError("sparse vectors must not store zero values")
-            previous = index
-
-    @classmethod
-    def from_row(cls, row: CsrMatrix) -> "SparseVector":
-        """The only row of a one-row CSR matrix."""
-        return cls(dim=row.shape[1], entries=tuple(zip(row.indices.tolist(), row.data.tolist())))
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        for index, value in self.entries:
-            dense[index] = value
-        return dense
 
 
 @dataclass
@@ -343,19 +310,16 @@ def ngram_matrix(
     return weigh(count_matrix(documents, vocabulary), vocabulary, config)
 
 
-def transform(counts: Mapping[str, int], vocabulary: Vocabulary, config: NgramConfig) -> SparseVector:
-    """Map a term multiset into the fitted space.
-
-    Unseen terms and non-positive counts are dropped; the values are those
-    ``weigh`` gives a one-row matrix.
-    """
+def transform(counts: Mapping[str, int], vocabulary: Vocabulary, config: NgramConfig) -> CsrMatrix:
+    """A term multiset in the fitted space: the one-row matrix ``weigh``
+    makes of its counts.  Unseen terms and non-positive counts are dropped."""
     pairs = sorted(
         (vocabulary.index[term], count) for term, count in counts.items() if count > 0 and term in vocabulary.index
     )
     columns = np.array([i for i, _ in pairs], dtype=np.int64)
     row_counts = np.array([count for _, count in pairs], dtype=np.float64)
     counts_row = csr_matrix(row_counts, columns, [0, len(pairs)], (1, len(vocabulary)))
-    return SparseVector.from_row(weigh(counts_row, vocabulary, config))
+    return weigh(counts_row, vocabulary, config)
 
 
 _HEADER_PREFIX = "#"

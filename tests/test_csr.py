@@ -74,6 +74,16 @@ class TestAgainstScipy:
         columns = np.array(columns, dtype=np.int64)
         assert_same_csr(csr.take_columns(ours(matrix), columns), matrix[:, columns])
 
+    @settings(max_examples=150, deadline=None)
+    @given(scipy_matrices())
+    @example(sparse.csr_matrix((0, 3)))
+    @example(sparse.csr_matrix((2, 0)))
+    @example(sparse.csr_matrix((0, 0)))
+    def test_to_dense(self, matrix):
+        dense, expected = ours(matrix).to_dense(), matrix.toarray()
+        assert dense.shape == expected.shape and dense.dtype == expected.dtype
+        assert dense.tobytes() == expected.tobytes()
+
     def test_take_columns_rejects_repeats(self):
         with pytest.raises(ValueError):
             csr.take_columns(csr.from_dense(np.eye(3)), np.array([1, 1]))

@@ -72,11 +72,6 @@ class TestConfusionMatrix:
         assert MATRIX_A.row_sum(Label.P) == 168
         assert MATRIX_A.column_sum(Label.P) == 188
 
-    def test_as_array(self):
-        arr = MATRIX_A.as_array()
-        assert arr.shape == (4, 4)
-        assert arr[0, 1] == 36
-
 
 class TestConfusion:
     def test_single_hit(self):

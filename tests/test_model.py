@@ -256,19 +256,6 @@ class TestTrainLr:
             model = train_lr(X, labels, LrConfig(C=5.0, tol=1e-12, max_iter=2))
         assert model.converged is False
 
-    def test_iteration_callback_sees_decreasing_objective(self):
-        X, labels = two_class_problem(seed=11)
-        seen: dict[Label, list[float]] = {}
-        train_lr(
-            X,
-            labels,
-            LrConfig(tol=1e-8),
-            iteration_callback=lambda cls, val: seen.setdefault(cls, []).append(val),
-        )
-        assert set(seen) == {Label.P, Label.N}
-        for values in seen.values():
-            assert values[-1] <= values[0]
-
 
 def row_proba(predictor, x):
     """Class distribution of one feature row, as a one-row batch."""
@@ -744,9 +731,9 @@ class TestParallelSolves:
         X, labels = two_class_problem(seed=22)
         signs = np.array([1.0 if label is Label.P else -1.0 for label in labels])
         pools = pooled(monkeypatch)
-        [(x, stats, values)] = model.solve_all([model._Problem(X, None, None, signs, np.ones(len(labels)), LrConfig())])
+        [(x, stats)] = model.solve_all([model._Problem(X, None, None, signs, np.ones(len(labels)), LrConfig())])
         assert pools == []
-        assert stats.converged and values is None
+        assert stats.converged
         assert np.array_equal(x[:-1], train_lr(X, labels, LrConfig()).weights[0])
         assert pools == [(2,)]
 
@@ -759,20 +746,6 @@ class TestParallelSolves:
         assert trained.converged is False
         assert [s.converged for s in trained.stats] == [False, False]
         assert all(s.nit == 2 and "ITERATIONS" in s.message for s in trained.stats)
-
-    def test_iteration_callback_is_replayed_in_class_order(self, monkeypatch):
-        X, labels = four_class_problem(seed=23)
-        config = LrConfig(tol=1e-8)
-        calls = {}
-        for name, setup in (("pool", pooled), ("in-process", in_process)):
-            setup(monkeypatch)
-            seen = []
-            trained = train_lr(X, labels, config, iteration_callback=lambda cls, val: seen.append((cls, val)))
-            calls[name] = seen
-        assert calls["pool"] == calls["in-process"]
-        order = [cls for cls, _ in calls["pool"]]
-        assert order == sorted(order, key=LABELS.index)
-        assert [order.count(cls) for cls in trained.classes] == [s.nit for s in trained.stats]
 
     def test_in_process_solves_look_up_the_module_solver(self, monkeypatch):
         X, labels = four_class_problem(seed=25)

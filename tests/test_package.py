@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tweetsent
+from tweetsent import synthetic
 from tweetsent.experiment import AugmentConfig, ExperimentConfig, run_experiment
 
 THREAD_VARS = (
@@ -126,3 +127,19 @@ def test_pooled_training_loads_the_solver_before_the_fork():
         """
     )
     assert run_fresh(code).split() == ["scipy.optimize,scipy.sparse,scipy.special"] * 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_every_public_name_resolves():
+    assert [name for name in tweetsent.__all__ if not hasattr(tweetsent, name)] == []
+
+
+def test_the_readme_library_use_block_runs(tmp_path, monkeypatch):
+    # The first Python block under "## Library use", run where its relative paths point.
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    synthetic.generate(tmp_path / "demo", seed=7, train_size=40, dev_size=20, test_size=20)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(README), "exec"), {})

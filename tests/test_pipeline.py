@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_same_csr, scipy_csr
+from conftest import assert_same_csr
 from tweetsent.corpus import Dataset, Label, Tweet
 from tweetsent.embeddings import (
     EmbeddingTable,
@@ -25,7 +25,7 @@ from tweetsent.pipeline import (
     load_pipeline,
     save_pipeline,
 )
-from tweetsent import parallel, preprocess
+from tweetsent import csr, parallel, preprocess
 from tweetsent import pipeline as pipeline_module
 from tweetsent.cli import main
 from tweetsent.experiment import AugmentConfig, ExperimentConfig, load_bundle, run_experiment
@@ -113,8 +113,8 @@ class TestFit:
 class TestTransform:
     def test_vector_dim_is_sum_of_blocks(self):
         pipeline = make_pipeline().fit(tiny_dataset())
-        vec = pipeline.transform_one("el gato ladra")
-        assert vec.dim == sum(dim for _, dim in pipeline.layout)
+        vec = pipeline.transform(dataset_of(["el gato ladra"]))
+        assert vec.shape == (1, sum(dim for _, dim in pipeline.layout))
 
     def test_matrix_shape(self):
         ds = tiny_dataset()
@@ -125,7 +125,7 @@ class TestTransform:
     def test_embedding_tail_matches_direct_sif(self):
         pipeline = make_pipeline().fit(tiny_dataset())
         table, unigram = pipeline.embedding_table, pipeline.unigram
-        vec = pipeline.transform_one("el gato duerme").to_dense()
+        vec = pipeline.transform(dataset_of(["el gato duerme"])).to_dense()[0]
         expected = sif_embed(
             ["el", "gato", "duerme"], table, unigram, pipeline.sif_config
         )
@@ -141,14 +141,14 @@ class TestTransform:
     def test_transform_before_fit_rejected(self):
         pipeline = make_pipeline()
         with pytest.raises(RuntimeError):
-            pipeline.transform_one("hola")
+            pipeline.transform(dataset_of(["hola"]))
 
     def test_unseen_text_hits_embedding_only(self):
         pipeline = make_pipeline(
             blocks=FeatureBlocks(bow=True, boc=False, embedding=False)
         ).fit(tiny_dataset())
-        vec = pipeline.transform_one("zzz qqq")
-        assert vec.entries == ()
+        vec = pipeline.transform(dataset_of(["zzz qqq"]))
+        assert vec.nnz == 0
 
     def test_raw_and_preprocessed_text_agree(self):
         # Feeding back the basic-preprocessed text is a no-op by design, so
@@ -156,7 +156,7 @@ class TestTransform:
         pipeline = make_pipeline().fit(tiny_dataset())
         raw = "@maria el GATO duerme https://x.co/a"
         basic = "@USER el GATO duerme URL"
-        assert pipeline.transform_one(raw) == pipeline.transform_one(basic)
+        assert_same_csr(pipeline.transform(dataset_of([raw])), pipeline.transform(dataset_of([basic])))
 
 
 # Arbitrary Unicode a Tweet accepts, salted with placeholder literals and the
@@ -191,9 +191,8 @@ class TestCommonComponent:
         ds = tiny_dataset()
         pipeline = make_pipeline(sif_config=SifConfig(a=0.1, remove_common_component=True))
         pipeline.fit(ds)
-        for tweet in ds.tweets:
-            vec = pipeline.transform_one(tweet.text).to_dense()[-4:]
-            assert abs(float(vec @ pipeline.common_component)) <= 1e-9
+        for row in pipeline.transform(ds).to_dense():
+            assert abs(float(row[-4:] @ pipeline.common_component)) <= 1e-9
 
     def test_disabled_by_default(self):
         pipeline = make_pipeline().fit(tiny_dataset())
@@ -232,7 +231,7 @@ class TestSaveLoad:
         loaded = load_pipeline(tmp_path / "bundle")
         assert loaded.layout == pipeline.layout
         for tweet in ds.tweets:
-            assert loaded.transform_one(tweet.text) == pipeline.transform_one(tweet.text)
+            assert_same_csr(loaded.transform(dataset_of([tweet.text])), pipeline.transform(dataset_of([tweet.text])))
 
     def fitted_embedding_pipeline(self):
         table, unigram = embedding_fixture()
@@ -256,8 +255,8 @@ class TestSaveLoad:
         moved.mkdir()
         monkeypatch.chdir(moved)
         loaded = load_pipeline(tmp_path / "runs" / "bundle")
-        text = tiny_dataset().tweets[0].text
-        assert loaded.transform_one(text) == pipeline.transform_one(text)
+        one = dataset_of([tiny_dataset().tweets[0].text])
+        assert_same_csr(loaded.transform(one), pipeline.transform(one))
 
     def test_absolute_resource_paths_are_kept(self, tmp_path):
         resources = write_resources(tmp_path)
@@ -320,7 +319,7 @@ class TestSaveLoad:
         loaded = load_pipeline(tmp_path / "bundle")
         assert np.array_equal(loaded.common_component, pipeline.common_component)
         for tweet in ds.tweets:
-            assert loaded.transform_one(tweet.text) == pipeline.transform_one(tweet.text)
+            assert_same_csr(loaded.transform(dataset_of([tweet.text])), pipeline.transform(dataset_of([tweet.text])))
 
 
 LAYOUTS = [
@@ -388,10 +387,13 @@ class TestBatchEquivalence:
     def test_transform_equals_stacked_transform_one(self, texts, blocks, ngram_config, remove):
         pipeline, train = fitted(blocks, ngram_config, remove)
         pipeline.fit(train)
-        matrix = scipy_csr(pipeline.transform(dataset_of(texts)))
-        expected = np.array([pipeline.transform_one(text).to_dense() for text in texts])
-        assert np.array_equal(matrix.toarray(), expected)
-        assert matrix.has_sorted_indices and np.all(matrix.data != 0.0)
+        # Each text alone, as a one-row batch: its columns strictly increase and no zero is stored.
+        rows = [pipeline.transform(dataset_of([text])) for text in texts]
+        for row in rows:
+            assert row.shape == (1, sum(dim for _, dim in pipeline.layout))
+            assert np.all(np.diff(row.indices) > 0) and np.all(row.indices < row.shape[1])
+            assert np.all(row.data != 0.0)
+        assert_same_csr(pipeline.transform(dataset_of(texts)), csr.vstack(rows))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(tweet_texts, max_size=5), st.sampled_from(LAYOUTS), st.booleans())
@@ -437,15 +439,16 @@ class TestBatchEquivalence:
         pipeline.fit(train)
         text = "el gato no ladra"
         boc_text, tokens = pipeline._views(text)
-        vec = pipeline.transform_one(text).to_dense()
+        vec = pipeline.transform(dataset_of([text]))
         bow = vectorize.transform(
             vectorize.extract_word_ngrams(tokens, 2), pipeline.bow_vocabulary, pipeline.ngram_config
-        ).to_dense()
+        )
         boc = vectorize.transform(
             vectorize.extract_char_ngrams(boc_text, 3), pipeline.boc_vocabulary, pipeline.ngram_config
-        ).to_dense()
-        assert np.array_equal(vec[: len(bow)], bow)
-        assert np.array_equal(vec[len(bow) : len(bow) + len(boc)], boc)
+        )
+        bow_dim, boc_dim = bow.shape[1], boc.shape[1]
+        assert_same_csr(csr.take_columns(vec, np.arange(bow_dim)), bow)
+        assert_same_csr(csr.take_columns(vec, np.arange(bow_dim, bow_dim + boc_dim)), boc)
 
     def test_empty_dataset_gives_no_rows(self):
         pipeline, train = fitted(FeatureBlocks(), NGRAM_CONFIGS[0])

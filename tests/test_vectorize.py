@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scipy_csr
+from conftest import assert_same_csr, scipy_csr
+from tweetsent.csr import csr_matrix
 from tweetsent.vectorize import (
     CharTrie,
     NgramConfig,
-    SparseVector,
     Vocabulary,
     char_ngrams,
     count_matrix,
@@ -85,13 +85,19 @@ class TestFitVocabulary:
         assert fit_vocabulary([{"a": 1}, {"b": 1}]).doc_count == 2
 
 
+def one_row(entries, dim):
+    """The one-row CSR matrix holding ``entries`` (column -> value), columns ascending."""
+    columns = sorted(entries)
+    return csr_matrix(np.array([entries[i] for i in columns], dtype=np.float64), columns, [0, len(columns)], (1, dim))
+
+
 class TestTransform:
     def setup_method(self):
         self.vocab = fit_vocabulary([{"a": 1, "b": 1}, {"a": 1}])
 
     def test_tfidf_vector_is_unit_norm(self):
         vec = transform({"a": 3, "b": 1}, self.vocab, NgramConfig())
-        norm = math.sqrt(sum(v * v for _, v in vec.entries))
+        norm = math.sqrt(sum(v * v for v in vec.data.tolist()))
         assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_tfidf_values(self):
@@ -101,18 +107,17 @@ class TestTransform:
         idf_b = self.vocab.idf[self.vocab.index["b"]]
         raw = {0: 2 * idf_a, 1: 1 * idf_b}
         norm = math.sqrt(sum(v * v for v in raw.values()))
-        expected = {i: v / norm for i, v in raw.items()}
-        assert dict(vec.entries) == pytest.approx(expected)
+        assert_same_csr(vec, one_row({i: v / norm for i, v in raw.items()}, 2))
 
     def test_counts_mode_not_normalized(self):
         config = NgramConfig(binarize=False, tfidf=False)
         vec = transform({"a": 3, "b": 2}, self.vocab, config)
-        assert dict(vec.entries) == {0: 3.0, 1: 2.0}
+        assert_same_csr(vec, one_row({0: 3.0, 1: 2.0}, 2))
 
     def test_binarize_clamps_counts(self):
         config = NgramConfig(binarize=True, tfidf=False)
         vec = transform({"a": 5, "b": 1}, self.vocab, config)
-        assert dict(vec.entries) == {0: 1.0, 1: 1.0}
+        assert_same_csr(vec, one_row({0: 1.0, 1: 1.0}, 2))
 
     def test_binarize_with_tfidf(self):
         config = NgramConfig(binarize=True, tfidf=True)
@@ -120,33 +125,15 @@ class TestTransform:
         idf_a = self.vocab.idf[self.vocab.index["a"]]
         idf_b = self.vocab.idf[self.vocab.index["b"]]
         norm = math.sqrt(idf_a**2 + idf_b**2)
-        assert dict(vec.entries) == pytest.approx({0: idf_a / norm, 1: idf_b / norm})
+        assert_same_csr(vec, one_row({0: idf_a / norm, 1: idf_b / norm}, 2))
 
     def test_unseen_terms_skipped(self):
         vec = transform({"nuevo": 4}, self.vocab, NgramConfig())
-        assert vec.entries == ()
+        assert_same_csr(vec, one_row({}, 2))
 
     def test_empty_counts_give_empty_vector(self):
         vec = transform({}, self.vocab, NgramConfig())
-        assert vec.entries == () and vec.dim == 2
-
-
-class TestSparseVector:
-    def test_rejects_unsorted_indices(self):
-        with pytest.raises(ValueError):
-            SparseVector(3, ((1, 1.0), (0, 1.0)))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            SparseVector(2, ((2, 1.0),))
-
-    def test_rejects_stored_zero(self):
-        with pytest.raises(ValueError):
-            SparseVector(2, ((0, 0.0),))
-
-    def test_to_dense(self):
-        vec = SparseVector(4, ((1, 2.0), (3, -1.0)))
-        assert vec.to_dense().tolist() == [0.0, 2.0, 0.0, -1.0]
+        assert_same_csr(vec, one_row({}, 2))
 
 
 class TestSaveLoad:
@@ -169,7 +156,7 @@ class TestSaveLoad:
         save_vocabulary(vocab, config, path)
         loaded = load_vocabulary(path, config)
         counts = {"a": 2, "c": 1}
-        assert transform(counts, vocab, config) == transform(counts, loaded, config)
+        assert_same_csr(transform(counts, vocab, config), transform(counts, loaded, config))
 
     def test_any_str_term_round_trips(self, tmp_path):
         vocab = fit_vocabulary([["\ud800", "a\udfff", "😀"], ["\ud800"]])
@@ -313,7 +300,7 @@ class TestNgramMatrix:
         docs = [char_ngrams(text, config.char_n_max) for text in query_texts]
         matrix = scipy_csr(ngram_matrix(docs, vocabulary, config))
         for i, terms in enumerate(docs):
-            assert np.array_equal(matrix[i].toarray()[0], transform(Counter(terms), vocabulary, config).to_dense())
+            assert_same_csr(matrix[i], transform(Counter(terms), vocabulary, config))
 
     @pytest.mark.parametrize("config", CONFIGS)
     def test_empty_and_unseen_documents_give_zero_rows(self, config):
