@@ -72,6 +72,12 @@ class TestConfusionMatrix:
         assert MATRIX_A.row_sum(Label.P) == 168
         assert MATRIX_A.column_sum(Label.P) == 188
 
+    def test_counts_follow_canonical_order(self):
+        # Gold P predicted N is row 0, column 1.
+        assert MATRIX_A.counts[0][1] == 36
+        assert [MATRIX_A.row_sum(label) for label in LABELS] == [sum(row) for row in MATRIX_A.counts]
+        assert [MATRIX_A.column_sum(label) for label in LABELS] == [sum(col) for col in zip(*MATRIX_A.counts)]
+
 
 class TestConfusion:
     def test_single_hit(self):

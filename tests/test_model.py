@@ -256,6 +256,18 @@ class TestTrainLr:
             model = train_lr(X, labels, LrConfig(C=5.0, tol=1e-12, max_iter=2))
         assert model.converged is False
 
+    def test_each_class_ends_below_its_starting_objective(self):
+        X, labels = two_class_problem(seed=11)
+        config = LrConfig(tol=1e-8, class_weight="none")
+        trained = train_lr(X, labels, config)
+        s = np.ones(len(labels))
+        assert trained.classes == (Label.P, Label.N)
+        for k, cls in enumerate(trained.classes):
+            y = np.array([1.0 if label is cls else -1.0 for label in labels])
+            start = oracle_objective(np.zeros(X.shape[1]), 0.0, X, y, s, config.C)
+            end = oracle_objective(trained.weights[k], trained.biases[k], X, y, s, config.C)
+            assert end < start
+
 
 def row_proba(predictor, x):
     """Class distribution of one feature row, as a one-row batch."""
@@ -746,6 +758,20 @@ class TestParallelSolves:
         assert trained.converged is False
         assert [s.converged for s in trained.stats] == [False, False]
         assert all(s.nit == 2 and "ITERATIONS" in s.message for s in trained.stats)
+
+    def test_pool_yields_solutions_in_problem_order(self, monkeypatch):
+        X, labels = four_class_problem(seed=23)
+        problems = [
+            model._Problem(X, None, None, np.where(np.array(labels) == cls, 1.0, -1.0), np.ones(len(labels)), LrConfig(C=C))
+            for cls, C in zip(LABELS, (0.5, 1.0, 2.0, 4.0))
+        ]
+        pools = pooled(monkeypatch)
+        solved = list(model.solve_all(problems))
+        assert pools == [(2,)]
+        expected = [model._solve(problem) for problem in problems]
+        assert [stats for _, stats in solved] == [stats for _, stats in expected]
+        for (x, _), (x_expected, _) in zip(solved, expected):
+            assert np.array_equal(x, x_expected)
 
     def test_in_process_solves_look_up_the_module_solver(self, monkeypatch):
         X, labels = four_class_problem(seed=25)

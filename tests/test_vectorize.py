@@ -136,6 +136,37 @@ class TestTransform:
         assert_same_csr(vec, one_row({}, 2))
 
 
+ROW_VOCAB = fit_vocabulary([{"a": 1, "b": 1, "c": 2}, {"a": 1}, {"d": 1}])
+row_counts = st.dictionaries(st.sampled_from(["a", "b", "c", "d", "nuevo"]), st.integers(-2, 5))
+row_configs = st.builds(NgramConfig, binarize=st.booleans(), tfidf=st.booleans())
+
+
+class TestTransformRow:
+    """The one-row matrix ``transform`` returns is canonical CSR."""
+
+    @given(row_counts, row_configs)
+    @settings(max_examples=60, deadline=None)
+    def test_indices_strictly_increasing_and_in_range(self, counts, config):
+        row = transform(counts, ROW_VOCAB, config)
+        assert row.shape == (1, len(ROW_VOCAB))
+        assert row.indptr.tolist() == [0, row.nnz]
+        assert all(a < b for a, b in zip(row.indices.tolist(), row.indices.tolist()[1:]))
+        assert all(0 <= i < len(ROW_VOCAB) for i in row.indices.tolist())
+
+    @given(row_counts, row_configs)
+    @settings(max_examples=60, deadline=None)
+    def test_stores_no_zero(self, counts, config):
+        row = transform(counts, ROW_VOCAB, config)
+        assert 0.0 not in row.data.tolist()
+        kept = {ROW_VOCAB.index[term] for term, count in counts.items() if count > 0 and term in ROW_VOCAB.index}
+        assert set(row.indices.tolist()) == kept
+
+    def test_to_dense(self):
+        config = NgramConfig(binarize=False, tfidf=False)
+        row = transform({"b": 2, "d": -1, "nuevo": 3, "c": 0, "a": 1}, ROW_VOCAB, config)
+        assert row.to_dense().tolist() == [[1.0, 2.0, 0.0, 0.0]]
+
+
 class TestSaveLoad:
     def test_round_trip_exact(self, tmp_path):
         vocab = fit_vocabulary([{"a": 1, "ñu": 1}, {"a": 1}])
