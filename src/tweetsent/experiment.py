@@ -56,8 +56,7 @@ from .model import (
     LrConfig,
     TrainingPlan,
     load_model,
-    plan_bagging,
-    plan_lr,
+    plan,
     predict_many,
     save_model,
     solve_all,
@@ -441,11 +440,9 @@ def _featurize(runs: list[_Run]) -> None:
 
 def _plan(run: _Run) -> TrainingPlan:
     model = run.config.model
+    bagging = None if model.bagging is None else model.bagging.build(run.config.seed)
     labels = [t.label for t in run.train.tweets]
-    if model.bagging is not None:
-        bagging = model.bagging.build(run.config.seed)
-        return plan_bagging(run.features["train"], labels, model.lr(), bagging, columns=run.columns)
-    return plan_lr(run.features["train"], labels, model.lr(), columns=run.columns)
+    return plan(run.features["train"], labels, model.lr(), bagging, columns=run.columns)
 
 
 def _train(runs: list[_Run], counts: dict[str, int]):

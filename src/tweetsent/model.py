@@ -30,10 +30,12 @@ such a batch never import scipy.  A larger batch loads ``scipy.sparse`` and
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
-solved: a ``TrainingPlan`` lists an ensemble's subproblems, each carrying its
-own matrix and ``LrConfig``, so one ``solve_all`` call can serve the plans
-of many ensembles, and ``TrainingPlan.assemble`` builds each ensemble from
-the solutions.
+solved: ``plan`` makes the ``TrainingPlan`` of either kind, one member on
+every row without ``bagging`` or one per bootstrap sample with it.  A plan
+lists an ensemble's subproblems, each carrying its own matrix and
+``LrConfig``, so one ``solve_all`` call can serve the plans of many
+ensembles, and ``TrainingPlan.assemble`` builds each ensemble from the
+solutions.
 """
 
 from __future__ import annotations
@@ -184,27 +186,6 @@ def binary_objective(
     return value_and_grad
 
 
-def _training_classes(
-    features: np.ndarray | CsrMatrix, labels: list[Label], columns: np.ndarray | None = None
-) -> tuple[tuple[Label, ...], int]:
-    """The classes present, in canonical order, and the feature dimension
-    (of the ``columns`` of ``features``), after checking the training inputs."""
-    if features.shape[0] != len(labels):
-        raise ValueError(f"feature matrix has {features.shape[0]} rows for {len(labels)} labels")
-    data = features if isinstance(features, np.ndarray) else features.data
-    if not np.isfinite(data).all():
-        raise ValueError("feature matrix contains non-finite values")
-    classes = tuple(label for label in LABELS if label in set(labels))
-    if len(classes) < 2:
-        raise ValueError("training needs at least 2 distinct labels")
-    return classes, features.shape[1] if columns is None else len(columns)
-
-
-def _sample_weight(labels: list[Label], config: LrConfig) -> np.ndarray:
-    weight_by_class = compute_class_weights(Counter(labels), config.class_weight)
-    return np.array([weight_by_class[label] for label in labels])
-
-
 class _Problem(NamedTuple):
     """One binary subproblem: a member's rows of a matrix, cut to some of its
     columns, against one class."""
@@ -324,48 +305,73 @@ class TrainingPlan:
         return Ensemble(self.classes, tuple(members), config, self.bagging)
 
 
-def _plan(
+BootstrapFn = Callable[[int, int, np.random.Generator], np.ndarray]
+
+
+def plan(
     features: np.ndarray | CsrMatrix,
-    columns: np.ndarray | None,
-    labels: list[Label],
-    members: Iterable[tuple[np.ndarray | None, list[Label], np.ndarray]],
-    config: LrConfig,
+    labels: Sequence[Label],
+    lr_config: LrConfig,
     bagging: BaggingConfig | None = None,
+    *,
+    columns: np.ndarray | None = None,
+    sample_weight: np.ndarray | None = None,
+    bootstrap_fn: BootstrapFn | None = None,
 ) -> TrainingPlan:
-    """The plan for one member per (rows, labels, sample weight) of
-    ``members``, which are drawn after the training inputs are checked."""
-    classes, dim = _training_classes(features, labels, columns)
+    """The plan of an ensemble on the ``columns`` of ``features`` (all by
+    default), whose members are drawn after the training inputs are checked.
+
+    Without ``bagging``, the one member trains on every row, weighted by
+    ``sample_weight`` if given and by the class-weight mode if not.  With
+    ``bagging``, member k trains on a bootstrap sample from its own generator,
+    seeded with ``(seed, k)``, so its sample does not depend on
+    ``n_estimators``.  A sample that collapses to a single class is redrawn,
+    at most 10 times.  ``bootstrap_fn`` overrides sampling for tests.
+    """
+    if bagging is not None and sample_weight is not None:
+        raise ValueError("sample_weight cannot be combined with bagging")
+    labels = list(labels)
+    n = len(labels)
+    if features.shape[0] != n:
+        raise ValueError(f"feature matrix has {features.shape[0]} rows for {n} labels")
+    data = features if isinstance(features, np.ndarray) else features.data
+    if not np.isfinite(data).all():
+        raise ValueError("feature matrix contains non-finite values")
+    classes = tuple(label for label in LABELS if label in set(labels))
+    if len(classes) < 2:
+        raise ValueError("training needs at least 2 distinct labels")
     problems: list[_Problem] = []
     member_classes = []
-    for rows, member_labels, sample_weight in members:
+    for k in range(1 if bagging is None else bagging.n_estimators):
+        rows = None  # every row
+        if bagging is not None:
+            rng = np.random.default_rng([bagging.seed, k])
+            for attempt in range(10):
+                if bootstrap_fn is None:
+                    rows = rng.integers(0, n, size=n)
+                else:
+                    rows = np.asarray(bootstrap_fn(k, n, rng))
+                if len({labels[i] for i in rows}) >= 2:
+                    break
+            else:
+                raise RuntimeError(f"bootstrap sample for member {k} collapsed to a single class in 10 attempts")
+        member_labels = labels if rows is None else [labels[i] for i in rows]
+        if sample_weight is None:
+            weight_by_class = compute_class_weights(Counter(member_labels), lr_config.class_weight)
+            weight = np.array([weight_by_class[label] for label in member_labels])
+        else:
+            weight = np.asarray(sample_weight, dtype=float)
+            if weight.shape != (n,):
+                raise ValueError("sample_weight must have one entry per instance")
         present = set(member_labels)
         member_classes.append(tuple(label for label in LABELS if label in present))
         label_array = np.array([label.value for label in member_labels])
         problems += [
-            _Problem(features, rows, columns, np.where(label_array == cls.value, 1.0, -1.0), sample_weight, config)
+            _Problem(features, rows, columns, np.where(label_array == cls.value, 1.0, -1.0), weight, lr_config)
             for cls in member_classes[-1]
         ]
-    return TrainingPlan(classes, tuple(member_classes), tuple(problems), dim, config, bagging)
-
-
-def plan_lr(
-    features: np.ndarray | CsrMatrix,
-    labels: Sequence[Label],
-    config: LrConfig,
-    sample_weight: np.ndarray | None = None,
-    columns: np.ndarray | None = None,
-) -> TrainingPlan:
-    """The plan of ``train_lr`` on the ``columns`` of ``features`` (all by
-    default): one member on every row."""
-    labels = list(labels)
-
-    def member():
-        weight = _sample_weight(labels, config) if sample_weight is None else np.asarray(sample_weight, dtype=float)
-        if weight.shape != (len(labels),):
-            raise ValueError("sample_weight must have one entry per instance")
-        yield None, labels, weight
-
-    return _plan(features, columns, labels, member(), config)
+    dim = features.shape[1] if columns is None else len(columns)
+    return TrainingPlan(classes, tuple(member_classes), tuple(problems), dim, lr_config, bagging)
 
 
 def train_lr(
@@ -380,49 +386,8 @@ def train_lr(
     hook).  A subproblem that fails to reach ``tol`` within ``max_iter`` still
     yields a model, with a warning and ``converged=False``.
     """
-    plan = plan_lr(features, labels, config, sample_weight)
-    return plan.assemble(solve_all(plan.problems)).members[0]
-
-
-BootstrapFn = Callable[[int, int, np.random.Generator], np.ndarray]
-
-
-def plan_bagging(
-    features: np.ndarray | CsrMatrix,
-    labels: Sequence[Label],
-    lr_config: LrConfig,
-    bagging_config: BaggingConfig,
-    bootstrap_fn: BootstrapFn | None = None,
-    columns: np.ndarray | None = None,
-) -> TrainingPlan:
-    """The plan of ``train_bagging`` on the ``columns`` of ``features`` (all
-    by default): one member per bootstrap sample.
-
-    Member k draws its own generator from ``(seed, k)``, so its sample does
-    not depend on ``n_estimators``.  A sample that collapses to a single
-    class is redrawn, at most 10 times.
-    """
-    labels = list(labels)
-    n = len(labels)
-
-    def members():
-        for k in range(bagging_config.n_estimators):
-            rng = np.random.default_rng([bagging_config.seed, k])
-            for attempt in range(10):
-                if bootstrap_fn is None:
-                    idx = rng.integers(0, n, size=n)
-                else:
-                    idx = np.asarray(bootstrap_fn(k, n, rng))
-                if len({labels[i] for i in idx}) >= 2:
-                    break
-            else:
-                raise RuntimeError(
-                    f"bootstrap sample for member {k} collapsed to a single class in 10 attempts"
-                )
-            member_labels = [labels[i] for i in idx]
-            yield idx, member_labels, _sample_weight(member_labels, lr_config)
-
-    return _plan(features, columns, labels, members(), lr_config, bagging_config)
+    training = plan(features, labels, config, sample_weight=sample_weight)
+    return training.assemble(solve_all(training.problems)).members[0]
 
 
 def train_bagging(
@@ -434,11 +399,11 @@ def train_bagging(
 ) -> Ensemble:
     """Train members on bootstrap samples of the instances.
 
-    Every member and the whole ensemble are reproducible (see
-    ``plan_bagging``).  ``bootstrap_fn`` overrides sampling for tests.
+    Every member and the whole ensemble are reproducible (see ``plan``).
+    ``bootstrap_fn`` overrides sampling for tests.
     """
-    plan = plan_bagging(features, labels, lr_config, bagging_config, bootstrap_fn)
-    return plan.assemble(solve_all(plan.problems))
+    training = plan(features, labels, lr_config, bagging_config, bootstrap_fn=bootstrap_fn)
+    return training.assemble(solve_all(training.problems))
 
 
 #: The largest double whose exp is finite: ``math.exp`` raises OverflowError

@@ -25,7 +25,7 @@ from tweetsent.model import (
     binary_objective,
     compute_class_weights,
     load_model,
-    plan_bagging,
+    plan,
     predict,
     predict_many,
     predict_proba_matrix,
@@ -420,10 +420,10 @@ class TestBagging:
         X = sparse.csr_matrix(X)
         columns = np.array(sorted(keep))
         config, bagging = LrConfig(), BaggingConfig(n_estimators=2, seed=data_seed)
-        plan = plan_bagging(X, labels, config, bagging, columns=columns)
-        assert plan.dim == len(columns)
+        training = plan(X, labels, config, bagging, columns=columns)
+        assert training.dim == len(columns)
         cut = sparse.csr_matrix(X[:, columns].toarray())
-        planned = plan.assemble(solve_all(plan.problems))
+        planned = training.assemble(solve_all(training.problems))
         assert_same_members(planned.members, train_bagging(cut, labels, config, bagging).members)
 
     def test_identity_bootstrap_equals_plain_lr(self):
@@ -472,6 +472,27 @@ class TestBagging:
         X, labels = four_class_problem(seed=7)
         bag = train_bagging(X, labels, LrConfig(), BaggingConfig(n_estimators=2, seed=4))
         assert bag.classes == LABELS
+
+
+class TestPlan:
+    """``model.plan`` plans plain LR as the one-member ensemble."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(data_seed=st.integers(0, 2**16), keep=st.sets(st.integers(0, 5), min_size=1))
+    def test_a_plain_lr_plan_on_some_columns_equals_train_lr_on_those_columns(self, data_seed, keep):
+        X, labels = four_class_problem(seed=data_seed, per_class=8, d=6)
+        X = sparse.csr_matrix(X)
+        columns = np.array(sorted(keep))
+        training = plan(X, labels, LrConfig(), columns=columns)
+        assert training.dim == len(columns)
+        [planned] = training.assemble(solve_all(training.problems)).members
+        cut = sparse.csr_matrix(X[:, columns].toarray())
+        assert_same_members([planned], [train_lr(cut, labels, LrConfig())])
+
+    def test_sample_weight_with_bagging_raises(self):
+        X, labels = four_class_problem(seed=6)
+        with pytest.raises(ValueError, match="sample_weight"):
+            plan(X, labels, LrConfig(), BaggingConfig(n_estimators=2), sample_weight=np.ones(len(labels)))
 
 
 class TestSaveLoad:
