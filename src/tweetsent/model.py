@@ -41,7 +41,6 @@ solutions.
 from __future__ import annotations
 
 import importlib
-import json
 import math
 import sys
 import warnings
@@ -56,7 +55,7 @@ import numpy as np
 from . import parallel
 from .corpus import LABELS, Label
 from .csr import CsrMatrix, as_csr, matmul
-from .schema import dump, load_section
+from .schema import Manifest, dump, load_section
 
 CLASS_WEIGHT_MODES = ("none", "balanced")
 
@@ -549,24 +548,33 @@ def save_model(predictor: Ensemble, directory: str | Path, layout: Sequence[tupl
         handle.write(dump(meta))
 
 
+def _load_floats(path: Path) -> np.ndarray:
+    """The array stored in ``path``, which must be finite float64."""
+    array = np.load(path)
+    if array.dtype != np.float64:
+        raise ValueError(f"{path} holds {array.dtype} values, not float64")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{path} holds non-finite values")
+    return array
+
+
 def load_model(directory: str | Path) -> tuple[Ensemble, list[tuple[str, int]]]:
     """Load a persisted predictor, verifying dimensions against the stored layout."""
     directory = Path(directory)
-    with open(directory / "model.json", encoding="utf-8") as handle:
-        meta = json.load(handle)
+    meta = Manifest(directory / "model.json")
     if meta.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {meta.get('format_version')!r}")
     layout = [(str(name), int(dim)) for name, dim in meta["layout"]]
     dim = sum(d for _, d in layout)
-    config = load_section(LrConfig, meta.get("config"), "config")
+    config = load_section(LrConfig, meta["config"], "config")
     members: list[LinearModel] = []
     for k, (entry, prefix) in enumerate(_member_entries(meta)):
-        weights = np.load(directory / f"{prefix}weights.npy")
-        biases = np.load(directory / f"{prefix}biases.npy")
+        weights = _load_floats(directory / f"{prefix}weights.npy")
+        biases = _load_floats(directory / f"{prefix}biases.npy")
         classes = tuple(Label.parse(c) for c in entry["classes"])
         if weights.shape != (len(classes), dim) or biases.shape != (len(classes),):
             raise ValueError(f"stored weights for member {k} do not match the feature layout")
         members.append(LinearModel(classes, weights, biases, config, bool(entry.get("converged", True))))
-    bagging = None if meta["kind"] == "linear" else load_section(BaggingConfig, meta.get("bagging"), "bagging")
+    bagging = None if meta["kind"] == "linear" else load_section(BaggingConfig, meta["bagging"], "bagging")
     classes = tuple(Label.parse(c) for c in meta["classes"])
     return Ensemble(classes, tuple(members), config, bagging), layout

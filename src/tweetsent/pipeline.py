@@ -33,7 +33,6 @@ columns in its matrices, bit for bit the matrices that pipeline makes.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -51,7 +50,7 @@ from .embeddings import (
     sif_embed,
 )
 from .preprocess import PreprocessConfig, basic_preprocess, join_tokens, semantic_preprocess, tokenize
-from .schema import dump, load_section
+from .schema import Manifest, dump, load_section
 from .vectorize import CharTrie, NgramConfig, Vocabulary
 
 BLOCK_ORDER = ("bow", "boc", "embedding")
@@ -286,15 +285,14 @@ def load_pipeline(directory: str | Path) -> FeaturePipeline:
     from .embeddings import load_embeddings, load_unigram_counts
 
     directory = Path(directory)
-    with open(directory / "pipeline.json", encoding="utf-8") as handle:
-        meta = json.load(handle)
+    meta = Manifest(directory / "pipeline.json")
     version = meta.get("format_version")
     if version not in (1, PIPELINE_FORMAT_VERSION):
         raise ValueError(f"unsupported pipeline format version {version!r}")
-    preprocess_config = load_section(PreprocessConfig, meta.get("preprocess"), "preprocess")
-    ngram_config = load_section(NgramConfig, meta.get("ngrams"), "ngrams")
-    blocks = load_section(FeatureBlocks, meta.get("blocks"), "blocks")
-    sif_config = load_section(SifConfig, meta.get("sif"), "sif")
+    preprocess_config = load_section(PreprocessConfig, meta["preprocess"], "preprocess")
+    ngram_config = load_section(NgramConfig, meta["ngrams"], "ngrams")
+    blocks = load_section(FeatureBlocks, meta["blocks"], "blocks")
+    sif_config = load_section(SifConfig, meta["sif"], "sif")
     embedding_table = None
     unigram = None
     if blocks.embedding:

@@ -1,4 +1,7 @@
-"""The one JSON form of every config: written with ``asdict`` and ``dump``, read back by ``load_section``."""
+"""The one JSON form of every config: written with ``asdict`` and ``dump``, read back by ``load_section``.
+
+A bundle's ``model.json`` and ``pipeline.json`` are read as a ``Manifest``.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +12,22 @@ import math
 import types
 import typing
 from pathlib import Path
+
+
+class Manifest(dict):
+    """The JSON object of a bundle file; a missing key raises ``ValueError``
+    naming the file."""
+
+    def __init__(self, path: Path):
+        with open(path, encoding="utf-8") as handle:
+            meta = json.load(handle)
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path} must hold a JSON object, got {type(meta).__name__}")
+        super().__init__(meta)
+        self.path = path
+
+    def __missing__(self, key: str):
+        raise ValueError(f"{self.path} is missing key {key!r}")
 
 
 def _resolve(path, base: Path | None):

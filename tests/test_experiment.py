@@ -8,6 +8,7 @@ import shutil
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -794,6 +795,41 @@ def bundle_argv(command: str, bundle: Path, data: Path, tmp_path: Path) -> list[
     return ["predict", "--model", str(bundle), "--input", str(data), "--output", str(tmp_path / "labels.tsv")]
 
 
+def bundle_error(capsys) -> str:
+    """The one line on stderr, which must be an ``error [bundle]`` line."""
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error [bundle] ")
+    return line
+
+
+def with_nan(array: np.ndarray) -> np.ndarray:
+    array = array.copy()
+    array[0, -1] = np.nan
+    return array
+
+
+def with_inf(array: np.ndarray) -> np.ndarray:
+    array = array.copy()
+    array[-1] = np.inf
+    return array
+
+
+def as_int64(array: np.ndarray) -> np.ndarray:
+    return array.astype(np.int64)
+
+
+def not_an_object(meta: dict) -> list:
+    return []
+
+
+def without_key(key: str):
+    def drop(meta: dict) -> dict:
+        del meta[key]
+        return meta
+
+    return drop
+
+
 class TestCli:
     def test_train_with_seed_override(self, mini_corpus, tmp_path, capsys):
         config_path = write_config(light_config(mini_corpus), tmp_path / "config.json")
@@ -956,6 +992,50 @@ class TestCli:
         code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
         assert code == 1
         assert f"error [bundle] config key 'ngrams.{key}' must be of type" in capsys.readouterr().err
+        assert not (tmp_path / "labels.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "run, name, corrupt, problem",
+        [
+            ("demo_run", "member_000_weights.npy", with_nan, "non-finite"),
+            ("light_run", "biases.npy", with_inf, "non-finite"),
+            ("demo_run", "member_001_biases.npy", as_int64, "int64"),
+        ],
+    )
+    def test_weights_that_are_not_finite_float64_exit_1_in_the_bundle_stage(
+        self, command, run, name, corrupt, problem, mini_corpus, tmp_path, request, capsys
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(request.getfixturevalue(run).out_dir / "model", bundle)
+        np.save(bundle / name, corrupt(np.load(bundle / name)))
+        code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
+        assert code == 1
+        line = bundle_error(capsys)
+        assert name in line and problem in line
+        assert not (tmp_path / "labels.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "manifest, edit, expected",
+        [
+            ("model.json", not_an_object, "must hold a JSON object"),
+            ("pipeline.json", not_an_object, "must hold a JSON object"),
+            ("model.json", without_key("layout"), "is missing key 'layout'"),
+            ("model.json", without_key("members"), "is missing key 'members'"),
+            ("pipeline.json", without_key("ngrams"), "is missing key 'ngrams'"),
+        ],
+    )
+    def test_a_malformed_manifest_exits_1_naming_the_file(
+        self, command, manifest, edit, expected, demo_run, mini_corpus, tmp_path, capsys
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(demo_run.out_dir / "model", bundle)
+        meta = json.loads((bundle / manifest).read_text(encoding="utf-8"))
+        (bundle / manifest).write_text(json.dumps(edit(meta)), encoding="utf-8")
+        code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
+        assert code == 1
+        assert f"{bundle / manifest} {expected}" in bundle_error(capsys)
         assert not (tmp_path / "labels.tsv").exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
