@@ -608,7 +608,7 @@ def predict_file(bundle_dir: str | Path, input_path: str | Path, output_path: st
         predictor, pipeline = load_bundle(bundle_dir)
     dataset = load_tsv(input_path, split="test")
     with stage("predict"):
-        labels = predict_many(predictor, pipeline.transform(dataset))
+        labels = pipeline.label(predictor, dataset)
         _write_predictions(output_path, dataset, labels)
     return len(dataset)
 

@@ -187,9 +187,7 @@ def score(dataset: Dataset, predictions: Sequence[Label]) -> tuple[Classificatio
 def evaluate(predictor, dataset: Dataset, features) -> tuple[ClassificationReport, ConfusionMatrix]:
     """Score a predictor on a labeled dataset.
 
-    ``features`` is a fitted pipeline exposing ``transform(dataset)``;
+    ``features`` is a fitted pipeline exposing ``label(predictor, dataset)``;
     ``predictor`` is a ``model.Ensemble``.
     """
-    from .model import predict_many
-
-    return score(dataset, predict_many(predictor, features.transform(dataset)))
+    return score(dataset, features.label(predictor, dataset))

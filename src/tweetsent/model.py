@@ -23,10 +23,11 @@ scipy ``csr_matrix`` without copying it.
 
 Prediction scores a batch with numpy alone while it is small
 (``NUMPY_SCORING_LIMIT``) and scipy is not loaded: ``csr.matmul`` and
-``expit`` give scipy's values bit for bit, so ``eval`` and ``predict`` of
-such a batch never import scipy.  A larger batch loads ``scipy.sparse`` and
-``scipy.special`` and scores with them, as it costs less.  Features may be a
-``CsrMatrix``, a scipy sparse matrix or a dense array.
+``expit`` give scipy's values bit for bit, so ``eval`` and ``predict``, which
+score blocks of fewer than 1,000 rows (``FeaturePipeline.label``), import
+scipy only for a very large ensemble.  A larger batch loads ``scipy.sparse``
+and ``scipy.special`` and scores with them, as it costs less.  Features may
+be a ``CsrMatrix``, a scipy sparse matrix or a dense array.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
@@ -508,17 +509,13 @@ def predict(model: LinearModel, x: np.ndarray) -> Label:
 MODEL_FORMAT_VERSION = 1
 
 
-def _member_entries(meta: dict) -> list[tuple[dict, str]]:
-    """Each member's metadata and file-name prefix.
+def _member_prefix(kind: str, k: int) -> str:
+    """The file-name prefix of member ``k``'s arrays.
 
     A ``linear`` bundle keeps its one member at the top level of
     ``model.json``; a ``bagging`` bundle lists its members under ``members``.
     """
-    if meta["kind"] == "linear":
-        return [(meta, "")]
-    if meta["kind"] == "bagging":
-        return [(entry, f"member_{k:03d}_") for k, entry in enumerate(meta["members"])]
-    raise ValueError(f"unknown model kind {meta['kind']!r}")
+    return "" if kind == "linear" else f"member_{k:03d}_"
 
 
 def save_model(predictor: Ensemble, directory: str | Path, layout: Sequence[tuple[str, int]]) -> None:
@@ -533,15 +530,18 @@ def save_model(predictor: Ensemble, directory: str | Path, layout: Sequence[tupl
         "classes": [c.value for c in predictor.classes],
         "config": asdict(predictor.lr_config),
     }
+    entries = [
+        {"classes": [c.value for c in member.classes], "converged": member.converged} for member in predictor.members
+    ]
     if predictor.bagging is None:
-        meta["kind"] = "linear"
+        (entry,) = entries
+        meta.update(kind="linear", **entry)
     else:
-        meta.update(kind="bagging", bagging=asdict(predictor.bagging), members=[{} for _ in predictor.members])
-    for member, (entry, prefix) in zip(predictor.members, _member_entries(meta)):
+        meta.update(kind="bagging", bagging=asdict(predictor.bagging), members=entries)
+    for k, member in enumerate(predictor.members):
         if member.weights.shape[1] != dim:
             raise ValueError("model dimension does not match the feature layout")
-        entry["classes"] = [c.value for c in member.classes]
-        entry["converged"] = member.converged
+        prefix = _member_prefix(meta["kind"], k)
         np.save(directory / f"{prefix}weights.npy", member.weights)
         np.save(directory / f"{prefix}biases.npy", member.biases)
     with open(directory / "model.json", "w", encoding="utf-8", newline="\n") as handle:
@@ -564,17 +564,29 @@ def load_model(directory: str | Path) -> tuple[Ensemble, list[tuple[str, int]]]:
     meta = Manifest(directory / "model.json")
     if meta.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {meta.get('format_version')!r}")
-    layout = [(str(name), int(dim)) for name, dim in meta["layout"]]
+    layout = meta.layout()
     dim = sum(d for _, d in layout)
     config = load_section(LrConfig, meta["config"], "config")
+    kind = meta["kind"]
+    if kind not in ("linear", "bagging"):
+        raise ValueError(f"{meta.path} has unknown model kind {kind!r}")
     members: list[LinearModel] = []
-    for k, (entry, prefix) in enumerate(_member_entries(meta)):
+    for k, entry in enumerate([meta] if kind == "linear" else meta.entries("members")):
+        prefix = _member_prefix(kind, k)
         weights = _load_floats(directory / f"{prefix}weights.npy")
         biases = _load_floats(directory / f"{prefix}biases.npy")
-        classes = tuple(Label.parse(c) for c in entry["classes"])
+        classes = _classes(entry)
         if weights.shape != (len(classes), dim) or biases.shape != (len(classes),):
             raise ValueError(f"stored weights for member {k} do not match the feature layout")
         members.append(LinearModel(classes, weights, biases, config, bool(entry.get("converged", True))))
-    bagging = None if meta["kind"] == "linear" else load_section(BaggingConfig, meta["bagging"], "bagging")
-    classes = tuple(Label.parse(c) for c in meta["classes"])
-    return Ensemble(classes, tuple(members), config, bagging), layout
+    bagging = None if kind == "linear" else load_section(BaggingConfig, meta["bagging"], "bagging")
+    return Ensemble(_classes(meta), tuple(members), config, bagging), layout
+
+
+def _classes(entry: Manifest) -> tuple[Label, ...]:
+    """The labels listed under ``entry``'s ``classes`` key."""
+    classes = entry["classes"]
+    try:
+        return tuple(Label.parse(c) for c in classes)
+    except (AttributeError, TypeError, ValueError):
+        raise entry.malformed("classes", "a list of class labels") from None

@@ -19,11 +19,15 @@ block reads the basic texts as code points and walks a character trie
 not depend on which batch it is in, and ``fit_transform`` is ``fit`` then
 ``transform``, so training rows are built like any others.
 
-Every row depends only on its own tweet, so ``transform`` splits a large
-batch, training sets included, into contiguous row chunks, one per CPU,
-featurizes them in ``parallel.fork_map`` workers and joins them with
-``csr.vstack``; the result is bit-identical to the one-batch build.  Neither
-featurizing nor predicting imports scipy (see ``csr``).
+Every row depends only on its own tweet, so a large batch is cut into
+contiguous row blocks (``_split``) and featurized in ``parallel.fork_map``
+workers.  Training needs the whole matrix: ``transform`` cuts one block per
+CPU and joins the blocks with ``csr.vstack``, bit-identical to the one-batch
+build.  ``predict`` and ``eval`` need only labels: ``label`` cuts blocks of
+``MIN_ROWS_PER_WORKER`` to twice that many rows, and each worker featurizes
+and scores its blocks and returns only their labels, so no process holds
+more than one block's matrix.  Neither featurizing nor predicting imports
+scipy (see ``csr``).
 
 Each block is fitted and featurized on its own, so a pipeline fitted with
 several blocks serves any subset of them: ``narrowed`` shares its fitted
@@ -40,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import csr, parallel, vectorize
-from .corpus import Dataset
+from .corpus import Dataset, Label
 from .embeddings import (
     EmbeddingTable,
     SifConfig,
@@ -49,18 +53,22 @@ from .embeddings import (
     remove_component,
     sif_embed,
 )
+from .model import Ensemble, predict_many
 from .preprocess import PreprocessConfig, basic_preprocess, join_tokens, semantic_preprocess, tokenize
 from .schema import Manifest, dump, load_section
 from .vectorize import CharTrie, NgramConfig, Vocabulary
 
 BLOCK_ORDER = ("bow", "boc", "embedding")
 
-#: Fewest rows ``transform`` hands to one worker.  Forking a loaded pipeline
-#: and shipping a chunk back costs about 50 ms, so on 2 CPUs a batch pays for
-#: the split from about 1,000 rows (900 rows: 0.10 s in-process, 0.11-0.15 s
-#: in two workers; 1,000 rows: 0.11 s either way; 1,300 rows: 0.14 s against
-#: 0.13 s).  A run's training set splits from 1,000 rows, as ``predict``
-#: batches do; its smaller dev and test splits stay in-process.
+#: Fewest rows in a forked block.  Forking a loaded pipeline and shipping a
+#: block back costs about 50 ms, so on 2 CPUs a batch pays for the split from
+#: about 1,000 rows (900 rows: 0.10 s in-process, 0.11-0.15 s in two workers;
+#: 1,000 rows: 0.11 s either way; 1,300 rows: 0.14 s against 0.13 s).  A
+#: run's training set splits from 1,000 rows, as ``predict`` batches do; its
+#: smaller dev and test splits stay in-process.  ``label`` also keeps its
+#: blocks below twice this size: on the 5,000-row bench ``predict`` batch
+#: (2 CPUs) peak RSS read 47.0 MiB with 250- or 500-row blocks, 51.4 MiB
+#: with 1,250 and 65.4 MiB with 2,500.
 MIN_ROWS_PER_WORKER = 500
 
 
@@ -75,6 +83,12 @@ class FeatureBlocks:
     def __post_init__(self) -> None:
         if not (self.bow or self.boc or self.embedding):
             raise ValueError("at least one feature block must be enabled")
+
+
+def _split(items: list, parts: int) -> list[list]:
+    """``items`` cut into ``parts`` contiguous runs whose lengths differ by at most one."""
+    bounds = [len(items) * k // parts for k in range(parts + 1)]
+    return [items[start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 class FeaturePipeline:
@@ -198,9 +212,15 @@ class FeaturePipeline:
         chunks = max(1, min(parallel.cpu_count(), len(texts) // MIN_ROWS_PER_WORKER))
         if chunks == 1:
             return self._featurize(texts)
-        bounds = [len(texts) * k // chunks for k in range(chunks + 1)]
-        parts = [texts[start:end] for start, end in zip(bounds, bounds[1:])]
-        return csr.vstack(parallel.fork_map(self._featurize, parts))
+        return csr.vstack(parallel.fork_map(self._featurize, _split(texts, chunks)))
+
+    def label(self, predictor: Ensemble, dataset: Dataset) -> list[Label]:
+        """``predict_many(predictor, self.transform(dataset))``, computed
+        block by block in forked workers that return only labels."""
+        texts = [tweet.text for tweet in dataset.tweets]
+        blocks = _split(texts, max(1, len(texts) // MIN_ROWS_PER_WORKER))
+        labelled = parallel.fork_map(lambda block: predict_many(predictor, self._featurize(block)), blocks)
+        return [label for labels in labelled for label in labels]
 
     def _featurize(self, texts: list[str]) -> csr.CsrMatrix:
         """One row per text, blocks side by side."""
@@ -320,7 +340,7 @@ def load_pipeline(directory: str | Path) -> FeaturePipeline:
     if component_path.exists():
         pipeline.common_component = np.load(component_path)
     pipeline.fitted = True
-    stored_layout = [(str(name), int(dim)) for name, dim in meta["layout"]]
+    stored_layout = meta.layout()
     if pipeline.layout != stored_layout:
         raise ValueError(
             f"reloaded feature layout {pipeline.layout} does not match stored layout {stored_layout}"

@@ -15,19 +15,42 @@ from pathlib import Path
 
 
 class Manifest(dict):
-    """The JSON object of a bundle file; a missing key raises ``ValueError``
-    naming the file."""
+    """A JSON object of a bundle file: the whole file, or the entry at
+    ``where`` in it (``meta``).  A missing or malformed key raises
+    ``ValueError`` naming the file and the entry."""
 
-    def __init__(self, path: Path):
-        with open(path, encoding="utf-8") as handle:
-            meta = json.load(handle)
-        if not isinstance(meta, dict):
-            raise ValueError(f"{path} must hold a JSON object, got {type(meta).__name__}")
-        super().__init__(meta)
+    def __init__(self, path: Path, where: str = "", meta=None):
+        if not where:
+            with open(path, encoding="utf-8") as handle:
+                meta = json.load(handle)
         self.path = path
+        self.location = f"{path}{where}"
+        if not isinstance(meta, dict):
+            raise ValueError(f"{self.location} must hold a JSON object, got {type(meta).__name__}")
+        super().__init__(meta)
 
     def __missing__(self, key: str):
-        raise ValueError(f"{self.path} is missing key {key!r}")
+        raise ValueError(f"{self.location} is missing key {key!r}")
+
+    def malformed(self, key: str, expected: str) -> ValueError:
+        return ValueError(f"{self.location} key {key!r} must be {expected}, got {self[key]!r}")
+
+    def entries(self, key: str) -> list["Manifest"]:
+        """The JSON objects listed under ``key``."""
+        if not isinstance(self[key], list):
+            raise self.malformed(key, "a list")
+        return [Manifest(self.path, f" {key}[{i}]", item) for i, item in enumerate(self[key])]
+
+    def layout(self) -> list[tuple[str, int]]:
+        """The ``layout`` key: (block, dim) pairs."""
+        layout = self["layout"]
+        pairs = isinstance(layout, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str) and type(pair[1]) is int
+            for pair in layout
+        )
+        if not pairs:
+            raise self.malformed("layout", "a list of [block, dim] pairs")
+        return [(name, dim) for name, dim in layout]
 
 
 def _resolve(path, base: Path | None):

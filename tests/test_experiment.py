@@ -830,6 +830,19 @@ def without_key(key: str):
     return drop
 
 
+def with_key(key: str, value):
+    def put(meta: dict) -> dict:
+        meta[key] = value
+        return meta
+
+    return put
+
+
+def member_without_classes(meta: dict) -> dict:
+    del meta["members"][1]["classes"]
+    return meta
+
+
 class TestCli:
     def test_train_with_seed_override(self, mini_corpus, tmp_path, capsys):
         config_path = write_config(light_config(mini_corpus), tmp_path / "config.json")
@@ -1024,6 +1037,12 @@ class TestCli:
             ("model.json", without_key("layout"), "is missing key 'layout'"),
             ("model.json", without_key("members"), "is missing key 'members'"),
             ("pipeline.json", without_key("ngrams"), "is missing key 'ngrams'"),
+            ("model.json", member_without_classes, "members[1] is missing key 'classes'"),
+            ("model.json", with_key("layout", [["bow"]]), "key 'layout' must be a list of [block, dim] pairs"),
+            ("model.json", with_key("members", 3), "key 'members' must be a list, got 3"),
+            ("model.json", with_key("members", [3]), "members[0] must hold a JSON object, got int"),
+            ("model.json", with_key("classes", 3), "key 'classes' must be a list of class labels, got 3"),
+            ("pipeline.json", with_key("layout", [["bow", "11"]]), "key 'layout' must be a list of [block, dim] pairs"),
         ],
     )
     def test_a_malformed_manifest_exits_1_naming_the_file(

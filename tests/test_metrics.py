@@ -16,7 +16,7 @@ from tweetsent.metrics import (
     report_to_json,
     round_percent,
 )
-from tweetsent.model import Ensemble, LinearModel, LrConfig
+from tweetsent.model import Ensemble, LinearModel, LrConfig, predict_many
 
 # Two full published-style reports, frozen as regression oracles.  Rows and
 # columns follow the canonical order P, N, NEU, NONE.
@@ -231,6 +231,9 @@ class IdentityFeatures:
 
     def transform(self, dataset):
         return np.ones((len(dataset), 1))
+
+    def label(self, predictor, dataset):
+        return predict_many(predictor, self.transform(dataset))
 
 
 def constant_p_model() -> Ensemble:

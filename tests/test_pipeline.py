@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_same_csr
-from tweetsent.corpus import Dataset, Label, Tweet
+from tweetsent.corpus import LABELS, Dataset, Label, Tweet
 from tweetsent.embeddings import (
     EmbeddingTable,
     SifConfig,
@@ -29,6 +29,7 @@ from tweetsent import csr, parallel, preprocess
 from tweetsent import pipeline as pipeline_module
 from tweetsent.cli import main
 from tweetsent.experiment import AugmentConfig, ExperimentConfig, load_bundle, run_experiment
+from tweetsent.model import Ensemble, LinearModel, LrConfig, predict_many
 from tweetsent.preprocess import PreprocessConfig, basic_preprocess, join_tokens, tokenize
 from tweetsent import vectorize
 from tweetsent.vectorize import NgramConfig
@@ -462,20 +463,25 @@ class TestBatchEquivalence:
             pipeline.fit_transform(dataset_of([]))
 
 
-def chunked(monkeypatch, cpus):
-    """Featurize batches of 2+ rows in up to ``cpus`` forked workers; returns
-    the number of chunks of every ``fork_map`` call ``transform`` makes."""
+def chunked(monkeypatch, cpus, minimum=1, measure=len):
+    """Featurize in up to ``cpus`` forked workers, at least ``minimum`` rows
+    to a worker; returns ``measure(items)`` of every ``fork_map`` call
+    (by default the number of chunks)."""
     calls = []
     fork_map = parallel.fork_map
 
     def recording_fork_map(fn, items):
-        calls.append(len(items))
+        calls.append(measure(items))
         return fork_map(fn, items)
 
     monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
     monkeypatch.setattr(parallel, "fork_map", recording_fork_map)
-    monkeypatch.setattr(pipeline_module, "MIN_ROWS_PER_WORKER", 1)
+    monkeypatch.setattr(pipeline_module, "MIN_ROWS_PER_WORKER", minimum)
     return calls
+
+
+def row_counts(items):
+    return [len(item) for item in items]
 
 
 CHUNK_TEXTS = ["el gato duerme", "", "zzz qqq", "el perro no ladra 😀", "GATO y ñu", "   ", "juegan @ana https://x.co"]
@@ -532,10 +538,28 @@ class TestChunkedTransform:
 
     def test_cli_predict_writes_the_same_bytes_pooled(self, bundle, mini_corpus, tmp_path, monkeypatch):
         assert main(predict_argv(bundle, mini_corpus / "test.tsv", tmp_path / "serial.tsv")) == 0
-        calls = chunked(monkeypatch, 2)
+        calls = chunked(monkeypatch, 2, minimum=3, measure=row_counts)
         assert main(predict_argv(bundle, mini_corpus / "test.tsv", tmp_path / "pooled.tsv")) == 0
-        assert calls == [2]
+        [blocks] = calls
+        rows = len((mini_corpus / "test.tsv").read_text(encoding="utf-8").splitlines())
+        assert sum(blocks) == rows and all(3 <= block <= 5 for block in blocks)
         assert (tmp_path / "pooled.tsv").read_bytes() == (tmp_path / "serial.tsv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_cli_labels_without_the_batch_matrix(self, command, bundle, mini_corpus, tmp_path, monkeypatch, capsys):
+        def whole_batch(*args):
+            raise AssertionError("built the whole batch's matrix")
+
+        calls = chunked(monkeypatch, 2, measure=row_counts)
+        monkeypatch.setattr(FeaturePipeline, "transform", whole_batch)
+        monkeypatch.setattr(csr, "vstack", whole_batch)
+        data = mini_corpus / "dev.tsv"
+        if command == "eval":
+            argv = ["eval", "--model", str(bundle), "--data", str(data)]
+        else:
+            argv = predict_argv(bundle, data, tmp_path / "labels.tsv")
+        assert main(argv) == 0, capsys.readouterr().err
+        assert calls == [[1] * len(data.read_text(encoding="utf-8").splitlines())]
 
     def test_dead_featurization_worker_exits_1_in_the_predict_stage(
         self, bundle, mini_corpus, tmp_path, monkeypatch, capsys
@@ -552,6 +576,40 @@ class TestChunkedTransform:
         code = main(predict_argv(bundle, mini_corpus / "test.tsv", tmp_path / "labels.tsv"))
         assert code == 1
         assert "error [predict]" in capsys.readouterr().err
+
+
+def random_predictor(dim: int, seed: int) -> Ensemble:
+    """A four-class one-member ensemble with random weights over ``dim`` columns."""
+    rng = np.random.default_rng(seed)
+    model = LinearModel(LABELS, rng.normal(size=(len(LABELS), dim)), rng.normal(size=len(LABELS)), LrConfig(), True)
+    return Ensemble.of(model)
+
+
+class TestBlockLabelling:
+    """``label`` scores bounded row blocks in forked workers, exactly as one batch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from(CHUNK_TEXTS), tweet_texts), max_size=40),
+        st.integers(1, 3),
+        st.integers(1, 7),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_blocks_label_as_the_whole_batch(self, texts, cpus, minimum, seed):
+        pipeline, train = fitted(FeatureBlocks(), NGRAM_CONFIGS[0], remove_common_component=True)
+        pipeline.fit(train)
+        predictor = random_predictor(sum(dim for _, dim in pipeline.layout), seed)
+        dataset = dataset_of(texts)
+        expected = predict_many(predictor, pipeline.transform(dataset))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = chunked(monkeypatch, cpus, minimum, row_counts)
+            assert pipeline.label(predictor, dataset) == expected
+        [blocks] = calls
+        assert sum(blocks) == len(texts)
+        if len(texts) < 2 * minimum:
+            assert blocks == [len(texts)]
+        else:
+            assert all(minimum <= block <= 2 * minimum - 1 for block in blocks)
 
 
 GOLDEN_FULL_PIPELINE_JSON = """\
