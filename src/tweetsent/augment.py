@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import random
-import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,12 +21,9 @@ from .corpus import LABELS, Dataset, Tweet
 
 logger = logging.getLogger(__name__)
 
-#: Id suffix markers for augmented instances, also used to assert that
-#: evaluation splits stay untouched.
+#: Id suffix markers for augmented instances: ``.cx<counter>`` and ``.bt-<pivot>``.
 CROSSOVER_MARKER = ".cx"
 TRANSLATION_MARKER = ".bt-"
-#: The id suffixes augmentation appends: ``.cx<counter>`` and ``.bt-<pivot>``.
-_AUGMENTED_ID = re.compile(rf"(?:{re.escape(CROSSOVER_MARKER)}\d+|{re.escape(TRANSLATION_MARKER)}[^.]+)$")
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def crossover_augment(dataset: Dataset, config: CrossoverConfig) -> Dataset:
             )
             single = members[0]
             for _ in range(wanted):
-                out.append(Tweet(f"{single.id}{CROSSOVER_MARKER}{counter}", single.text, label))
+                out.append(Tweet(f"{single.id}{CROSSOVER_MARKER}{counter}", single.text, label, "crossover"))
                 counter += 1
             continue
         for _ in range(wanted):
@@ -98,7 +94,7 @@ def crossover_augment(dataset: Dataset, config: CrossoverConfig) -> Dataset:
             parent_a, parent_b = members[i], members[j]
             text = " ".join(crossover_pair(parent_a.text.split(), parent_b.text.split()))
             out.append(
-                Tweet(f"{parent_a.id}+{parent_b.id}{CROSSOVER_MARKER}{counter}", text, label)
+                Tweet(f"{parent_a.id}+{parent_b.id}{CROSSOVER_MARKER}{counter}", text, label, "crossover")
             )
             counter += 1
     return dataset.replace_tweets(out)
@@ -248,14 +244,17 @@ def translation_augment(dataset: Dataset, client: TranslatorClient, config: Tran
                 raise TranslationError(
                     f"translation failed for tweet {tweet.id!r} via pivot {pivot!r}: {exc}"
                 ) from exc
-            out.append(Tweet(f"{tweet.id}{TRANSLATION_MARKER}{pivot}", paraphrase, tweet.label))
+            out.append(Tweet(f"{tweet.id}{TRANSLATION_MARKER}{pivot}", paraphrase, tweet.label, "translation"))
     return dataset.replace_tweets(out)
 
 
 def assert_unaugmented(dataset: Dataset) -> None:
-    """Guard for evaluation splits: no id ends in an augmentation suffix."""
+    """Guard for evaluation splits: every tweet's origin is a source file.
+
+    The id plays no part: a corpus may use any id, augmentation markers
+    included."""
     for tweet in dataset.tweets:
-        if _AUGMENTED_ID.search(tweet.id):
+        if tweet.origin != "source":
             raise AssertionError(
                 f"augmented instance {tweet.id!r} found in {dataset.split} split "
                 "(augmentation must stay within training data)"

@@ -355,7 +355,7 @@ def _preprocessed(dataset: Dataset, config: PreprocessConfig, semantic: bool = F
         tokens = basic_preprocess(tokenize(raw), config)
         return join_tokens(semantic_preprocess(tokens, config) if semantic else tokens)
 
-    return dataset.replace_tweets(Tweet(t.id, text(t.text), t.label) for t in dataset.tweets)
+    return dataset.replace_tweets(Tweet(t.id, text(t.text), t.label, t.origin) for t in dataset.tweets)
 
 
 def _check_config(runs: list[_Run]) -> None:

@@ -21,13 +21,10 @@ and ``scipy.special`` load together on the first ``solver()`` call, as this
 module's attributes of those names.  A solve wraps a ``csr.CsrMatrix`` in a
 scipy ``csr_matrix`` without copying it.
 
-Prediction scores a batch with numpy alone while it is small
-(``NUMPY_SCORING_LIMIT``) and scipy is not loaded: ``csr.matmul`` and
-``expit`` give scipy's values bit for bit, so ``eval`` and ``predict``, which
-score blocks of fewer than 1,000 rows (``FeaturePipeline.label``), import
-scipy only for a very large ensemble.  A larger batch loads ``scipy.sparse``
-and ``scipy.special`` and scores with them, as it costs less.  Features may
-be a ``CsrMatrix``, a scipy sparse matrix or a dense array.
+Prediction scores with ``scipy.sparse`` and ``scipy.special`` once they are
+loaded, and with numpy alone before: ``csr.matmul`` and ``expit`` give
+scipy's values bit for bit, so ``eval`` and ``predict`` never import scipy.
+Features may be a ``CsrMatrix``, a scipy sparse matrix or a dense array.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
@@ -442,33 +439,22 @@ def _member_proba_matrix(
     return aligned
 
 
-#: The most multiplications (stored entries times the members' weight rows)
-#: that a batch scores in numpy when scipy is not loaded.  ``csr.matmul`` and
-#: ``expit`` cost about 1.3-1.9 ns more per multiplication than scipy's
-#: compiled product and expit; importing ``scipy.sparse`` and
-#: ``scipy.special`` costs about 0.37 s.  End to end on the 5,000 bench
-#: tweets (2-core Xeon VM), numpy scoring beat scipy scoring by about 0.1 s
-#: at 87 million multiplications (a 20-member bundle) and lost by about
-#: 0.1 s at 173 million (40 members).
-NUMPY_SCORING_LIMIT = 100_000_000
-
-
-def _scores_with_scipy(multiplications: int) -> bool:
-    """Whether a batch of this many multiplications is scored with scipy:
-    when scipy is loaded already, or when the batch is too large to gain
-    from scoring without it."""
-    loaded = all(name in sys.modules for name in ("scipy.sparse", "scipy.special"))
-    return loaded or multiplications > NUMPY_SCORING_LIMIT
+def _scores_with_scipy() -> bool:
+    """Whether scoring uses scipy: once ``scipy.sparse`` and
+    ``scipy.special`` are loaded, as after training.  Scipy scores member by
+    member where numpy holds every member's weights side by side, so a
+    process that has paid for scipy also scores in less memory."""
+    return all(name in sys.modules for name in ("scipy.sparse", "scipy.special"))
 
 
 def _member_scores(members: Sequence[LinearModel], X: CsrMatrix) -> tuple[list[np.ndarray], Callable]:
     """Each member's raw scores of ``X`` (without its biases), and the
     sigmoid to apply to them: scipy's product and ``expit``, or
     ``csr.matmul`` and this module's ``expit``, equal bit for bit."""
-    widths = [len(member.classes) for member in members]
-    if _scores_with_scipy(X.nnz * sum(widths)):
+    if _scores_with_scipy():
         features = _scipy_matrix(X)
         return [np.asarray(features @ member.weights.T) for member in members], _scipy("special").expit
+    widths = [len(member.classes) for member in members]
     # The members' weights side by side, laid out for matmul's row gathers.
     table = np.empty((X.shape[1], sum(widths)))
     np.concatenate([member.weights.T for member in members], axis=1, out=table)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tweetsent.augment import (
     CROSSOVER_MARKER,
-    TRANSLATION_MARKER,
     CrossoverConfig,
     FixtureTranslator,
     RemoteTranslator,
@@ -324,41 +323,38 @@ class TestAssertUnaugmented:
     def test_clean_dataset_passes(self):
         assert_unaugmented(labeled_dataset())
 
-    def test_crossover_marker_rejected(self):
-        ds = Dataset("toy", "dev", (Tweet(f"a+b{CROSSOVER_MARKER}0", "x", Label.P),))
-        with pytest.raises(AssertionError):
+    @pytest.mark.parametrize("origin", ["crossover", "translation"])
+    def test_augmented_origin_rejected(self, origin):
+        ds = Dataset("toy", "dev", (Tweet("a", "x", Label.P, origin),))
+        with pytest.raises(AssertionError, match="augmented instance 'a' found in dev split"):
             assert_unaugmented(ds)
-
-    def test_translation_marker_rejected(self):
-        ds = Dataset("toy", "dev", (Tweet(f"a{TRANSLATION_MARKER}en", "x", Label.P),))
-        with pytest.raises(AssertionError):
-            assert_unaugmented(ds)
-
-    def test_marker_inside_plain_id_accepted(self):
-        # Only the suffixes augmentation appends count as provenance.
-        ids = ("user.cxv1", "a.cx", "x.cx1.y", "b.bt-", "c.bt-en.2", "d.cx12z")
-        assert_unaugmented(Dataset("toy", "dev", tuple(Tweet(i, "x", Label.P) for i in ids)))
 
     @pytest.mark.parametrize(
         "tweet_id",
-        ["a.cx0", "a+b.cx17", "a.bt-en+b.bt-fr.cx3", "a.bt-en", "a.bt-pt-BR", "a.cx2.bt-en"],
+        ["a.cx0", "a+b.cx17", "a.bt-en+b.bt-fr.cx3", "a.bt-en", "a.bt-pt-BR", "a.cx2.bt-en", "user.cxv1", "a.cx"],
     )
-    def test_augmented_suffixes_rejected(self, tweet_id):
-        ds = Dataset("toy", "dev", (Tweet(tweet_id, "x", Label.P),))
-        with pytest.raises(AssertionError):
-            assert_unaugmented(ds)
+    def test_source_ids_with_augmentation_markers_accepted(self, tweet_id):
+        # Provenance, not the id, marks an augmented tweet.
+        assert_unaugmented(Dataset("toy", "dev", (Tweet(tweet_id, "x", Label.P),)))
 
-    def test_ids_made_by_augmentation_rejected(self, tmp_path):
-        crossed = crossover_augment(labeled_dataset(), CrossoverConfig(factor=2, seed=0))
-        translated = translation_augment(
-            labeled_dataset(),
-            FixtureTranslator({}),
-            TranslationConfig(pivots=("en",), cache_path=str(tmp_path / "cache.jsonl")),
-        )
-        for dataset in (crossed, translated):
-            for tweet in dataset.tweets[len(labeled_dataset()) :]:
-                with pytest.raises(AssertionError):
-                    assert_unaugmented(Dataset("toy", "dev", (tweet,)))
+    @pytest.mark.parametrize("method", ["crossover", "translation"])
+    def test_augmentation_output_as_a_dev_split_rejected(self, method, tmp_path):
+        if method == "crossover":
+            augmented = crossover_augment(labeled_dataset(), CrossoverConfig(factor=2, seed=0))
+        else:
+            augmented = translation_augment(
+                labeled_dataset(),
+                FixtureTranslator({}),
+                TranslationConfig(pivots=("en",), cache_path=str(tmp_path / "cache.jsonl")),
+            )
+        with pytest.raises(AssertionError):
+            assert_unaugmented(Dataset("toy", "dev", augmented.tweets))
+        originals, added = augmented.tweets[: len(labeled_dataset())], augmented.tweets[len(labeled_dataset()) :]
+        assert {tweet.origin for tweet in originals} == {"source"}
+        assert {tweet.origin for tweet in added} == {method}
+        for tweet in added:
+            with pytest.raises(AssertionError):
+                assert_unaugmented(Dataset("toy", "dev", (tweet,)))
 
 
 class TestCrossoverProperties:

@@ -1,7 +1,6 @@
 """The numpy CSR helpers against scipy.sparse and scipy.special, bit for bit."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,17 +88,15 @@ class TestAgainstScipy:
             csr.take_columns(csr.from_dense(np.eye(3)), np.array([1, 1]))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), scipy_matrices(), st.integers(0, 5), st.integers(1, 200))
-    @example(None, sparse.csr_matrix((0, 3)), 2, 64)
-    @example(None, sparse.csr_matrix((3, 0)), 2, 64)
-    def test_matmul(self, data, matrix, n_weights, block_bytes):
+    @given(st.data(), scipy_matrices(), st.integers(0, 5))
+    @example(None, sparse.csr_matrix((0, 3)), 2)
+    @example(None, sparse.csr_matrix((3, 0)), 2)
+    def test_matmul(self, data, matrix, n_weights):
         if data is not None:
             weights = data.draw(dense_arrays(n_weights, matrix.shape[1]))
         else:
             weights = np.ones((n_weights, matrix.shape[1]))
-        # Small blocks put a few rows in each, so the block loop is covered too.
-        with mock.patch.object(csr, "_BLOCK_BYTES", block_bytes):
-            scores = csr.matmul(ours(matrix), weights.T)
+        scores = csr.matmul(ours(matrix), weights.T)
         expected = matrix @ weights.T
         assert scores.shape == expected.shape
         assert np.array_equal(scores, expected)
@@ -119,6 +116,22 @@ class TestAgainstScipy:
             data.draw(st.lists(values, min_size=n_weights * n_columns, max_size=n_weights * n_columns))
         ).reshape(n_weights, n_columns)
         assert np.array_equal(csr.matmul(ours(matrix), weights.T), matrix @ weights.T)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1_000, 1_500), st.integers(33, 160))
+    def test_matmul_on_a_predict_sized_block(self, seed, n_rows, n_weights):
+        # More rows than a ``FeaturePipeline.label`` block, of 0 to 80 entries
+        # whose magnitudes lie far apart, by up to the 160 weight rows of a
+        # 40-member bundle.
+        rng = np.random.default_rng(seed)
+        n_columns = 300
+        lengths = rng.integers(0, 81, n_rows)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = np.concatenate([np.sort(rng.choice(n_columns, k, replace=False)) for k in lengths])
+        data = rng.uniform(-1.0, 1.0, indptr[-1]) * 10.0 ** rng.integers(-30, 31, indptr[-1])
+        matrix = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_columns))
+        weights = rng.uniform(-1.0, 1.0, (n_weights, n_columns)) * 10.0 ** rng.integers(-30, 31, (n_weights, n_columns))
+        assert csr.matmul(ours(matrix), weights.T).tobytes() == (matrix @ weights.T).tobytes()
 
     def test_matmul_rejects_a_size_mismatch(self):
         with pytest.raises(ValueError):

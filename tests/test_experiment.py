@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetsent import model, parallel
+from tweetsent import model, parallel, synthetic
 from tweetsent import pipeline as pipeline_module
 from tweetsent.cli import main
 from tweetsent.corpus import load_tsv
@@ -854,6 +854,19 @@ class TestCli:
         assert "artifacts:" in stdout
         with open(out / "config.json", encoding="utf-8") as handle:
             assert json.load(handle)["seed"] == 9
+
+    def test_a_dev_id_that_looks_augmented_is_still_evaluated(self, tmp_path):
+        # Provenance, not the id, marks an augmented tweet.
+        for name in ("plain", "renamed"):
+            synthetic.generate(tmp_path / name, seed=7, train_size=40, dev_size=20, test_size=20)
+        dev = tmp_path / "renamed" / "dev.tsv"
+        dev.write_text(dev.read_text(encoding="utf-8").replace("dv0001\t", "dv0001.cx2\t", 1), encoding="utf-8")
+        assert dev.read_text(encoding="utf-8").startswith("dv0001.cx2\t")
+        for corpus in (tmp_path / "plain", tmp_path / "renamed"):
+            assert main(["train", "--config", str(corpus / "config.json"), "--out", str(corpus / "run")]) == 0
+        for report in ("report_dev.json", "report_dev.txt"):
+            renamed = (tmp_path / "renamed" / "run" / report).read_bytes()
+            assert renamed == (tmp_path / "plain" / "run" / report).read_bytes()
 
     def test_eval_writes_a_report(self, demo_run, mini_corpus, tmp_path, capsys):
         report_path = tmp_path / "report.json"

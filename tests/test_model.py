@@ -278,7 +278,7 @@ def row_proba(predictor, x):
 def scorer(request, monkeypatch):
     """Score every batch with numpy (``csr.matmul`` and ``model.expit``) or
     with scipy, whatever its size and whether scipy is loaded."""
-    monkeypatch.setattr(model, "_scores_with_scipy", lambda multiplications: request.param == "scipy")
+    monkeypatch.setattr(model, "_scores_with_scipy", lambda: request.param == "scipy")
     return request.param
 
 
@@ -361,18 +361,34 @@ def test_numpy_and_scipy_scoring_agree_bit_for_bit(seed, n_rows, n_columns, n_me
     )
     ensemble = Ensemble(LABELS, members, LrConfig(), BaggingConfig(n_estimators=n_members))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model, "_scores_with_scipy", lambda multiplications: False)
+        patch.setattr(model, "_scores_with_scipy", lambda: False)
         with_numpy = predict_proba_matrix(ensemble, X)
-        patch.setattr(model, "_scores_with_scipy", lambda multiplications: True)
+        patch.setattr(model, "_scores_with_scipy", lambda: True)
         with_scipy = predict_proba_matrix(ensemble, X)
     assert with_numpy.tobytes() == with_scipy.tobytes()
 
 
-def test_scipy_scores_a_large_batch_or_once_it_is_loaded(monkeypatch):
-    assert model._scores_with_scipy(0)  # this test process has loaded scipy
+@pytest.mark.parametrize("n_rows", [1, 625])
+def test_scipy_scores_only_once_loaded_at_any_batch_size(n_rows, monkeypatch):
+    # 625 full rows of 1,000 columns by 40 four-class members: 100 million
+    # multiplications.  A numpy product is only recorded, not computed.
+    n_columns = 1_000
+    X = csr.from_dense(np.ones((n_rows, n_columns)))
+    weights = np.ones((len(LABELS), n_columns))
+    members = [LinearModel(LABELS, weights, np.zeros(len(LABELS)), LrConfig())] * 40
+    products = []
+
+    def record(matrix, table):
+        products.append(table.shape)
+        return np.zeros((matrix.shape[0], table.shape[1]))
+
+    monkeypatch.setattr(model, "matmul", record)
+    # This test process has loaded scipy.
+    _, sigmoid = model._member_scores(members, X)
+    assert sigmoid is expit and products == []
     monkeypatch.delitem(sys.modules, "scipy.special")
-    assert not model._scores_with_scipy(model.NUMPY_SCORING_LIMIT)
-    assert model._scores_with_scipy(model.NUMPY_SCORING_LIMIT + 1)
+    _, sigmoid = model._member_scores(members, X)
+    assert sigmoid is model.expit and products == [(n_columns, 160)]
 
 
 def four_class_problem(seed=0, per_class=15, d=6):

@@ -67,7 +67,7 @@ def bagged_run(mini_corpus, tmp_path_factory):
     return run_experiment(config, tmp_path_factory.mktemp("bagged-run")).out_dir
 
 
-def predict_and_eval(bagged_run, mini_corpus, tmp_path, scoring_limit=None):
+def predict_and_eval(bagged_run, mini_corpus, tmp_path):
     """Run ``predict`` and ``eval`` of the bagged bundle on the test split in
     a fresh interpreter; returns the scipy and process pool modules loaded,
     after checking that both outputs equal the training run's."""
@@ -76,10 +76,8 @@ def predict_and_eval(bagged_run, mini_corpus, tmp_path, scoring_limit=None):
     code = textwrap.dedent(
         f"""
         import json, sys
-        from tweetsent import cli, model
+        from tweetsent import cli
 
-        if {scoring_limit!r} is not None:
-            model.NUMPY_SCORING_LIMIT = {scoring_limit!r}
         assert cli.main(["predict", "--model", {model!r}, "--input", {test!r}, "--output", {predictions!r}]) == 0
         assert cli.main(["eval", "--model", {model!r}, "--data", {test!r}, "--out", {report!r}]) == 0
         """
@@ -92,12 +90,6 @@ def predict_and_eval(bagged_run, mini_corpus, tmp_path, scoring_limit=None):
 
 def test_predict_and_eval_leave_out_scipy(bagged_run, mini_corpus, tmp_path):
     assert predict_and_eval(bagged_run, mini_corpus, tmp_path) == []
-
-
-def test_a_large_batch_loads_scipy_sparse_and_special_but_not_the_solver(bagged_run, mini_corpus, tmp_path):
-    loaded = predict_and_eval(bagged_run, mini_corpus, tmp_path, scoring_limit=0)
-    assert {"scipy.sparse", "scipy.special"} <= set(loaded)
-    assert "scipy.optimize" not in loaded
 
 
 def test_pooled_training_loads_the_solver_before_the_fork():
