@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +25,9 @@ logger = logging.getLogger(__name__)
 #: Id suffix markers for augmented instances: ``.cx<counter>`` and ``.bt-<pivot>``.
 CROSSOVER_MARKER = ".cx"
 TRANSLATION_MARKER = ".bt-"
+#: What follows the first parent's id in an augmented id: another parent
+#: (``a+b.cx3``) or a marker (``a.cx0``, ``a.bt-en``).
+_AFTER_PARENT = re.compile(rf"\+|{re.escape(CROSSOVER_MARKER)}|{re.escape(TRANSLATION_MARKER)}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ def crossover_augment(dataset: Dataset, config: CrossoverConfig) -> Dataset:
             )
             single = members[0]
             for _ in range(wanted):
-                out.append(Tweet(f"{single.id}{CROSSOVER_MARKER}{counter}", single.text, label, "crossover"))
+                out.append(Tweet(f"{single.id}{CROSSOVER_MARKER}{counter}", single.text, label))
                 counter += 1
             continue
         for _ in range(wanted):
@@ -94,7 +98,7 @@ def crossover_augment(dataset: Dataset, config: CrossoverConfig) -> Dataset:
             parent_a, parent_b = members[i], members[j]
             text = " ".join(crossover_pair(parent_a.text.split(), parent_b.text.split()))
             out.append(
-                Tweet(f"{parent_a.id}+{parent_b.id}{CROSSOVER_MARKER}{counter}", text, label, "crossover")
+                Tweet(f"{parent_a.id}+{parent_b.id}{CROSSOVER_MARKER}{counter}", text, label)
             )
             counter += 1
     return dataset.replace_tweets(out)
@@ -244,17 +248,22 @@ def translation_augment(dataset: Dataset, client: TranslatorClient, config: Tran
                 raise TranslationError(
                     f"translation failed for tweet {tweet.id!r} via pivot {pivot!r}: {exc}"
                 ) from exc
-            out.append(Tweet(f"{tweet.id}{TRANSLATION_MARKER}{pivot}", paraphrase, tweet.label, "translation"))
+            out.append(Tweet(f"{tweet.id}{TRANSLATION_MARKER}{pivot}", paraphrase, tweet.label))
     return dataset.replace_tweets(out)
 
 
-def assert_unaugmented(dataset: Dataset) -> None:
-    """Guard for evaluation splits: every tweet's origin is a source file.
+def assert_unaugmented(dataset: Dataset, train: Dataset) -> None:
+    """Guard for evaluation splits: no tweet is one that augmenting
+    ``train`` makes.
 
-    The id plays no part: a corpus may use any id, augmentation markers
-    included."""
+    An augmented id starts with its first parent's id, a training id, and
+    then ``+`` or a marker; ids survive a TSV round trip, so augmentation
+    output read back as a dev split is refused.  An id that only ends like
+    an augmented one (``dv0001.cx2``) is a corpus id like any other.
+    """
+    train_ids = {tweet.id for tweet in train.tweets}
     for tweet in dataset.tweets:
-        if tweet.origin != "source":
+        if any(tweet.id[: m.start()] in train_ids for m in _AFTER_PARENT.finditer(tweet.id)):
             raise AssertionError(
                 f"augmented instance {tweet.id!r} found in {dataset.split} split "
                 "(augmentation must stay within training data)"

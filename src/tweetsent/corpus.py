@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -41,17 +41,11 @@ SPLITS = ("train", "dev", "test")
 
 @dataclass(frozen=True)
 class Tweet:
-    """One instance: a stable id, the text, and an optional gold label.
-
-    ``origin`` is its provenance: ``"source"``, or the augmentation that made
-    it, ``"translation"`` or ``"crossover"``.  It is not part of equality and
-    is not written to TSV: a tweet read back is a source tweet.
-    """
+    """One instance: a stable id, the text, and an optional gold label."""
 
     id: str
     text: str
     label: Label | None = None
-    origin: str = field(default="source", compare=False)
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -162,5 +156,5 @@ def merge(datasets: Sequence[Dataset]) -> Dataset:
     tweets: list[Tweet] = []
     for ds in datasets:
         for tweet in ds.tweets:
-            tweets.append(Tweet(f"{ds.name}:{tweet.id}", tweet.text, tweet.label, tweet.origin))
+            tweets.append(Tweet(f"{ds.name}:{tweet.id}", tweet.text, tweet.label))
     return Dataset(name="+".join(names), split=datasets[0].split, tweets=tuple(tweets))

@@ -148,6 +148,9 @@ def matmul(matrix: CsrMatrix, table: np.ndarray) -> np.ndarray:
     One pass takes the rows longest first, so step ``k`` adds the ``k``-th
     product of every row that has one, for all rows at once.  Do not swap
     this for a dense or pairwise product: see the module docstring.
+
+    Its step buffer is as large as the result: a ``predict`` or ``eval``
+    block of at most 999 rows, or one column for ``vectorize._row_norms``.
     """
     n_rows, dim = matrix.shape
     if table.shape[0] != dim:

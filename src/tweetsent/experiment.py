@@ -355,7 +355,7 @@ def _preprocessed(dataset: Dataset, config: PreprocessConfig, semantic: bool = F
         tokens = basic_preprocess(tokenize(raw), config)
         return join_tokens(semantic_preprocess(tokens, config) if semantic else tokens)
 
-    return dataset.replace_tweets(Tweet(t.id, text(t.text), t.label, t.origin) for t in dataset.tweets)
+    return dataset.replace_tweets(Tweet(t.id, text(t.text), t.label) for t in dataset.tweets)
 
 
 def _check_config(runs: list[_Run]) -> None:
@@ -457,10 +457,10 @@ def _train(runs: list[_Run], counts: dict[str, int]):
 
 
 def _evaluate(run: _Run) -> None:
-    assert_unaugmented(run.dev)
+    assert_unaugmented(run.dev, run.train)
     run.result = RunResult(run.out_dir, *score(run.dev, predict_many(run.predictor, run.matrix("dev"))))
     if run.test is not None:
-        assert_unaugmented(run.test)
+        assert_unaugmented(run.test, run.train)
         if len(run.test):
             run.test_predictions = predict_many(run.predictor, run.matrix("test"))
             if run.test.is_labeled():

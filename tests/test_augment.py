@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -320,22 +321,28 @@ class TestTranslationConfig:
 
 
 class TestAssertUnaugmented:
-    def test_clean_dataset_passes(self):
-        assert_unaugmented(labeled_dataset())
+    def dev(self, *ids: str) -> Dataset:
+        return Dataset("toy", "dev", tuple(Tweet(i, "x", Label.P) for i in ids))
 
-    @pytest.mark.parametrize("origin", ["crossover", "translation"])
-    def test_augmented_origin_rejected(self, origin):
-        ds = Dataset("toy", "dev", (Tweet("a", "x", Label.P, origin),))
-        with pytest.raises(AssertionError, match="augmented instance 'a' found in dev split"):
-            assert_unaugmented(ds)
+    def test_clean_dataset_passes(self):
+        assert_unaugmented(self.dev("d1", "d2"), labeled_dataset())
 
     @pytest.mark.parametrize(
         "tweet_id",
-        ["a.cx0", "a+b.cx17", "a.bt-en+b.bt-fr.cx3", "a.bt-en", "a.bt-pt-BR", "a.cx2.bt-en", "user.cxv1", "a.cx"],
+        ["t1.cx0", "t1+t2.cx17", "t1.bt-en+t2.bt-fr.cx3", "t1.bt-en", "t2.bt-pt-BR", "t1.cx2.bt-en"],
     )
-    def test_source_ids_with_augmentation_markers_accepted(self, tweet_id):
-        # Provenance, not the id, marks an augmented tweet.
-        assert_unaugmented(Dataset("toy", "dev", (Tweet(tweet_id, "x", Label.P),)))
+    def test_ids_made_from_training_rows_rejected(self, tweet_id):
+        with pytest.raises(AssertionError, match=re.escape(f"augmented instance '{tweet_id}' found in dev split")):
+            assert_unaugmented(self.dev("d1", tweet_id), labeled_dataset())
+
+    @pytest.mark.parametrize(
+        "tweet_id",
+        ["dv0001.cx2", "a+t1.cx17", "a.bt-en", "t1", "t10.cx0", "t1cx0", "user.cxv1", "a.cx"],
+    )
+    def test_ids_not_made_from_training_rows_accepted(self, tweet_id):
+        # Only an id that starts with a training id and then ``+`` or a
+        # marker is one augmentation makes.
+        assert_unaugmented(self.dev(tweet_id), labeled_dataset())
 
     @pytest.mark.parametrize("method", ["crossover", "translation"])
     def test_augmentation_output_as_a_dev_split_rejected(self, method, tmp_path):
@@ -348,13 +355,10 @@ class TestAssertUnaugmented:
                 TranslationConfig(pivots=("en",), cache_path=str(tmp_path / "cache.jsonl")),
             )
         with pytest.raises(AssertionError):
-            assert_unaugmented(Dataset("toy", "dev", augmented.tweets))
-        originals, added = augmented.tweets[: len(labeled_dataset())], augmented.tweets[len(labeled_dataset()) :]
-        assert {tweet.origin for tweet in originals} == {"source"}
-        assert {tweet.origin for tweet in added} == {method}
-        for tweet in added:
+            assert_unaugmented(Dataset("toy", "dev", augmented.tweets), labeled_dataset())
+        for tweet in augmented.tweets[len(labeled_dataset()) :]:
             with pytest.raises(AssertionError):
-                assert_unaugmented(Dataset("toy", "dev", (tweet,)))
+                assert_unaugmented(Dataset("toy", "dev", (tweet,)), labeled_dataset())
 
 
 class TestCrossoverProperties:

@@ -47,12 +47,6 @@ class TestTweet:
     def test_label_optional(self):
         assert Tweet("t1", "hola").label is None
 
-    def test_origin_defaults_to_source_and_is_not_compared(self):
-        assert Tweet("t1", "hola").origin == "source"
-        crossed = Tweet("t1", "hola", Label.P, "crossover")
-        assert crossed == Tweet("t1", "hola", Label.P)
-        assert hash(crossed) == hash(Tweet("t1", "hola", Label.P))
-
 
 class TestDataset:
     def test_duplicate_ids_rejected(self):
@@ -134,10 +128,6 @@ class TestDistributionAndMerge:
         merged = merge([a, b])
         assert merged.name == "es+pe"
         assert [t.id for t in merged.tweets] == ["es:1", "pe:1"]
-
-    def test_merge_keeps_origins(self):
-        a = Dataset("es", "train", (Tweet("1", "x", Label.P), Tweet("1.bt-en", "x", Label.P, "translation")))
-        assert [t.origin for t in merge([a]).tweets] == ["source", "translation"]
 
     def test_merge_requires_same_split(self):
         a = Dataset("es", "train", (Tweet("1", "x", Label.P),))

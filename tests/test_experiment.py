@@ -856,7 +856,7 @@ class TestCli:
             assert json.load(handle)["seed"] == 9
 
     def test_a_dev_id_that_looks_augmented_is_still_evaluated(self, tmp_path):
-        # Provenance, not the id, marks an augmented tweet.
+        # Only ids made from training rows mark an augmented tweet.
         for name in ("plain", "renamed"):
             synthetic.generate(tmp_path / name, seed=7, train_size=40, dev_size=20, test_size=20)
         dev = tmp_path / "renamed" / "dev.tsv"
@@ -867,6 +867,19 @@ class TestCli:
         for report in ("report_dev.json", "report_dev.txt"):
             renamed = (tmp_path / "renamed" / "run" / report).read_bytes()
             assert renamed == (tmp_path / "plain" / "run" / report).read_bytes()
+
+    def test_augmented_training_rows_given_as_the_dev_split_exit_1(self, tmp_path, capsys):
+        synthetic.generate(tmp_path, seed=7, train_size=40, dev_size=20, test_size=20)
+        assert main(["train", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")]) == 0
+        config = json.loads((tmp_path / "config.json").read_text(encoding="utf-8"))
+        config["data"]["dev"] = str(tmp_path / "run" / "train_augmented.tsv")
+        config_path = tmp_path / "leaky.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["train", "--config", str(config_path), "--out", str(tmp_path / "leaky")]) == 1
+        err = capsys.readouterr().err
+        assert "error [evaluate]" in err
+        assert "found in dev split" in err
 
     def test_eval_writes_a_report(self, demo_run, mini_corpus, tmp_path, capsys):
         report_path = tmp_path / "report.json"
