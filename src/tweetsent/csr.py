@@ -4,8 +4,9 @@ A ``CsrMatrix`` is the three arrays of the CSR format and a shape.  Every
 operation here gives, bit for bit, what ``scipy.sparse`` gives for the same
 operation on a ``csr_matrix``: the data, indices and index pointer, their
 dtypes and the order of the entries in each row.  So featurizing and
-scoring need numpy alone; fitting loads scipy, which wraps the arrays
-without copying them (``model.solver``).
+scoring need numpy alone; a solve loads ``scipy.sparse`` for the
+objective's products, which wraps the arrays without copying them
+(``model._scipy_matrix``).
 
 Index arrays are ``int32`` while every column index and entry count fits in
 one, as scipy downcasts them; ``int64`` otherwise.

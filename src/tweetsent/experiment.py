@@ -60,7 +60,6 @@ from .model import (
     predict_many,
     save_model,
     solve_all,
-    solver,
     # A study trains through plans; bench/tracing.py still wraps these names.
     train_bagging,  # noqa: F401
     train_lr,  # noqa: F401
@@ -548,10 +547,6 @@ def _study(variants: list[tuple[ExperimentConfig, str | Path]], stages) -> list[
 
 def _run_all(variants: list[tuple[ExperimentConfig, str | Path]]) -> list[_Run]:
     """A study of ``variants`` through every stage."""
-    # Load the solver before the study allocates its data, as an import at
-    # start-up would.  Loaded at the first solve instead, a bench train run
-    # takes twice the minor page faults (about 92k against 46k).
-    solver()
     return _study(variants, STAGES)
 
 

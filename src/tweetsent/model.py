@@ -7,8 +7,9 @@ Each class gets an independent binary problem in the primal form
 with y_i = +1 for the class' own instances, per-sample weights s_i taken
 from the class-weight mode, and an unregularized bias.  The problem is
 convex, so any deterministic descent method reaching the gradient tolerance
-finds the same optimum; we run L-BFGS-B on an analytic objective/gradient
-pair and stop when the gradient infinity norm drops below ``tol``.
+finds the same optimum; we run L-BFGS (``optimize``) on an analytic
+objective/gradient pair and stop when the gradient infinity norm drops below
+``tol``.
 
 The binary subproblems (member rows, class) are independent.
 ``parallel.fork_imap`` solves them in worker processes forked from the caller,
@@ -16,15 +17,14 @@ one per available CPU, or in-process when there is one CPU, one problem or no
 ``fork``.  Each worker runs the same code on the same inputs as the
 in-process path, so the weights do not depend on the CPU count.
 
-``scipy.optimize`` (with the ``scipy.linalg`` it pulls in), ``scipy.sparse``
-and ``scipy.special`` load together on the first ``solver()`` call, as this
-module's attributes of those names.  A solve wraps a ``csr.CsrMatrix`` in a
-scipy ``csr_matrix`` without copying it.
+The objective's two products go through ``scipy.sparse``, which the first
+solve loads and which wraps a ``csr.CsrMatrix`` without copying it; the
+solver itself is numpy.
 
-Prediction scores with ``scipy.sparse`` and ``scipy.special`` once they are
-loaded, and with numpy alone before: ``csr.matmul`` and ``expit`` give
-scipy's values bit for bit, so ``eval`` and ``predict`` never import scipy.
-Features may be a ``CsrMatrix``, a scipy sparse matrix or a dense array.
+Prediction scores with numpy alone: ``csr.matmul`` and ``expit`` give what
+scipy's product and ``scipy.special.expit`` give, bit for bit, so ``eval`` and
+``predict`` never import scipy.  Features may be a ``CsrMatrix``, a scipy
+sparse matrix or a dense array.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
@@ -38,7 +38,6 @@ solutions.
 
 from __future__ import annotations
 
-import importlib
 import math
 import sys
 import warnings
@@ -50,9 +49,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import parallel
+from . import optimize, parallel
 from .corpus import LABELS, Label
 from .csr import CsrMatrix, as_csr, matmul
+from .optimize import dot
 from .schema import Manifest, dump, load_section
 
 CLASS_WEIGHT_MODES = ("none", "balanced")
@@ -163,7 +163,6 @@ def binary_objective(
     depend on ``theta`` is computed once, in the order the per-call
     expressions would compute it.
     """
-    special = _scipy("special")
     features = _scipy_matrix(features)
     transposed = features.T
     scale = -C * sample_weight * signs
@@ -172,8 +171,8 @@ def binary_objective(
         w, b = theta[:-1], theta[-1]
         margins = features @ w + b
         t = signs * margins
-        value = 0.5 * float(w @ w) + C * float(sample_weight @ np.logaddexp(0.0, -t))
-        coeff = scale * special.expit(-t)
+        value = 0.5 * dot(w, w) + C * dot(sample_weight, np.logaddexp(0.0, -t))
+        coeff = scale * _expit(-t)
         grad_w = w + transposed @ coeff
         grad = np.empty(theta.shape)
         grad[:-1] = grad_w
@@ -181,6 +180,14 @@ def binary_objective(
         return value, grad
 
     return value_and_grad
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-x))`` elementwise, from ``exp(-|x|)``, which cannot
+    overflow.  Solves use it; scoring uses ``expit``, slower but equal to
+    scipy's bit for bit."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class _Problem(NamedTuple):
@@ -195,38 +202,18 @@ class _Problem(NamedTuple):
     config: LrConfig
 
 
-def __getattr__(name: str):
-    """Load ``scipy.optimize``, ``scipy.sparse`` or ``scipy.special`` as the
-    module attribute of that name on first use."""
-    if name not in ("optimize", "sparse", "special"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module = importlib.import_module(f"scipy.{name}")
-    globals()[name] = module
-    return module
+def _sparse():
+    """``scipy.sparse``, loaded by the first call: only solves use it."""
+    from scipy import sparse
 
-
-def _scipy(name: str):
-    """The module attribute ``name``, one of the scipy modules, loaded by the first call."""
-    return globals().get(name) or __getattr__(name)
-
-
-def solver():
-    """The module attribute ``optimize``, loaded by the first call together
-    with the ``sparse`` and ``special`` that solves use.
-
-    Solves look it up here at call time, so a wrapper set on it sees every
-    in-process solve.
-    """
-    _scipy("sparse")
-    _scipy("special")
-    return _scipy("optimize")
+    return sparse
 
 
 def _scipy_matrix(features):
     """``features`` as the solver takes them: a ``CsrMatrix`` becomes a scipy
     ``csr_matrix`` of the same arrays, not copied."""
     if isinstance(features, CsrMatrix):
-        return _scipy("sparse").csr_matrix((features.data, features.indices, features.indptr), shape=features.shape)
+        return _sparse().csr_matrix((features.data, features.indices, features.indptr), shape=features.shape)
     return features
 
 
@@ -237,17 +224,12 @@ def _solve(problem: _Problem) -> tuple[np.ndarray, SolverStats]:
     if problem.columns is not None:
         X = X[:, problem.columns]
     config = problem.config
-    result = solver().minimize(
+    result = optimize.minimize(
         binary_objective(X, problem.signs, problem.sample_weight, config.C),
-        x0=np.zeros(X.shape[1] + 1),
-        jac=True,
-        method="L-BFGS-B",
-        options={
-            "maxiter": config.max_iter,
-            "maxfun": max(15000, 20 * config.max_iter),
-            "ftol": 0.0,
-            "gtol": config.tol,
-        },
+        np.zeros(X.shape[1] + 1),
+        gtol=config.tol,
+        maxiter=config.max_iter,
+        maxfun=max(15000, 20 * config.max_iter),
     )
     stats = SolverStats(
         bool(result.success), int(result.nit), int(result.nfev), float(np.max(np.abs(result.jac))), str(result.message)
@@ -258,9 +240,9 @@ def _solve(problem: _Problem) -> tuple[np.ndarray, SolverStats]:
 def solve_all(problems: Sequence[_Problem]) -> Iterator[tuple[np.ndarray, SolverStats]]:
     """The solution of every problem, in order, from ``parallel.fork_imap``.
 
-    The solver loads here, before the fork, so that no worker imports it.
+    ``scipy.sparse`` loads here, before the fork, so that no worker imports it.
     """
-    solver()
+    _sparse()
     return parallel.fork_imap(_solve, problems)
 
 
@@ -421,12 +403,10 @@ def expit(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + exps.reshape(negated.shape))
 
 
-def _member_proba_matrix(
-    member: LinearModel, scores: np.ndarray, classes: tuple[Label, ...], sigmoid: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
+def _member_proba_matrix(member: LinearModel, scores: np.ndarray, classes: tuple[Label, ...]) -> np.ndarray:
     """Normalized sigmoids of the member's raw scores (without its biases);
     all-zero scores land on the uniform distribution."""
-    raw = sigmoid(scores + member.biases)
+    raw = expit(scores + member.biases)
     totals = raw.sum(axis=1, keepdims=True)
     uniform = totals[:, 0] == 0.0
     totals[uniform] = 1.0
@@ -439,28 +419,16 @@ def _member_proba_matrix(
     return aligned
 
 
-def _scores_with_scipy() -> bool:
-    """Whether scoring uses scipy: once ``scipy.sparse`` and
-    ``scipy.special`` are loaded, as after training.  Scipy scores member by
-    member where numpy holds every member's weights side by side, so a
-    process that has paid for scipy also scores in less memory."""
-    return all(name in sys.modules for name in ("scipy.sparse", "scipy.special"))
-
-
-def _member_scores(members: Sequence[LinearModel], X: CsrMatrix) -> tuple[list[np.ndarray], Callable]:
-    """Each member's raw scores of ``X`` (without its biases), and the
-    sigmoid to apply to them: scipy's product and ``expit``, or
-    ``csr.matmul`` and this module's ``expit``, equal bit for bit."""
-    if _scores_with_scipy():
-        features = _scipy_matrix(X)
-        return [np.asarray(features @ member.weights.T) for member in members], _scipy("special").expit
+def _member_scores(members: Sequence[LinearModel], X: CsrMatrix) -> list[np.ndarray]:
+    """Each member's raw scores of ``X`` (without its biases), from one
+    ``csr.matmul`` over every member's weights."""
     widths = [len(member.classes) for member in members]
     # The members' weights side by side, laid out for matmul's row gathers.
     table = np.empty((X.shape[1], sum(widths)))
     np.concatenate([member.weights.T for member in members], axis=1, out=table)
     scores = matmul(X, table)
     bounds = np.cumsum([0] + widths).tolist()
-    return [scores[:, start:end] for start, end in zip(bounds, bounds[1:])], expit
+    return [scores[:, start:end] for start, end in zip(bounds, bounds[1:])]
 
 
 def predict_proba_matrix(predictor: Ensemble, X: np.ndarray | CsrMatrix) -> np.ndarray:
@@ -473,9 +441,9 @@ def predict_proba_matrix(predictor: Ensemble, X: np.ndarray | CsrMatrix) -> np.n
     dim = predictor.members[0].weights.shape[1]
     if X.shape[1] != dim:
         raise ValueError(f"a matrix of {X.shape[1]} columns cannot be scored by weights of {dim} columns")
-    scores, sigmoid = _member_scores(predictor.members, X)
+    scores = _member_scores(predictor.members, X)
     total = sum(
-        _member_proba_matrix(member, member_scores, predictor.classes, sigmoid)
+        _member_proba_matrix(member, member_scores, predictor.classes)
         for member, member_scores in zip(predictor.members, scores)
     )
     return total / len(predictor.members)

@@ -92,8 +92,9 @@ def test_predict_and_eval_leave_out_scipy(bagged_run, mini_corpus, tmp_path):
     assert predict_and_eval(bagged_run, mini_corpus, tmp_path) == []
 
 
-def test_pooled_training_loads_the_solver_before_the_fork():
-    # Each worker reports which solver modules were loaded when its solve began.
+def test_pooled_training_loads_scipy_sparse_before_the_fork_and_never_scipy_optimize():
+    # Each worker reports which scipy modules were loaded when its solve
+    # began, and the parent which were loaded once training ended.
     code = textwrap.dedent(
         """
         import os, sys
@@ -101,6 +102,7 @@ def test_pooled_training_loads_the_solver_before_the_fork():
         from tweetsent import model, parallel
         from tweetsent.corpus import Label
 
+        SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.special")
         assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
         parallel.cpu_count = lambda: 2
         parent = os.getpid()
@@ -108,17 +110,32 @@ def test_pooled_training_loads_the_solver_before_the_fork():
 
         def probe(*args):
             if os.getpid() != parent:
-                loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.special") if m in sys.modules]
-                os.write(1, (",".join(loaded) + "\\n").encode())
+                loaded = [m for m in SCIPY if m in sys.modules]
+                os.write(1, ("worker:" + ",".join(loaded) + "\\n").encode())
             return objective(*args)
 
         model.binary_objective = probe
         X = np.random.default_rng(0).normal(size=(40, 3))
         labels = [Label.P if x > 0 else Label.N for x in X[:, 0]]
         model.train_lr(X, labels, model.LrConfig())
+        print("parent:" + ",".join(m for m in SCIPY if m in sys.modules))
         """
     )
-    assert run_fresh(code).split() == ["scipy.optimize,scipy.sparse,scipy.special"] * 2
+    assert run_fresh(code).split() == ["worker:scipy.sparse"] * 2 + ["parent:scipy.sparse"]
+
+
+def test_training_commands_leave_out_scipy_optimize_and_special(tmp_path):
+    synthetic.generate(tmp_path, seed=7, train_size=40, dev_size=20, test_size=20)
+    config = str(tmp_path / "config.json")
+    commands = [
+        ["train", "--config", config, "--out", str(tmp_path / "train")],
+        ["ablate", "--config", config, "--out", str(tmp_path / "ablate")],
+        ["grid", "--config", config, "--out", str(tmp_path / "grid"), "--grid", '{"C": [0.5, 2.0]}'],
+    ]
+    code = f"import json, sys\nfrom tweetsent import cli\nassert all(cli.main(c) == 0 for c in {commands!r})\n"
+    loaded = json.loads(run_fresh(code + LOADED).splitlines()[-1])
+    assert "scipy.sparse" in loaded
+    assert not {"scipy.optimize", "scipy.special"} & set(loaded)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
