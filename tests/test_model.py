@@ -274,9 +274,16 @@ class TestTrainLr:
             assert end < start
 
 
-def row_proba(predictor, x):
-    """Class distribution of one feature row, as a one-row batch."""
-    return predict_proba_matrix(predictor, np.atleast_2d(x))[0]
+def row_proba(predictor, x, form=np.asarray):
+    """Class distribution of one feature row, as a one-row batch in ``form``."""
+    return predict_proba_matrix(predictor, form(np.atleast_2d(x)))[0]
+
+
+@pytest.fixture(params=["dense", "CsrMatrix", "scipy"])
+def form(request):
+    """A dense batch in one of the forms scoring takes: the array itself, a
+    ``CsrMatrix``, or a scipy CSR matrix whose arrays scoring shares."""
+    return {"dense": np.asarray, "CsrMatrix": csr.from_dense, "scipy": sparse.csr_matrix}[request.param]
 
 
 class TestPredict:
@@ -289,47 +296,45 @@ class TestPredict:
             converged=True,
         )
 
-    def test_probabilities_normalized(self):
+    def test_probabilities_normalized(self, form):
         model = self.make_model([[1.0, 0.0], [0.0, 1.0]], [0.1, -0.2])
-        proba = row_proba(Ensemble.of(model), np.array([0.5, 1.5]))
+        proba = row_proba(Ensemble.of(model), np.array([0.5, 1.5]), form)
         assert proba.sum() == pytest.approx(1.0, abs=1e-12)
         assert (proba > 0).all()
 
-    def test_all_zero_scores_fall_back_to_uniform(self):
+    def test_all_zero_scores_fall_back_to_uniform(self, form):
         model = self.make_model([[0.0, 0.0], [0.0, 0.0]], [-1000.0, -1000.0])
-        proba = row_proba(Ensemble.of(model), np.array([0.0, 0.0]))
+        proba = row_proba(Ensemble.of(model), np.array([0.0, 0.0]), form)
         assert np.allclose(proba, [0.5, 0.5])
 
-    def test_tie_breaks_in_canonical_order(self):
+    def test_tie_breaks_in_canonical_order(self, form):
         model = self.make_model(
             [[0.0], [0.0], [0.0]],
             [0.0, 0.0, 0.0],
             classes=(Label.P, Label.NEU, Label.NONE),
         )
         assert predict(model, np.array([1.0])) is Label.P
-        assert predict_many(Ensemble.of(model), np.array([[1.0]])) == [Label.P]
+        assert predict_many(Ensemble.of(model), form(np.array([[1.0]]))) == [Label.P]
 
-    def test_predict_matches_argmax(self):
+    def test_predict_matches_argmax(self, form):
         X, labels = two_class_problem(seed=12)
         model = train_lr(X, labels, LrConfig())
         for x in X[:10]:
-            proba = row_proba(Ensemble.of(model), x)
+            proba = row_proba(Ensemble.of(model), x, form)
             assert predict(model, x) is model.classes[int(np.argmax(proba))]
 
-    def test_predict_many(self):
+    def test_predict_many(self, form):
         X, labels = two_class_problem(seed=13)
         model = train_lr(X, labels, LrConfig())
-        many = predict_many(Ensemble.of(model), X)
+        many = predict_many(Ensemble.of(model), form(X))
         assert many == [predict(model, x) for x in X]
 
     @pytest.mark.parametrize("extra_columns", [-1, 1])
-    @pytest.mark.parametrize("as_csr", [False, True])
-    def test_a_matrix_of_another_width_is_rejected(self, extra_columns, as_csr):
+    def test_a_matrix_of_another_width_is_rejected(self, extra_columns, form):
         # A gather by column would index past a narrower weight matrix, or
         # quietly score a narrower feature matrix on its first columns.
         model = self.make_model([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]], [0.1, -0.2])
-        X = np.ones((2, 3 + extra_columns))
-        X = csr.from_dense(X) if as_csr else X
+        X = form(np.ones((2, 3 + extra_columns)))
         with pytest.raises(ValueError):
             predict_many(Ensemble.of(model), X)
         with pytest.raises(ValueError):
