@@ -17,14 +17,15 @@ one per available CPU, or in-process when there is one CPU, one problem or no
 ``fork``.  Each worker runs the same code on the same inputs as the
 in-process path, so the weights do not depend on the CPU count.
 
-The objective's two products go through ``scipy.sparse``, which the first
-solve loads and which wraps a ``csr.CsrMatrix`` without copying it; the
-solver itself is numpy.
+Training solves on a ``csr.CsrMatrix``: features may be a ``CsrMatrix``, a
+scipy sparse matrix or a dense array, and ``plan`` takes them as a
+``CsrMatrix`` of float64 data.  The objective's two products are
+``csr.matvec`` and ``csr.rmatvec``, scipy's compiled kernels without the
+``scipy.sparse`` package; the solver itself is numpy.
 
 Prediction scores with numpy alone: ``csr.matmul`` and ``expit`` give what
 scipy's product and ``scipy.special.expit`` give, bit for bit, so ``eval`` and
-``predict`` never import scipy.  Features may be a ``CsrMatrix``, a scipy
-sparse matrix or a dense array.
+``predict`` load nothing from scipy.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
@@ -43,7 +44,7 @@ import sys
 import warnings
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,7 +52,7 @@ import numpy as np
 
 from . import optimize, parallel
 from .corpus import LABELS, Label
-from .csr import CsrMatrix, as_csr, matmul
+from .csr import CsrMatrix, as_csr, load_kernels, matmul, matvec, rmatvec, take_columns, take_rows
 from .optimize import dot
 from .schema import Manifest, dump, load_section
 
@@ -163,17 +164,16 @@ def binary_objective(
     depend on ``theta`` is computed once, in the order the per-call
     expressions would compute it.
     """
-    features = _scipy_matrix(features)
-    transposed = features.T
+    features = as_csr(features)
     scale = -C * sample_weight * signs
 
     def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
         w, b = theta[:-1], theta[-1]
-        margins = features @ w + b
+        margins = matvec(features, w) + b
         t = signs * margins
         value = 0.5 * dot(w, w) + C * dot(sample_weight, np.logaddexp(0.0, -t))
         coeff = scale * _expit(-t)
-        grad_w = w + transposed @ coeff
+        grad_w = w + rmatvec(features, coeff)
         grad = np.empty(theta.shape)
         grad[:-1] = grad_w
         grad[-1] = coeff.sum()
@@ -194,7 +194,7 @@ class _Problem(NamedTuple):
     """One binary subproblem: a member's rows of a matrix, cut to some of its
     columns, against one class."""
 
-    features: np.ndarray | CsrMatrix
+    features: CsrMatrix
     rows: np.ndarray | None  # the member's bootstrap rows; None is every row
     columns: np.ndarray | None  # the columns the problem sees; None is every column
     signs: np.ndarray
@@ -202,27 +202,11 @@ class _Problem(NamedTuple):
     config: LrConfig
 
 
-def _sparse():
-    """``scipy.sparse``, loaded by the first call: only solves use it."""
-    from scipy import sparse
-
-    return sparse
-
-
-def _scipy_matrix(features):
-    """``features`` as the solver takes them: a ``CsrMatrix`` becomes a scipy
-    ``csr_matrix`` of the same arrays, not copied."""
-    if isinstance(features, CsrMatrix):
-        return _sparse().csr_matrix((features.data, features.indices, features.indptr), shape=features.shape)
-    return features
-
-
 def _solve(problem: _Problem) -> tuple[np.ndarray, SolverStats]:
     """The final iterate of ``problem`` and its stats."""
-    features = _scipy_matrix(problem.features)
-    X = features if problem.rows is None else features[problem.rows]
+    X = problem.features if problem.rows is None else take_rows(problem.features, problem.rows)
     if problem.columns is not None:
-        X = X[:, problem.columns]
+        X = take_columns(X, problem.columns)
     config = problem.config
     result = optimize.minimize(
         binary_objective(X, problem.signs, problem.sample_weight, config.C),
@@ -240,9 +224,10 @@ def _solve(problem: _Problem) -> tuple[np.ndarray, SolverStats]:
 def solve_all(problems: Sequence[_Problem]) -> Iterator[tuple[np.ndarray, SolverStats]]:
     """The solution of every problem, in order, from ``parallel.fork_imap``.
 
-    ``scipy.sparse`` loads here, before the fork, so that no worker imports it.
+    The products' kernels load here, before the fork, so that no worker
+    loads them.
     """
-    _sparse()
+    load_kernels()
     return parallel.fork_imap(_solve, problems)
 
 
@@ -311,10 +296,12 @@ def plan(
         raise ValueError("sample_weight cannot be combined with bagging")
     labels = list(labels)
     n = len(labels)
+    features = as_csr(features)
+    if features.data.dtype != np.float64:
+        features = replace(features, data=features.data.astype(np.float64))
     if features.shape[0] != n:
         raise ValueError(f"feature matrix has {features.shape[0]} rows for {n} labels")
-    data = features if isinstance(features, np.ndarray) else features.data
-    if not np.isfinite(data).all():
+    if not np.isfinite(features.data).all():
         raise ValueError("feature matrix contains non-finite values")
     classes = tuple(label for label in LABELS if label in set(labels))
     if len(classes) < 2:

@@ -4,10 +4,11 @@
 The workers inherit the function and its items through the fork, so only item
 indices and results are pickled: a closure over a fitted pipeline or a
 feature matrix costs nothing to hand over.  Fork, not spawn: a spawned worker
-would re-import numpy and ``scipy.sparse`` and be sent its inputs by pickle,
-and forking is safe because the program starts no threads (importing
-``tweetsent`` pins BLAS to one, and the solver's inner products do not use
-BLAS).  ``multiprocessing`` loads on the first pooled call only.
+would re-import numpy, load the solver's kernels again (``csr.load_kernels``,
+which ``model.solve_all`` calls before the fork) and be sent its inputs by
+pickle, and forking is safe because the program starts no threads
+(importing ``tweetsent`` pins BLAS to one, and the solver's inner products
+do not use BLAS).  ``multiprocessing`` loads on the first pooled call only.
 """
 
 from __future__ import annotations

@@ -1,15 +1,18 @@
 import json
+import sys
 
 import pytest
-from scipy import sparse
 
-from tweetsent import synthetic
+# numpy reads the BLAS thread variables when it loads, and importing tweetsent
+# sets them: so tweetsent loads first, as in the CLI (test_package checks).
+NUMPY_BEFORE_TWEETSENT = "numpy" in sys.modules
+
+from tweetsent import csr, synthetic
 from tweetsent.corpus import Dataset, Label, Tweet
 from tweetsent.model import Ensemble, LrConfig, save_model, train_lr
 from tweetsent.pipeline import FeatureBlocks, FeaturePipeline, save_pipeline
 from tweetsent.preprocess import PreprocessConfig
 from tweetsent.vectorize import NgramConfig
-
 
 @pytest.fixture(scope="session")
 def mini_corpus(tmp_path_factory):
@@ -67,5 +70,23 @@ def assert_same_csr(a, b):
 
 
 def scipy_csr(matrix):
-    """A ``csr.CsrMatrix`` as a scipy ``csr_matrix`` of the same arrays."""
+    """A ``csr.CsrMatrix`` as a scipy ``csr_matrix`` of the same arrays, or a
+    dense array as the ``csr_matrix`` of its nonzero entries.
+
+    ``scipy.sparse`` loads on the first call, not when the tests are
+    collected, so that the first solve in this process loads the kernels by
+    file, as a CLI process does.
+    """
+    from scipy import sparse
+
+    matrix = csr.as_csr(matrix)
     return sparse.csr_matrix((matrix.data, matrix.indices, matrix.indptr), shape=matrix.shape)
+
+
+#: Whether collecting the tests loaded the ``scipy.sparse`` package (test_package checks).
+SCIPY_AFTER_COLLECTION = None
+
+
+def pytest_collection_finish(session):
+    global SCIPY_AFTER_COLLECTION
+    SCIPY_AFTER_COLLECTION = "scipy.sparse" in sys.modules

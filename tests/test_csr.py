@@ -1,4 +1,9 @@
-"""The numpy CSR helpers against scipy.sparse and scipy.special, bit for bit."""
+"""The numpy CSR helpers and the solver's kernels against scipy.sparse and
+scipy.special, bit for bit.
+
+``scipy.sparse`` loads inside the tests, not at collection (see
+``conftest.scipy_csr``).
+"""
 
 import math
 
@@ -6,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse, special
+from scipy import special
 
-from conftest import assert_same_csr
+from conftest import assert_same_csr, scipy_csr
 from tweetsent import csr, model
 
 # Magnitudes far apart, so that summing in another order changes the bits.
@@ -30,9 +35,10 @@ def dense_arrays(draw, n_rows=None, n_columns=None):
 
 
 @st.composite
-def scipy_matrices(draw, n_rows=None, n_columns=None):
-    """A scipy CSR matrix whose rows may hold their entries in any order."""
-    matrix = sparse.csr_matrix(draw(dense_arrays(n_rows, n_columns)))
+def matrices(draw, n_rows=None, n_columns=None):
+    """A CSR matrix, many of its rows empty, whose rows may hold their
+    entries in any order."""
+    matrix = csr.from_dense(draw(dense_arrays(n_rows, n_columns)))
     if draw(st.booleans()):
         for start, end in zip(matrix.indptr[:-1], matrix.indptr[1:]):
             order = draw(st.permutations(range(end - start)))
@@ -41,22 +47,24 @@ def scipy_matrices(draw, n_rows=None, n_columns=None):
     return matrix
 
 
-def ours(matrix):
-    return csr.CsrMatrix(matrix.data, matrix.indices, matrix.indptr, matrix.shape)
-
-
 class TestAgainstScipy:
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(0, 5), st.integers(1, 4))
     def test_hstack(self, data, n_rows, n_blocks):
-        blocks = [data.draw(scipy_matrices(n_rows=n_rows)) for _ in range(n_blocks)]
-        assert_same_csr(csr.hstack([ours(block) for block in blocks]), sparse.hstack(blocks, format="csr"))
+        from scipy import sparse
+
+        blocks = [data.draw(matrices(n_rows=n_rows)) for _ in range(n_blocks)]
+        expected = sparse.hstack([scipy_csr(block) for block in blocks], format="csr")
+        assert_same_csr(csr.hstack(blocks), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data(), st.integers(0, 5), st.integers(1, 4))
     def test_vstack(self, data, n_columns, n_parts):
-        parts = [data.draw(scipy_matrices(n_columns=n_columns)) for _ in range(n_parts)]
-        assert_same_csr(csr.vstack([ours(part) for part in parts]), sparse.vstack(parts, format="csr"))
+        from scipy import sparse
+
+        parts = [data.draw(matrices(n_columns=n_columns)) for _ in range(n_parts)]
+        expected = sparse.vstack([scipy_csr(part) for part in parts], format="csr")
+        assert_same_csr(csr.vstack(parts), expected)
 
     @settings(max_examples=150, deadline=None)
     @given(dense_arrays())
@@ -64,22 +72,24 @@ class TestAgainstScipy:
     @example(np.zeros((2, 0)))
     @example(np.array([[np.nan, 0.0, np.inf], [-0.0, -np.inf, 1.0]]))
     def test_from_dense(self, dense):
+        from scipy import sparse
+
         assert_same_csr(csr.from_dense(dense), sparse.csr_matrix(dense))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), scipy_matrices())
+    @given(st.data(), matrices())
     def test_take_columns(self, data, matrix):
         columns = data.draw(st.lists(st.integers(0, matrix.shape[1] - 1), unique=True) if matrix.shape[1] else st.just([]))
         columns = np.array(columns, dtype=np.int64)
-        assert_same_csr(csr.take_columns(ours(matrix), columns), matrix[:, columns])
+        assert_same_csr(csr.take_columns(matrix, columns), scipy_csr(matrix)[:, columns])
 
     @settings(max_examples=150, deadline=None)
-    @given(scipy_matrices())
-    @example(sparse.csr_matrix((0, 3)))
-    @example(sparse.csr_matrix((2, 0)))
-    @example(sparse.csr_matrix((0, 0)))
+    @given(matrices())
+    @example(csr.from_dense(np.zeros((0, 3))))
+    @example(csr.from_dense(np.zeros((2, 0))))
+    @example(csr.from_dense(np.zeros((0, 0))))
     def test_to_dense(self, matrix):
-        dense, expected = ours(matrix).to_dense(), matrix.toarray()
+        dense, expected = matrix.to_dense(), scipy_csr(matrix).toarray()
         assert dense.shape == expected.shape and dense.dtype == expected.dtype
         assert dense.tobytes() == expected.tobytes()
 
@@ -88,16 +98,16 @@ class TestAgainstScipy:
             csr.take_columns(csr.from_dense(np.eye(3)), np.array([1, 1]))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data(), scipy_matrices(), st.integers(0, 5))
-    @example(None, sparse.csr_matrix((0, 3)), 2)
-    @example(None, sparse.csr_matrix((3, 0)), 2)
+    @given(st.data(), matrices(), st.integers(0, 5))
+    @example(None, csr.from_dense(np.zeros((0, 3))), 2)
+    @example(None, csr.from_dense(np.zeros((3, 0))), 2)
     def test_matmul(self, data, matrix, n_weights):
         if data is not None:
             weights = data.draw(dense_arrays(n_weights, matrix.shape[1]))
         else:
             weights = np.ones((n_weights, matrix.shape[1]))
-        scores = csr.matmul(ours(matrix), weights.T)
-        expected = matrix @ weights.T
+        scores = csr.matmul(matrix, weights.T)
+        expected = scipy_csr(matrix) @ weights.T
         assert scores.shape == expected.shape
         assert np.array_equal(scores, expected)
         assert np.array_equal(np.signbit(scores), np.signbit(expected))
@@ -111,11 +121,11 @@ class TestAgainstScipy:
             data.draw(st.lists(values, min_size=n_rows * n_columns, max_size=n_rows * n_columns))
         ).reshape(n_rows, n_columns)
         dense[dense == 0.0] = 1.0
-        matrix = sparse.csr_matrix(dense)
+        matrix = csr.from_dense(dense)
         weights = np.array(
             data.draw(st.lists(values, min_size=n_weights * n_columns, max_size=n_weights * n_columns))
         ).reshape(n_weights, n_columns)
-        assert np.array_equal(csr.matmul(ours(matrix), weights.T), matrix @ weights.T)
+        assert np.array_equal(csr.matmul(matrix, weights.T), scipy_csr(matrix) @ weights.T)
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1_000, 1_500), st.integers(33, 160))
@@ -129,13 +139,116 @@ class TestAgainstScipy:
         indptr = np.concatenate([[0], np.cumsum(lengths)])
         indices = np.concatenate([np.sort(rng.choice(n_columns, k, replace=False)) for k in lengths])
         data = rng.uniform(-1.0, 1.0, indptr[-1]) * 10.0 ** rng.integers(-30, 31, indptr[-1])
-        matrix = sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n_columns))
+        matrix = csr.csr_matrix(data, indices, indptr, (n_rows, n_columns))
         weights = rng.uniform(-1.0, 1.0, (n_weights, n_columns)) * 10.0 ** rng.integers(-30, 31, (n_weights, n_columns))
-        assert csr.matmul(ours(matrix), weights.T).tobytes() == (matrix @ weights.T).tobytes()
+        assert csr.matmul(matrix, weights.T).tobytes() == (scipy_csr(matrix) @ weights.T).tobytes()
 
     def test_matmul_rejects_a_size_mismatch(self):
         with pytest.raises(ValueError):
             csr.matmul(csr.from_dense(np.ones((2, 3))), np.ones((2, 4)))
+
+
+
+def with_index_dtype(matrix, dtype):
+    """``matrix`` with its index arrays cast to ``dtype``."""
+    return csr.CsrMatrix(matrix.data, matrix.indices.astype(dtype), matrix.indptr.astype(dtype), matrix.shape)
+
+
+def vectors(length):
+    return st.lists(st.one_of(st.just(-0.0), values), min_size=length, max_size=length).map(np.array)
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernels:
+    """``matvec``, ``rmatvec`` and ``take_rows``: what a solve does with a
+    member's matrix, against scipy's ``X @ w``, ``X.T @ c`` and ``X[rows]``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), matrices(), st.sampled_from([np.int32, np.int64]))
+    @example(None, csr.from_dense(np.zeros((0, 3))), np.int64)
+    @example(None, csr.from_dense(np.zeros((3, 0))), np.int64)
+    @example(None, csr.from_dense(np.zeros((0, 0))), np.int32)
+    @example(None, csr.from_dense(np.zeros((4, 3))), np.int32)
+    @example(None, csr.from_dense(np.arange(12.0).reshape(3, 4)), np.int64)
+    def test_equal_scipy(self, data, matrix, index_dtype):
+        n_rows, n_columns = matrix.shape
+        matrix = with_index_dtype(matrix, index_dtype)
+        if data is None:  # repeated, unsorted rows
+            w, c, rows = np.ones(n_columns), np.full(n_rows, -0.5), [2, 0, 2, 1, 1] if n_rows == 3 else []
+        else:
+            w, c = data.draw(vectors(n_columns)), data.draw(vectors(n_rows))
+            rows = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=12)) if n_rows else []
+        rows = np.array(rows, dtype=np.int64)
+        X = scipy_csr(matrix)
+        assert_same_array(csr.matvec(matrix, w), X @ w)
+        assert_same_array(csr.rmatvec(matrix, c), X.T @ c)
+        assert_same_csr(csr.take_rows(matrix, rows), X[rows])
+
+
+def small_matrix(**arrays):
+    """A 2 x 3 matrix with entries at (0, 0), (0, 2) and (1, 1), but for ``arrays``."""
+    data, indices, indptr = np.array([1.0, 2.0, 3.0]), np.array([0, 2, 1], dtype=np.int32), np.array([0, 2, 3], dtype=np.int32)
+    return csr.CsrMatrix(**{"data": data, "indices": indices, "indptr": indptr, **arrays}, shape=(2, 3))
+
+
+@pytest.mark.parametrize("product", [csr.matvec, csr.rmatvec])
+class TestKernelsRefuse:
+    """A C kernel does not check its bounds: every product checks its
+    inputs first, and raises ``ValueError`` where the kernel could read or
+    write past an array."""
+
+    @staticmethod
+    def vector(product, **kwargs):
+        return np.ones(3 if product is csr.matvec else 2, **kwargs)
+
+    def test_a_good_matrix_passes(self, product):
+        product(small_matrix(), self.vector(product))
+
+    def test_indices_and_indptr_of_two_dtypes(self, product):
+        with pytest.raises(ValueError, match="one dtype"):
+            product(small_matrix(indptr=np.array([0, 2, 3], dtype=np.int64)), self.vector(product))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_data_that_is_not_float64(self, product, dtype):
+        with pytest.raises(ValueError, match="float64 data"):
+            product(small_matrix(data=np.array([1, 2, 3], dtype=dtype)), self.vector(product))
+
+    def test_data_that_is_not_contiguous(self, product):
+        with pytest.raises(ValueError, match="contiguous"):
+            product(small_matrix(data=np.array([1.0, 0.0, 2.0, 0.0, 3.0, 0.0])[::2]), self.vector(product))
+
+    def test_a_vector_that_is_not_float64(self, product):
+        with pytest.raises(ValueError, match="float64 vector"):
+            product(small_matrix(), self.vector(product, dtype=np.float32))
+
+    def test_a_vector_that_is_not_contiguous(self, product):
+        with pytest.raises(ValueError, match="contiguous"):
+            product(small_matrix(), np.repeat(self.vector(product), 2)[::2])
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_vector_of_the_wrong_length(self, product, change):
+        vector = self.vector(product)
+        with pytest.raises(ValueError, match="cannot multiply"):
+            product(small_matrix(), np.ones(len(vector) + change))
+
+    @pytest.mark.parametrize("index", [3, 1000, -1])
+    def test_a_column_index_outside_the_columns(self, product, index):
+        with pytest.raises(ValueError, match="column index"):
+            product(small_matrix(indices=np.array([0, index, 1], dtype=np.int32)), self.vector(product))
+
+    @pytest.mark.parametrize("indptr", [[0, 2, 4], [0, 3, 2], [1, 2, 3], [0, 3]])
+    def test_an_indptr_outside_the_entries(self, product, indptr):
+        with pytest.raises(ValueError, match="indptr"):
+            product(small_matrix(indptr=np.array(indptr, dtype=np.int32)), self.vector(product))
+
+
+def test_the_objective_refuses_before_its_first_product():
+    objective = model.binary_objective(small_matrix(indices=np.array([0, 3, 1], dtype=np.int32)), np.ones(2), np.ones(2), 1.0)
+    with pytest.raises(ValueError, match="column index"):
+        objective(np.zeros(4))
 
 
 class TestExpit:

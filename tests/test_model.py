@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 from scipy.special import expit
 
+from conftest import scipy_csr
 from tweetsent import csr, model, optimize, parallel
 from tweetsent.corpus import LABELS, Label
 from tweetsent.experiment import load_bundle
@@ -230,8 +230,17 @@ class TestTrainLr:
     def test_sparse_input_matches_dense(self):
         X, labels = two_class_problem(seed=6)
         dense = train_lr(X, labels, LrConfig(tol=1e-9))
-        sparse_model = train_lr(sparse.csr_matrix(X), labels, LrConfig(tol=1e-9))
+        sparse_model = train_lr(scipy_csr(X), labels, LrConfig(tol=1e-9))
         assert np.allclose(dense.weights, sparse_model.weights, atol=1e-6)
+
+    def test_features_of_another_dtype_train_as_float64(self):
+        # The solver's kernels take float64 data only; plan converts.
+        X, labels = two_class_problem(seed=6)
+        X = np.round(X * 4.0)
+        expected = train_lr(X, labels, LrConfig())
+        for dtype in (np.int64, np.float32):
+            trained = train_lr(X.astype(dtype), labels, LrConfig())
+            assert trained.weights.tobytes() == expected.weights.tobytes()
 
     def test_classes_in_canonical_order(self):
         rng = np.random.default_rng(9)
@@ -283,7 +292,7 @@ def row_proba(predictor, x, form=np.asarray):
 def form(request):
     """A dense batch in one of the forms scoring takes: the array itself, a
     ``CsrMatrix``, or a scipy CSR matrix whose arrays scoring shares."""
-    return {"dense": np.asarray, "CsrMatrix": csr.from_dense, "scipy": sparse.csr_matrix}[request.param]
+    return {"dense": np.asarray, "CsrMatrix": csr.from_dense, "scipy": scipy_csr}[request.param]
 
 
 class TestPredict:
@@ -343,7 +352,7 @@ class TestPredict:
     def test_an_empty_row_scores_its_biases(self):
         model = self.make_model([[1.0, 0.0], [0.0, 1.0]], [0.3, -0.2])
         X = csr.vstack([csr.from_dense(np.zeros((1, 2))), csr.from_dense(np.array([[0.5, 1.5]]))])
-        scipy_X = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        scipy_X = scipy_csr(X)
         proba = predict_proba_matrix(Ensemble.of(model), X)
         raw = expit(np.array([0.3, -0.2]))
         assert np.array_equal(proba[0], raw / raw.sum())
@@ -355,7 +364,7 @@ class TestPredict:
 def test_scoring_equals_scipy_products_and_expit_bit_for_bit(seed, n_rows, n_columns, n_members):
     rng = np.random.default_rng(seed)
     dense = rng.normal(0.0, 40.0, (n_rows, n_columns))
-    X = sparse.csr_matrix(np.where(rng.random(dense.shape) < 0.5, dense, 0.0))
+    X = scipy_csr(np.where(rng.random(dense.shape) < 0.5, dense, 0.0))
     members = tuple(
         LinearModel(LABELS, rng.normal(0.0, 30.0, (len(LABELS), n_columns)), rng.normal(0.0, 5.0, len(LABELS)), LrConfig())
         for _ in range(n_members)
@@ -390,7 +399,9 @@ def test_scores_come_from_one_numpy_product_with_scipy_loaded(n_rows, monkeypatc
         return np.zeros((matrix.shape[0], table.shape[1]))
 
     monkeypatch.setattr(model, "matmul", record)
-    assert "scipy.sparse" in sys.modules and "scipy.special" in sys.modules
+    # Scoring takes numpy's one product even where scipy is loaded.
+    from scipy import sparse, special  # noqa: F401
+
     scores = model._member_scores(members, X)
     assert products == [(n_columns, 160)]
     assert [part.shape for part in scores] == [(n_rows, len(LABELS))] * 40
@@ -428,7 +439,7 @@ class TestBagging:
     def test_a_larger_ensemble_extends_a_smaller_one(self, data_seed, seed, as_sparse):
         # Member k depends only on (seed, k), so a study could solve shared members once.
         X, labels = four_class_problem(seed=data_seed, per_class=8, d=5)
-        X = sparse.csr_matrix(X) if as_sparse else X
+        X = scipy_csr(X) if as_sparse else X
         config = LrConfig()
         two = train_bagging(X, labels, config, BaggingConfig(n_estimators=2, seed=seed))
         three = train_bagging(X, labels, config, BaggingConfig(n_estimators=3, seed=seed))
@@ -438,12 +449,12 @@ class TestBagging:
     @given(data_seed=st.integers(0, 2**16), keep=st.sets(st.integers(0, 5), min_size=1))
     def test_a_plan_on_some_columns_equals_training_on_those_columns(self, data_seed, keep):
         X, labels = four_class_problem(seed=data_seed, per_class=8, d=6)
-        X = sparse.csr_matrix(X)
+        X = scipy_csr(X)
         columns = np.array(sorted(keep))
         config, bagging = LrConfig(), BaggingConfig(n_estimators=2, seed=data_seed)
         training = plan(X, labels, config, bagging, columns=columns)
         assert training.dim == len(columns)
-        cut = sparse.csr_matrix(X[:, columns].toarray())
+        cut = scipy_csr(X[:, columns].toarray())
         planned = training.assemble(solve_all(training.problems))
         assert_same_members(planned.members, train_bagging(cut, labels, config, bagging).members)
 
@@ -502,12 +513,12 @@ class TestPlan:
     @given(data_seed=st.integers(0, 2**16), keep=st.sets(st.integers(0, 5), min_size=1))
     def test_a_plain_lr_plan_on_some_columns_equals_train_lr_on_those_columns(self, data_seed, keep):
         X, labels = four_class_problem(seed=data_seed, per_class=8, d=6)
-        X = sparse.csr_matrix(X)
+        X = scipy_csr(X)
         columns = np.array(sorted(keep))
         training = plan(X, labels, LrConfig(), columns=columns)
         assert training.dim == len(columns)
         [planned] = training.assemble(solve_all(training.problems)).members
-        cut = sparse.csr_matrix(X[:, columns].toarray())
+        cut = scipy_csr(X[:, columns].toarray())
         assert_same_members([planned], [train_lr(cut, labels, LrConfig())])
 
     def test_sample_weight_with_bagging_raises(self):
@@ -757,7 +768,7 @@ class TestParallelSolves:
 
     def test_train_lr_pool_equals_in_process(self, monkeypatch):
         X, labels = four_class_problem(seed=20)
-        X = sparse.csr_matrix(X)
+        X = scipy_csr(X)
         config = LrConfig(C=2.0, class_weight="balanced")
         pools = pooled(monkeypatch)
         parallel = train_lr(X, labels, config)

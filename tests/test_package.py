@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import conftest
 import tweetsent
 from tweetsent import synthetic
 from tweetsent.experiment import AugmentConfig, ExperimentConfig, run_experiment
@@ -92,39 +93,43 @@ def test_predict_and_eval_leave_out_scipy(bagged_run, mini_corpus, tmp_path):
     assert predict_and_eval(bagged_run, mini_corpus, tmp_path) == []
 
 
-def test_pooled_training_loads_scipy_sparse_before_the_fork_and_never_scipy_optimize():
-    # Each worker reports which scipy modules were loaded when its solve
-    # began, and the parent which were loaded once training ended.
+def test_pooled_workers_find_the_kernels_loaded_before_the_fork():
+    # Each worker reports whether the kernels were loaded, and which scipy
+    # modules, when its solve began; the parent reports the same once
+    # training ended.
     code = textwrap.dedent(
         """
         import os, sys
         import numpy as np
-        from tweetsent import model, parallel
+        from tweetsent import csr, model, parallel
         from tweetsent.corpus import Label
 
-        SCIPY = ("scipy.optimize", "scipy.sparse", "scipy.special")
         assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
         parallel.cpu_count = lambda: 2
         parent = os.getpid()
         objective = model.binary_objective
 
+        def loaded():
+            scipy = ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+            return f"kernels={csr._kernels is not None}:{scipy}"
+
         def probe(*args):
             if os.getpid() != parent:
-                loaded = [m for m in SCIPY if m in sys.modules]
-                os.write(1, ("worker:" + ",".join(loaded) + "\\n").encode())
+                os.write(1, ("worker:" + loaded() + "\\n").encode())
             return objective(*args)
 
         model.binary_objective = probe
         X = np.random.default_rng(0).normal(size=(40, 3))
         labels = [Label.P if x > 0 else Label.N for x in X[:, 0]]
         model.train_lr(X, labels, model.LrConfig())
-        print("parent:" + ",".join(m for m in SCIPY if m in sys.modules))
+        print("parent:" + loaded())
         """
     )
-    assert run_fresh(code).split() == ["worker:scipy.sparse"] * 2 + ["parent:scipy.sparse"]
+    assert run_fresh(code).split() == ["worker:kernels=True:"] * 2 + ["parent:kernels=True:"]
 
 
-def test_training_commands_leave_out_scipy_optimize_and_special(tmp_path):
+def test_training_commands_load_the_kernels_and_no_scipy_module(tmp_path):
+    # Not scipy, scipy.sparse or scipy._lib: the kernels' extension loads by file.
     synthetic.generate(tmp_path, seed=7, train_size=40, dev_size=20, test_size=20)
     config = str(tmp_path / "config.json")
     commands = [
@@ -134,8 +139,37 @@ def test_training_commands_leave_out_scipy_optimize_and_special(tmp_path):
     ]
     code = f"import json, sys\nfrom tweetsent import cli\nassert all(cli.main(c) == 0 for c in {commands!r})\n"
     loaded = json.loads(run_fresh(code + LOADED).splitlines()[-1])
-    assert "scipy.sparse" in loaded
-    assert not {"scipy.optimize", "scipy.special"} & set(loaded)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize("first", ["kernels", "scipy.sparse"])
+def test_the_kernels_and_scipy_sparse_share_their_functions_whichever_loads_first(first):
+    code = textwrap.dedent(
+        f"""
+        from tweetsent import csr
+
+        if {first!r} == "scipy.sparse":
+            import scipy.sparse
+        kernels = csr.load_kernels()
+        import scipy.sparse
+
+        shared = kernels.csr_matvec is scipy.sparse._sparsetools.csr_matvec
+        print(shared, (scipy.sparse.eye(2, format="csr") @ [1.0, 2.0]).tolist())
+        """
+    )
+    assert run_fresh(code).strip() == "True [1.0, 2.0]"
+
+
+def test_the_tests_load_numpy_after_tweetsent_pins_blas():
+    # Were numpy loaded first, BLAS would start one thread per CPU in this
+    # process and in every worker forked from it, unlike a CLI process.
+    assert conftest.NUMPY_BEFORE_TWEETSENT is False
+
+
+def test_collecting_the_tests_leaves_out_scipy_sparse():
+    # So the first solve in this process loads the kernels by file, as a CLI
+    # process does: test modules import scipy.sparse inside their tests.
+    assert conftest.SCIPY_AFTER_COLLECTION is False
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
