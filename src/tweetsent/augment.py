@@ -26,8 +26,9 @@ logger = logging.getLogger(__name__)
 CROSSOVER_MARKER = ".cx"
 TRANSLATION_MARKER = ".bt-"
 #: What follows the first parent's id in an augmented id: another parent
-#: (``a+b.cx3``) or a marker (``a.cx0``, ``a.bt-en``).
-_AFTER_PARENT = re.compile(rf"\+|{re.escape(CROSSOVER_MARKER)}|{re.escape(TRANSLATION_MARKER)}")
+#: (``a+b.cx3``), or a marker with its row number or its non-empty pivot
+#: (``a.cx0``, ``a.bt-en``).
+_AFTER_PARENT = re.compile(rf"\+|{re.escape(CROSSOVER_MARKER)}[0-9]|{re.escape(TRANSLATION_MARKER)}.", re.DOTALL)
 
 
 @dataclass(frozen=True)
@@ -166,6 +167,8 @@ class TranslationConfig:
     def __post_init__(self) -> None:
         if not self.pivots:
             raise ValueError("need at least one pivot language")
+        if "" in self.pivots:
+            raise ValueError("a pivot language cannot be empty")
         if len(set(self.pivots)) != len(self.pivots):
             raise ValueError("pivot languages must be distinct")
         if self.source in self.pivots:

@@ -319,6 +319,12 @@ class TestTranslationConfig:
         with pytest.raises(ValueError):
             TranslationConfig(pivots=())
 
+    def test_empty_pivot_rejected(self):
+        # Its rows' ids would end in a bare ``.bt-``, which the guard on
+        # evaluation splits does not count as a marker.
+        with pytest.raises(ValueError, match="pivot"):
+            TranslationConfig(pivots=("en", ""))
+
 
 class TestAssertUnaugmented:
     def dev(self, *ids: str) -> Dataset:
@@ -337,11 +343,12 @@ class TestAssertUnaugmented:
 
     @pytest.mark.parametrize(
         "tweet_id",
-        ["dv0001.cx2", "a+t1.cx17", "a.bt-en", "t1", "t10.cx0", "t1cx0", "user.cxv1", "a.cx"],
+        ["dv0001.cx2", "a+t1.cx17", "a.bt-en", "t1", "t10.cx0", "t1cx0", "user.cxv1", "a.cx", "t1.cxv1", "t1.cx", "t1.bt-"],
     )
     def test_ids_not_made_from_training_rows_accepted(self, tweet_id):
         # Only an id that starts with a training id and then ``+`` or a
-        # marker is one augmentation makes.
+        # marker is one augmentation makes: crossover numbers its rows
+        # (``.cx0``) and translation names a pivot (``.bt-en``).
         assert_unaugmented(self.dev(tweet_id), labeled_dataset())
 
     @pytest.mark.parametrize("method", ["crossover", "translation"])

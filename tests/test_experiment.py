@@ -384,6 +384,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="backend type"):
             ExperimentConfig.from_dict(raw)
 
+    def test_empty_pivot(self):
+        raw = minimal_raw()
+        raw["augment"] = {"translation": {"pivots": ["en", ""], "backend": {"type": "fixture", "tables": "t.json"}}}
+        with pytest.raises(ValueError, match="pivot"):
+            ExperimentConfig.from_dict(raw)
+
     def test_crossover_factor_below_one(self):
         raw = minimal_raw()
         raw["augment"] = {"crossover": {"factor": 0}}
