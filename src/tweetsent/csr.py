@@ -3,25 +3,23 @@
 A ``CsrMatrix`` is the three arrays of the CSR format and a shape.  Every
 operation here gives, bit for bit, what ``scipy.sparse`` gives for the same
 operation on a ``csr_matrix``: the data, indices and index pointer, their
-dtypes and the order of the entries in each row.  So featurizing and
-scoring need numpy alone.
+dtypes and the order of the entries in each row.  Building matrices needs
+numpy alone.
 
 Index arrays are ``int32`` while every column index and entry count fits in
 one, as scipy downcasts them; ``int64`` otherwise.
 
-``matmul`` sums each row's products in stored order, starting from 0.0, as
-scipy's ``csr_matvecs`` does; it is the one such ordered sum, and also sums
-the squares of the tf-idf row norms (``vectorize._row_norms``).  A pairwise
-sum of a row's products (``np.add.reduceat``) or a dense ``matmul`` groups
-the terms differently and moves values by ulps.
-
-A solve's two products, ``matvec`` and ``rmatvec``, call scipy's compiled
-kernels (``csr_matvec`` and ``csc_matvec``): the bit-identical numpy
-products measured were 4 to 20 times slower.  ``load_kernels`` loads their
+Every product calls one of scipy's compiled kernels, which sum each row's
+products in stored order from 0.0: ``matvec`` (``csr_matvec``), ``rmatvec``
+(``csc_matvec``) and ``matmul`` (``csr_matvecs``), which scores and sums the
+squares of the tf-idf row norms (``vectorize._row_norms``).  A pairwise sum
+of a row's products (``np.add.reduceat``) or a dense ``matmul`` groups the
+terms differently and moves values by ulps, and the bit-identical numpy
+products measured were 3 to 20 times slower.  ``load_kernels`` loads their
 extension module, ``scipy.sparse._sparsetools``, by file: importing the
 ``scipy.sparse`` package would cost about 0.15 s and 13.5 MiB per process,
 and the kernels need none of it.  A C kernel does not check its bounds, so
-both products refuse arrays it could read or write past.
+every product refuses arrays it could read or write past.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import importlib.util
 import sys
 import weakref
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from types import ModuleType
 
@@ -85,13 +83,17 @@ def from_dense(array: np.ndarray) -> CsrMatrix:
 
 def as_csr(matrix) -> CsrMatrix:
     """A ``CsrMatrix``, a scipy sparse matrix or a dense 2-D array as a
-    ``CsrMatrix``; a scipy CSR matrix shares its arrays."""
-    if isinstance(matrix, CsrMatrix):
-        return matrix
+    ``CsrMatrix`` of float64 data, the one data type the kernels take; a
+    float64 ``CsrMatrix`` is itself, and a float64 scipy CSR matrix shares
+    its arrays."""
     if hasattr(matrix, "tocsr"):
         matrix = matrix.tocsr()
-        return CsrMatrix(matrix.data, matrix.indices, matrix.indptr, matrix.shape)
-    return from_dense(matrix)
+        matrix = CsrMatrix(matrix.data, matrix.indices, matrix.indptr, matrix.shape)
+    elif not isinstance(matrix, CsrMatrix):
+        matrix = from_dense(matrix)
+    if matrix.data.dtype == np.float64:
+        return matrix
+    return replace(matrix, data=matrix.data.astype(np.float64))
 
 
 def hstack(blocks: Sequence[CsrMatrix]) -> CsrMatrix:
@@ -152,41 +154,6 @@ def take_columns(matrix: CsrMatrix, columns: np.ndarray) -> CsrMatrix:
     kept_before = np.zeros(len(kept) + 1, dtype=np.int64)
     np.cumsum(kept, out=kept_before[1:])
     return csr_matrix(matrix.data[kept], moved[kept], kept_before[matrix.indptr], (matrix.shape[0], len(columns)))
-
-
-def matmul(matrix: CsrMatrix, table: np.ndarray) -> np.ndarray:
-    """``matrix @ table`` for a dense ``table`` with a row per column of
-    ``matrix``: each row's products summed in stored order from 0.0.
-
-    One pass takes the rows longest first, so step ``k`` adds the ``k``-th
-    product of every row that has one, for all rows at once.  Do not swap
-    this for a dense or pairwise product: see the module docstring.
-
-    Its step buffer is as large as the result: a ``predict`` or ``eval``
-    block of at most 999 rows, or one column for ``vectorize._row_norms``.
-    """
-    n_rows, dim = matrix.shape
-    if table.shape[0] != dim:
-        raise ValueError(f"a matrix of {dim} columns cannot multiply a table of {table.shape[0]} rows")
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    lengths = np.diff(matrix.indptr)
-    order = np.argsort(-lengths, kind="stable")
-    descending = lengths[order]
-    starts = matrix.indptr[:-1][order].astype(np.int64)
-    sums = np.zeros((n_rows, table.shape[1]))
-    products = np.empty_like(sums)
-    # Step ``k`` takes the rows longer than ``k``: the first ``live[k]``.
-    live = np.searchsorted(-descending, -np.arange(lengths.max(initial=0)), side="left")
-    for k, count in enumerate(live.tolist()):
-        at = starts[:count] + k
-        step = products[:count]
-        # Every index is below ``dim``; "clip" only skips the bounds check.
-        np.take(table, matrix.indices[at], axis=0, out=step, mode="clip")
-        step *= matrix.data[at, None]
-        sums[:count] += step
-    scores = np.empty_like(sums)
-    scores[order] = sums
-    return scores
 
 
 def take_rows(matrix: CsrMatrix, rows: np.ndarray) -> CsrMatrix:
@@ -302,4 +269,22 @@ def rmatvec(matrix: CsrMatrix, vector: np.ndarray) -> np.ndarray:
     n_rows, n_columns = matrix.shape
     result = np.zeros(n_columns)
     load_kernels().csc_matvec(n_columns, n_rows, matrix.indptr, matrix.indices, matrix.data, vector, result)
+    return result
+
+
+def matmul(matrix: CsrMatrix, table: np.ndarray) -> np.ndarray:
+    """``matrix @ table`` for a 2-D ``table`` with a row per column of
+    ``matrix``: each row's products summed in stored order from 0.0 by
+    scipy's ``csr_matvecs``, as ``csr_matrix @ table`` computes it.  The
+    kernel reads the table in row order, as float64: a copy where it is
+    neither."""
+    _check_matrix(matrix)
+    n_rows, n_columns = matrix.shape
+    if not isinstance(table, np.ndarray) or table.ndim != 2:
+        raise ValueError("the kernels take a 2-D table")
+    if len(table) != n_columns:
+        raise ValueError(f"a matrix of {n_columns} columns cannot multiply a table of {len(table)} rows")
+    result = np.zeros((n_rows, table.shape[1]))
+    kernel = load_kernels().csr_matvecs
+    kernel(n_rows, n_columns, table.shape[1], matrix.indptr, matrix.indices, matrix.data, table.ravel(), result.ravel())
     return result

@@ -17,15 +17,13 @@ one per available CPU, or in-process when there is one CPU, one problem or no
 ``fork``.  Each worker runs the same code on the same inputs as the
 in-process path, so the weights do not depend on the CPU count.
 
-Training solves on a ``csr.CsrMatrix``: features may be a ``CsrMatrix``, a
-scipy sparse matrix or a dense array, and ``plan`` takes them as a
-``CsrMatrix`` of float64 data.  The objective's two products are
-``csr.matvec`` and ``csr.rmatvec``, scipy's compiled kernels without the
-``scipy.sparse`` package; the solver itself is numpy.
-
-Prediction scores with numpy alone: ``csr.matmul`` and ``expit`` give what
-scipy's product and ``scipy.special.expit`` give, bit for bit, so ``eval`` and
-``predict`` load nothing from scipy.
+Training and scoring take features as a ``csr.CsrMatrix`` of float64 data
+(``csr.as_csr``): a ``CsrMatrix``, a scipy sparse matrix or a dense array.
+Every product is one of scipy's compiled kernels without the ``scipy.sparse``
+package: a solve's ``csr.matvec`` and ``csr.rmatvec``, and scoring's one
+``csr.matmul`` over every member's weights.  The solver itself is numpy, and
+scoring's ``expit`` gives what ``scipy.special.expit`` gives, bit for bit, so
+no command imports a scipy module.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
@@ -44,7 +42,7 @@ import sys
 import warnings
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -52,7 +50,7 @@ import numpy as np
 
 from . import optimize, parallel
 from .corpus import LABELS, Label
-from .csr import CsrMatrix, as_csr, load_kernels, matmul, matvec, rmatvec, take_columns, take_rows
+from .csr import CsrMatrix, as_csr, matmul, matvec, rmatvec, take_columns, take_rows
 from .optimize import dot
 from .schema import Manifest, dump, load_section
 
@@ -222,12 +220,7 @@ def _solve(problem: _Problem) -> tuple[np.ndarray, SolverStats]:
 
 
 def solve_all(problems: Sequence[_Problem]) -> Iterator[tuple[np.ndarray, SolverStats]]:
-    """The solution of every problem, in order, from ``parallel.fork_imap``.
-
-    The products' kernels load here, before the fork, so that no worker
-    loads them.
-    """
-    load_kernels()
+    """The solution of every problem, in order, from ``parallel.fork_imap``."""
     return parallel.fork_imap(_solve, problems)
 
 
@@ -297,8 +290,6 @@ def plan(
     labels = list(labels)
     n = len(labels)
     features = as_csr(features)
-    if features.data.dtype != np.float64:
-        features = replace(features, data=features.data.astype(np.float64))
     if features.shape[0] != n:
         raise ValueError(f"feature matrix has {features.shape[0]} rows for {n} labels")
     if not np.isfinite(features.data).all():
@@ -410,7 +401,7 @@ def _member_scores(members: Sequence[LinearModel], X: CsrMatrix) -> list[np.ndar
     """Each member's raw scores of ``X`` (without its biases), from one
     ``csr.matmul`` over every member's weights."""
     widths = [len(member.classes) for member in members]
-    # The members' weights side by side, laid out for matmul's row gathers.
+    # The members' weights side by side: row j holds every weight of column j.
     table = np.empty((X.shape[1], sum(widths)))
     np.concatenate([member.weights.T for member in members], axis=1, out=table)
     scores = matmul(X, table)

@@ -4,9 +4,9 @@
 The workers inherit the function and its items through the fork, so only item
 indices and results are pickled: a closure over a fitted pipeline or a
 feature matrix costs nothing to hand over.  Fork, not spawn: a spawned worker
-would re-import numpy, load the solver's kernels again (``csr.load_kernels``,
-which ``model.solve_all`` calls before the fork) and be sent its inputs by
-pickle, and forking is safe because the program starts no threads
+would re-import numpy, load the sparse products' kernels again
+(``csr.load_kernels``, which the pool loads before it forks) and be sent its
+inputs by pickle, and forking is safe because the program starts no threads
 (importing ``tweetsent`` pins BLAS to one, and the solver's inner products
 do not use BLAS).  ``multiprocessing`` loads on the first pooled call only.
 """
@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable, Iterator, Sequence
+
+from . import csr
 
 # (fn, items) inside a worker process, set by _init_worker from arguments the
 # fork hands over without pickling.
@@ -44,8 +46,9 @@ def fork_imap(fn: Callable, items: Sequence) -> Iterator:
     forked worker per CPU (at most one per item), or computed in-process on
     demand with one CPU, one item or no ``fork``.
 
-    The workers start on the first ``next`` and may run ahead of the
-    consumer.  A worker that dies raises ``BrokenProcessPool``.
+    The workers start on the first ``next``, after the kernels of the
+    sparse products are loaded, and may run ahead of the consumer.  A worker
+    that dies raises ``BrokenProcessPool``.
     """
     workers = min(len(items), cpu_count())
     if workers < 2:
@@ -58,6 +61,7 @@ def fork_imap(fn: Callable, items: Sequence) -> Iterator:
         return
     from concurrent.futures.process import ProcessPoolExecutor
 
+    csr.load_kernels()
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(fn, items)) as pool:
         yield from pool.map(_call_in_worker, range(len(items)))

@@ -26,8 +26,9 @@ CPU and joins the blocks with ``csr.vstack``, bit-identical to the one-batch
 build.  ``predict`` and ``eval`` need only labels: ``label`` cuts blocks of
 ``MIN_ROWS_PER_WORKER`` to twice that many rows, and each worker featurizes
 and scores its blocks and returns only their labels, so no process holds
-more than one block's matrix.  Neither featurizing nor predicting imports
-scipy (see ``csr``).
+more than one block's matrix.  The tf-idf row norms and the scores are
+scipy's compiled sparse products, which the pool loads before it forks, so
+no worker loads them and no command imports a scipy module (see ``csr``).
 
 Each block is fitted and featurized on its own, so a pipeline fitted with
 several blocks serves any subset of them: ``narrowed`` shares its fitted

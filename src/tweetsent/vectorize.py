@@ -22,7 +22,7 @@ sort per n over the same keys, and gives the terms, columns and idf that
 ``fit_vocabulary`` gives over ``char_ngrams``.
 
 Each row's norm is summed exactly: squares added one after another in
-ascending column order, by ``csr.matmul`` (``_row_norms``).  Pairwise
+ascending column order, by scipy's compiled ``csr.matvec`` (``_row_norms``).  Pairwise
 summation (``np.sum``, ``np.add.reduceat``, ``np.linalg.norm``) groups the
 terms differently and moves values by ulps, which changes trained models and
 the byte-identical run artifacts.
@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csr import CsrMatrix, csr_matrix, matmul
+from .csr import CsrMatrix, csr_matrix, matvec
 
 
 @dataclass(frozen=True)
@@ -282,9 +282,9 @@ def _char_ngram_frequencies(texts: Sequence[str], n_max: int) -> list[tuple[np.n
 
 def _row_norms(matrix: CsrMatrix) -> np.ndarray:
     """L2 norm of each row, its squares summed one after another in column
-    order, as ``matmul`` sums a row's products."""
+    order, as ``matvec`` sums a row's products."""
     squares = CsrMatrix(matrix.data * matrix.data, matrix.indices, matrix.indptr, matrix.shape)
-    return np.sqrt(matmul(squares, np.ones((matrix.shape[1], 1)))[:, 0])
+    return np.sqrt(matvec(squares, np.ones(matrix.shape[1])))
 
 
 def weigh(counts: CsrMatrix, vocabulary: Vocabulary, config: NgramConfig) -> CsrMatrix:

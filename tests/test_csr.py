@@ -162,9 +162,16 @@ def assert_same_array(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def tables(rng, n_rows):
+    """Tables of 0, 1, 20 and 160 columns, the last the weights of a
+    40-member bundle, whose magnitudes lie far apart."""
+    return [rng.uniform(-1.0, 1.0, (n_rows, k)) * 10.0 ** rng.integers(-30, 31, (n_rows, k)) for k in (0, 1, 20, 160)]
+
+
 class TestKernels:
-    """``matvec``, ``rmatvec`` and ``take_rows``: what a solve does with a
-    member's matrix, against scipy's ``X @ w``, ``X.T @ c`` and ``X[rows]``."""
+    """``matvec``, ``rmatvec``, ``matmul`` and ``take_rows``: what a solve
+    does with a member's matrix and what scoring does with a block, against
+    scipy's ``X @ w``, ``X.T @ c``, ``X @ T`` and ``X[rows]``."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), matrices(), st.sampled_from([np.int32, np.int64]))
@@ -178,13 +185,17 @@ class TestKernels:
         matrix = with_index_dtype(matrix, index_dtype)
         if data is None:  # repeated, unsorted rows
             w, c, rows = np.ones(n_columns), np.full(n_rows, -0.5), [2, 0, 2, 1, 1] if n_rows == 3 else []
+            seed = 0
         else:
             w, c = data.draw(vectors(n_columns)), data.draw(vectors(n_rows))
             rows = data.draw(st.lists(st.integers(0, n_rows - 1), max_size=12)) if n_rows else []
+            seed = data.draw(st.integers(0, 2**32 - 1))
         rows = np.array(rows, dtype=np.int64)
         X = scipy_csr(matrix)
         assert_same_array(csr.matvec(matrix, w), X @ w)
         assert_same_array(csr.rmatvec(matrix, c), X.T @ c)
+        for table in tables(np.random.default_rng(seed), n_columns):
+            assert_same_array(csr.matmul(matrix, table), X @ table)
         assert_same_csr(csr.take_rows(matrix, rows), X[rows])
 
 
@@ -194,51 +205,73 @@ def small_matrix(**arrays):
     return csr.CsrMatrix(**{"data": data, "indices": indices, "indptr": indptr, **arrays}, shape=(2, 3))
 
 
-@pytest.mark.parametrize("product", [csr.matvec, csr.rmatvec])
+#: Every product checks the matrix; ``matmul`` takes a table where the others take a vector.
+every_product = pytest.mark.parametrize("product", [csr.matvec, csr.rmatvec, csr.matmul])
+vector_products = pytest.mark.parametrize("product", [csr.matvec, csr.rmatvec])
+
+
 class TestKernelsRefuse:
     """A C kernel does not check its bounds: every product checks its
     inputs first, and raises ``ValueError`` where the kernel could read or
     write past an array."""
 
     @staticmethod
-    def vector(product, **kwargs):
-        return np.ones(3 if product is csr.matvec else 2, **kwargs)
+    def vector(product, change=0, **kwargs):
+        """The vector, or for ``matmul`` the two-column table, that ``product``
+        takes with ``small_matrix()``, ``change`` rows longer."""
+        rows = (2 if product is csr.rmatvec else 3) + change
+        return np.ones((rows, 2) if product is csr.matmul else rows, **kwargs)
 
+    @every_product
     def test_a_good_matrix_passes(self, product):
         product(small_matrix(), self.vector(product))
 
+    @every_product
     def test_indices_and_indptr_of_two_dtypes(self, product):
         with pytest.raises(ValueError, match="one dtype"):
             product(small_matrix(indptr=np.array([0, 2, 3], dtype=np.int64)), self.vector(product))
 
+    @every_product
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
     def test_data_that_is_not_float64(self, product, dtype):
         with pytest.raises(ValueError, match="float64 data"):
             product(small_matrix(data=np.array([1, 2, 3], dtype=dtype)), self.vector(product))
 
+    @every_product
     def test_data_that_is_not_contiguous(self, product):
         with pytest.raises(ValueError, match="contiguous"):
             product(small_matrix(data=np.array([1.0, 0.0, 2.0, 0.0, 3.0, 0.0])[::2]), self.vector(product))
 
+    @vector_products
     def test_a_vector_that_is_not_float64(self, product):
         with pytest.raises(ValueError, match="float64 vector"):
             product(small_matrix(), self.vector(product, dtype=np.float32))
 
+    @vector_products
     def test_a_vector_that_is_not_contiguous(self, product):
         with pytest.raises(ValueError, match="contiguous"):
             product(small_matrix(), np.repeat(self.vector(product), 2)[::2])
 
+    @every_product
     @pytest.mark.parametrize("change", [-1, 1])
     def test_a_vector_of_the_wrong_length(self, product, change):
-        vector = self.vector(product)
         with pytest.raises(ValueError, match="cannot multiply"):
-            product(small_matrix(), np.ones(len(vector) + change))
+            product(small_matrix(), self.vector(product, change))
 
+    @every_product
+    def test_a_vector_of_the_wrong_dimension(self, product):
+        # A 2-D vector, or a 1-D table.
+        vector = self.vector(product)
+        with pytest.raises(ValueError, match="[12]-D"):
+            product(small_matrix(), vector[:, 0].copy() if vector.ndim == 2 else vector[:, None])
+
+    @every_product
     @pytest.mark.parametrize("index", [3, 1000, -1])
     def test_a_column_index_outside_the_columns(self, product, index):
         with pytest.raises(ValueError, match="column index"):
             product(small_matrix(indices=np.array([0, index, 1], dtype=np.int32)), self.vector(product))
 
+    @every_product
     @pytest.mark.parametrize("indptr", [[0, 2, 4], [0, 3, 2], [1, 2, 3], [0, 3]])
     def test_an_indptr_outside_the_entries(self, product, indptr):
         with pytest.raises(ValueError, match="indptr"):

@@ -385,25 +385,21 @@ def test_scoring_equals_scipy_products_and_expit_bit_for_bit(seed, n_rows, n_col
 
 
 @pytest.mark.parametrize("n_rows", [1, 625])
-def test_scores_come_from_one_numpy_product_with_scipy_loaded(n_rows, monkeypatch):
+def test_scores_come_from_one_kernel_product_with_scipy_loaded(n_rows, monkeypatch):
     # 625 full rows of 1,000 columns by 40 four-class members: 100 million
-    # multiplications.  The numpy product is only recorded, not computed.
+    # multiplications.  The kernel call is only recorded, not run.
     n_columns = 1_000
     X = csr.from_dense(np.ones((n_rows, n_columns)))
     weights = np.ones((len(LABELS), n_columns))
     members = [LinearModel(LABELS, weights, np.zeros(len(LABELS)), LrConfig())] * 40
     products = []
-
-    def record(matrix, table):
-        products.append(table.shape)
-        return np.zeros((matrix.shape[0], table.shape[1]))
-
-    monkeypatch.setattr(model, "matmul", record)
-    # Scoring takes numpy's one product even where scipy is loaded.
+    kernels = types.SimpleNamespace(csr_matvecs=lambda n_rows, n_columns, n_vecs, *arrays: products.append((n_rows, n_columns, n_vecs)))
+    monkeypatch.setattr(csr, "_kernels", kernels)
+    # Scoring takes the one product even where scipy is loaded.
     from scipy import sparse, special  # noqa: F401
 
     scores = model._member_scores(members, X)
-    assert products == [(n_columns, 160)]
+    assert products == [(n_rows, n_columns, 160)]
     assert [part.shape for part in scores] == [(n_rows, len(LABELS))] * 40
 
 

@@ -70,62 +70,88 @@ def bagged_run(mini_corpus, tmp_path_factory):
 
 def predict_and_eval(bagged_run, mini_corpus, tmp_path):
     """Run ``predict`` and ``eval`` of the bagged bundle on the test split in
-    a fresh interpreter; returns the scipy and process pool modules loaded,
-    after checking that both outputs equal the training run's."""
+    a fresh interpreter; returns the file the kernels were loaded from and the
+    scipy and process pool modules loaded, after checking that both outputs
+    equal the training run's."""
     model, test = str(bagged_run / "model"), str(mini_corpus / "test.tsv")
     predictions, report = str(tmp_path / "predictions.tsv"), str(tmp_path / "report.json")
     code = textwrap.dedent(
         f"""
         import json, sys
-        from tweetsent import cli
+        from tweetsent import cli, csr
 
         assert cli.main(["predict", "--model", {model!r}, "--input", {test!r}, "--output", {predictions!r}]) == 0
         assert cli.main(["eval", "--model", {model!r}, "--data", {test!r}, "--out", {report!r}]) == 0
+        print(csr._kernels.__file__)
         """
     )
-    loaded = json.loads(run_fresh(code + LOADED).splitlines()[-1])
+    kernels, loaded = run_fresh(code + LOADED).splitlines()[-2:]
     assert (tmp_path / "predictions.tsv").read_bytes() == (bagged_run / "predictions_test.tsv").read_bytes()
     assert (tmp_path / "report.json").read_bytes() == (bagged_run / "report_test.json").read_bytes()
-    return loaded
+    return Path(kernels), json.loads(loaded)
 
 
 def test_predict_and_eval_leave_out_scipy(bagged_run, mini_corpus, tmp_path):
-    assert predict_and_eval(bagged_run, mini_corpus, tmp_path) == []
+    # Their products load the kernels' extension by file, with no scipy module.
+    kernels, loaded = predict_and_eval(bagged_run, mini_corpus, tmp_path)
+    assert kernels.parent.name == "sparse" and kernels.name.startswith("_sparsetools")
+    assert loaded == []
 
 
 def test_pooled_workers_find_the_kernels_loaded_before_the_fork():
-    # Each worker reports whether the kernels were loaded, and which scipy
-    # modules, when its solve began; the parent reports the same once
-    # training ended.
+    # Each transform, solve and label worker reports whether the kernels
+    # were loaded, and which scipy modules, when its work began; the parent
+    # reports the same at the end.  Before each pool the parent drops the
+    # kernels, as a fresh process has none, so only the pool can load them.
     code = textwrap.dedent(
         """
         import os, sys
-        import numpy as np
         from tweetsent import csr, model, parallel
-        from tweetsent.corpus import Label
+        from tweetsent.corpus import Dataset, Label, Tweet
+        from tweetsent.pipeline import FeatureBlocks, FeaturePipeline
+        from tweetsent.preprocess import PreprocessConfig
+        from tweetsent.vectorize import NgramConfig
 
         assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
         parallel.cpu_count = lambda: 2
         parent = os.getpid()
-        objective = model.binary_objective
 
         def loaded():
             scipy = ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
             return f"kernels={csr._kernels is not None}:{scipy}"
 
-        def probe(*args):
-            if os.getpid() != parent:
-                os.write(1, ("worker:" + loaded() + "\\n").encode())
-            return objective(*args)
+        def probe(name, work):
+            def probed(*args):
+                if os.getpid() != parent:
+                    os.write(1, f"{name}:{loaded()}\\n".encode())
+                return work(*args)
+            return probed
 
-        model.binary_objective = probe
-        X = np.random.default_rng(0).normal(size=(40, 3))
-        labels = [Label.P if x > 0 else Label.N for x in X[:, 0]]
-        model.train_lr(X, labels, model.LrConfig())
+        model.binary_objective = probe("solve", model.binary_objective)
+        FeaturePipeline._featurize = probe("featurize", FeaturePipeline._featurize)
+        # 1,000 rows: two transform chunks and two label blocks on 2 CPUs.
+        words = ["gato", "perro", "bueno", "malo", "feliz", "triste"]
+        tweets = tuple(
+            Tweet(f"t{i}", f"{words[i % 6]} {words[i // 6 % 6]}", (Label.P, Label.N)[i % 2]) for i in range(1000)
+        )
+        train = Dataset("toy", "train", tweets)
+        blocks = FeatureBlocks(embedding=False)
+        pipeline = FeaturePipeline(PreprocessConfig(), NgramConfig(word_n_max=1, char_n_max=2), blocks).fit(train)
+        csr._kernels = None
+        print("transform", flush=True)
+        X = pipeline.transform(train)
+        csr._kernels = None
+        print("solve", flush=True)
+        predictor = model.Ensemble.of(model.train_lr(X, [tweet.label for tweet in tweets], model.LrConfig()))
+        csr._kernels = None
+        print("label", flush=True)
+        pipeline.label(predictor, train)
         print("parent:" + loaded())
         """
     )
-    assert run_fresh(code).split() == ["worker:kernels=True:"] * 2 + ["parent:kernels=True:"]
+    workers = {name: [f"{name}:kernels=True:"] * 2 for name in ("featurize", "solve")}
+    expected = ["transform", *workers["featurize"], "solve", *workers["solve"], "label", *workers["featurize"]]
+    assert run_fresh(code).split() == expected + ["parent:kernels=True:"]
 
 
 def test_training_commands_load_the_kernels_and_no_scipy_module(tmp_path):
