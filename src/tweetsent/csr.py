@@ -10,12 +10,12 @@ Index arrays are ``int32`` while every column index and entry count fits in
 one, as scipy downcasts them; ``int64`` otherwise.
 
 Every product calls one of scipy's compiled kernels, which sum each row's
-products in stored order from 0.0: ``matvec`` (``csr_matvec``), ``rmatvec``
-(``csc_matvec``) and ``matmul`` (``csr_matvecs``), which scores and sums the
-squares of the tf-idf row norms (``vectorize._row_norms``).  A pairwise sum
-of a row's products (``np.add.reduceat``) or a dense ``matmul`` groups the
-terms differently and moves values by ulps, and the bit-identical numpy
-products measured were 3 to 20 times slower.  ``load_kernels`` loads their
+products in stored order from 0.0: ``matvec`` (``csr_matvec``), which also
+sums the squares of the tf-idf row norms (``vectorize._row_norms``),
+``rmatvec`` (``csc_matvec``), and ``matmul`` (``csr_matvecs``), which
+scores.  A pairwise sum of a row's products (``np.add.reduceat``) or a dense
+``matmul`` groups the terms differently and moves values by ulps, and the
+bit-identical numpy products measured were 3 to 20 times slower.  ``load_kernels`` loads their
 extension module, ``scipy.sparse._sparsetools``, by file: importing the
 ``scipy.sparse`` package would cost about 0.15 s and 13.5 MiB per process,
 and the kernels need none of it.  A C kernel does not check its bounds, so

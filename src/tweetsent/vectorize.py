@@ -22,10 +22,10 @@ sort per n over the same keys, and gives the terms, columns and idf that
 ``fit_vocabulary`` gives over ``char_ngrams``.
 
 Each row's norm is summed exactly: squares added one after another in
-ascending column order, by scipy's compiled ``csr.matvec`` (``_row_norms``).  Pairwise
-summation (``np.sum``, ``np.add.reduceat``, ``np.linalg.norm``) groups the
-terms differently and moves values by ulps, which changes trained models and
-the byte-identical run artifacts.
+ascending column order, by scipy's compiled kernel (``csr.matvec`` in
+``_row_norms``).  Pairwise summation (``np.sum``, ``np.add.reduceat``,
+``np.linalg.norm``) groups the terms differently and moves values by ulps,
+which changes trained models and the byte-identical run artifacts.
 """
 
 from __future__ import annotations

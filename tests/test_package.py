@@ -59,6 +59,10 @@ def test_cli_import_leaves_out_the_solver_and_the_process_pool():
     assert json.loads(run_fresh("import json, sys, tweetsent.cli; " + LOADED)) == []
 
 
+def test_cli_import_loads_no_kernels():
+    assert run_fresh("import tweetsent.cli\nfrom tweetsent import csr\nprint(csr._kernels)").strip() == "None"
+
+
 @pytest.fixture(scope="module")
 def bagged_run(mini_corpus, tmp_path_factory):
     """The run directory of an all-blocks, five-member bagging bundle,
