@@ -15,11 +15,12 @@ sums the squares of the tf-idf row norms (``vectorize._row_norms``),
 ``rmatvec`` (``csc_matvec``), and ``matmul`` (``csr_matvecs``), which
 scores.  A pairwise sum of a row's products (``np.add.reduceat``) or a dense
 ``matmul`` groups the terms differently and moves values by ulps, and the
-bit-identical numpy products measured were 3 to 20 times slower.  ``load_kernels`` loads their
-extension module, ``scipy.sparse._sparsetools``, by file: importing the
-``scipy.sparse`` package would cost about 0.15 s and 13.5 MiB per process,
-and the kernels need none of it.  A C kernel does not check its bounds, so
-every product refuses arrays it could read or write past.
+bit-identical numpy products measured were 3 to 20 times slower.
+``load_kernels`` loads their extension module, ``scipy.sparse._sparsetools``,
+by file: importing the ``scipy.sparse`` package would cost about 0.15 s and
+13.5 MiB per process, and the kernels need none of it.  A C kernel does not
+check its bounds, so every product refuses arrays it could read or write
+past.
 """
 
 from __future__ import annotations

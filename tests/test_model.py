@@ -393,8 +393,11 @@ def test_scores_come_from_one_kernel_product_with_scipy_loaded(n_rows, monkeypat
     weights = np.ones((len(LABELS), n_columns))
     members = [LinearModel(LABELS, weights, np.zeros(len(LABELS)), LrConfig())] * 40
     products = []
-    kernels = types.SimpleNamespace(csr_matvecs=lambda n_rows, n_columns, n_vecs, *arrays: products.append((n_rows, n_columns, n_vecs)))
-    monkeypatch.setattr(csr, "_kernels", kernels)
+
+    def record(n_rows, n_columns, n_vecs, *arrays):
+        products.append((n_rows, n_columns, n_vecs))
+
+    monkeypatch.setattr(csr, "_kernels", types.SimpleNamespace(csr_matvecs=record))
     # Scoring takes the one product even where scipy is loaded.
     from scipy import sparse, special  # noqa: F401
 
