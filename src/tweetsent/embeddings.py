@@ -54,9 +54,12 @@ def _parse_vector(fields: list[str], dim: int, path: Path, lineno: int) -> np.nd
     if len(fields) != dim:
         raise ValueError(f"{path}:{lineno}: expected {dim} vector components, got {len(fields)}")
     try:
-        return np.array([float(x) for x in fields])
+        vector = np.array([float(x) for x in fields])
     except ValueError:
         raise ValueError(f"{path}:{lineno}: non-numeric vector component") from None
+    if not np.isfinite(vector).all():
+        raise ValueError(f"{path}:{lineno}: non-finite vector component")
+    return vector
 
 
 def load_embeddings(path: str | Path, subword_path: str | Path | None = None) -> EmbeddingTable:
@@ -65,7 +68,8 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
     The main file starts with a ``vocab_size dim`` header; the sidecar with
     ``min_n max_n bucket_count`` followed by ``bucket_index v1..vdim`` lines.
     Trailing whitespace on a line is ignored, as fastText ``.vec`` files end
-    each vector with a space.
+    each vector with a space.  A malformed line or a non-finite component
+    raises ``ValueError`` naming ``path:line``.
     """
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
@@ -91,7 +95,6 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
     subword = None
     if subword_path is not None:
         subword_path = Path(subword_path)
-        buckets: dict[int, np.ndarray] = {}
         with open(subword_path, encoding="utf-8") as handle:
             header = handle.readline().split()
             if len(header) != 3:
@@ -100,6 +103,10 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
                 min_n, max_n, bucket_count = (int(x) for x in header)
             except ValueError:
                 raise ValueError(f"{subword_path}:1: non-numeric header fields") from None
+            try:
+                subword = SubwordTable(min_n=min_n, max_n=max_n, bucket_count=bucket_count, buckets={})
+            except ValueError as exc:
+                raise ValueError(f"{subword_path}:1: {exc}") from None
             for lineno, line in enumerate(handle, start=2):
                 fields = line.rstrip().split(" ")
                 if len(fields) < 2:
@@ -110,8 +117,7 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
                     raise ValueError(f"{subword_path}:{lineno}: non-integer bucket index") from None
                 if not 0 <= bucket < bucket_count:
                     raise ValueError(f"{subword_path}:{lineno}: bucket {bucket} out of range")
-                buckets[bucket] = _parse_vector(fields[1:], dim, subword_path, lineno)
-        subword = SubwordTable(min_n=min_n, max_n=max_n, bucket_count=bucket_count, buckets=buckets)
+                subword.buckets[bucket] = _parse_vector(fields[1:], dim, subword_path, lineno)
     return EmbeddingTable(dim=dim, vectors=vectors, subword=subword)
 
 
@@ -216,10 +222,13 @@ def sif_embed(
 
 
 def leading_component(matrix: np.ndarray) -> np.ndarray:
-    """First right singular vector, signed so its first nonzero entry is positive."""
+    """First right singular vector, signed so its first nonzero entry is
+    positive; the zero vector, which removes nothing, for an all-zero matrix."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] < 2:
         raise ValueError("need a matrix with at least 2 rows")
+    if not matrix.any():
+        return np.zeros(matrix.shape[1])
     _, _, vt = np.linalg.svd(matrix, full_matrices=False)
     component = vt[0]
     for value in component:
@@ -242,9 +251,4 @@ def remove_common_component(matrix: np.ndarray) -> np.ndarray:
     An all-zero matrix is returned unchanged.  This step is off by default in
     the pipeline because it hurt tweet classification in practice.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] < 2:
-        raise ValueError("need a matrix with at least 2 rows")
-    if not matrix.any():
-        return matrix.copy()
     return remove_component(matrix, leading_component(matrix))

@@ -8,13 +8,13 @@ the two disagree and only the former matches the reported results.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 from .corpus import LABELS, Dataset, Label
+from .schema import dump
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def report_to_dict(report: ClassificationReport, matrix: ConfusionMatrix) -> dic
 
 
 def report_to_json(report: ClassificationReport, matrix: ConfusionMatrix) -> str:
-    return json.dumps(report_to_dict(report, matrix), indent=2, sort_keys=True) + "\n"
+    return dump(report_to_dict(report, matrix), ensure_ascii=True)
 
 
 def score(dataset: Dataset, predictions: Sequence[Label]) -> tuple[ClassificationReport, ConfusionMatrix]:

@@ -480,7 +480,7 @@ def save_model(predictor: Ensemble, directory: str | Path, layout: Sequence[tupl
         handle.write(dump(meta))
 
 
-def _load_floats(path: Path) -> np.ndarray:
+def load_floats(path: Path) -> np.ndarray:
     """The array stored in ``path``, which must be finite float64."""
     array = np.load(path)
     if array.dtype != np.float64:
@@ -505,8 +505,8 @@ def load_model(directory: str | Path) -> tuple[Ensemble, list[tuple[str, int]]]:
     members: list[LinearModel] = []
     for k, entry in enumerate([meta] if kind == "linear" else meta.entries("members")):
         prefix = _member_prefix(kind, k)
-        weights = _load_floats(directory / f"{prefix}weights.npy")
-        biases = _load_floats(directory / f"{prefix}biases.npy")
+        weights = load_floats(directory / f"{prefix}weights.npy")
+        biases = load_floats(directory / f"{prefix}biases.npy")
         classes = _classes(entry)
         if weights.shape != (len(classes), dim) or biases.shape != (len(classes),):
             raise ValueError(f"stored weights for member {k} do not match the feature layout")

@@ -31,13 +31,15 @@ scipy's compiled sparse products, which the pool loads before it forks, so
 no worker loads them and no command imports a scipy module (see ``csr``).
 
 Each block is fitted and featurized on its own, so a pipeline fitted with
-several blocks serves any subset of them: ``narrowed`` shares its fitted
-state with a pipeline of the subset, and ``columns`` finds the subset's
-columns in its matrices, bit for bit the matrices that pipeline makes.
+several blocks serves any subset of them: ``narrowed`` is a copy with the
+subset's blocks, and ``columns`` finds the subset's columns in its matrices,
+bit for bit the matrices of a pipeline fitted with the subset alone.  The
+configs alone say which fitted tables a pipeline uses, saves and loads.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -54,7 +56,7 @@ from .embeddings import (
     remove_component,
     sif_embed,
 )
-from .model import Ensemble, predict_many
+from .model import Ensemble, load_floats, predict_many
 from .preprocess import PreprocessConfig, basic_preprocess, join_tokens, semantic_preprocess, tokenize
 from .schema import Manifest, dump, load_section
 from .vectorize import CharTrie, NgramConfig, Vocabulary
@@ -135,9 +137,7 @@ class FeaturePipeline:
             self.boc_vocabulary = vectorize.fit_char_vocabulary([text for text, _ in views], config.char_n_max)
             self.boc_trie = CharTrie.of(self.boc_vocabulary)
         if self.blocks.embedding and self.sif_config.remove_common_component:
-            matrix = np.stack([self._embed(tokens) for _, tokens in views])
-            if matrix.any():
-                self.common_component = leading_component(matrix)
+            self.common_component = leading_component(np.stack([self._embed(tokens) for _, tokens in views]))
         self.fitted = True
         return self
 
@@ -166,29 +166,15 @@ class FeaturePipeline:
         return out
 
     def narrowed(self, blocks: FeatureBlocks) -> "FeaturePipeline":
-        """This fitted pipeline cut down to ``blocks``, a subset of its own.
+        """A shallow copy of this fitted pipeline with ``blocks``, a subset of its own.
 
-        The vocabularies and common component are shared, not copied; they
-        are what a pipeline of ``blocks`` alone fits on the same data.
+        It shares every fitted table; ``blocks`` decides which it reads and
+        saves, and those are what a pipeline of ``blocks`` alone fits.
         """
         if any(getattr(blocks, name) > getattr(self.blocks, name) for name in BLOCK_ORDER):
             raise ValueError(f"{blocks} is not a subset of {self.blocks}")
-        if blocks == self.blocks:
-            return self
-        embedding = blocks.embedding
-        narrow = FeaturePipeline(
-            self.preprocess_config,
-            self.ngram_config,
-            blocks,
-            self.embedding_table if embedding else None,
-            self.unigram if embedding else None,
-            self.sif_config,
-        )
-        narrow.bow_vocabulary = self.bow_vocabulary if blocks.bow else None
-        narrow.boc_vocabulary = self.boc_vocabulary if blocks.boc else None
-        narrow.boc_trie = self.boc_trie if blocks.boc else None
-        narrow.common_component = self.common_component if embedding else None
-        narrow.fitted = self.fitted
+        narrow = copy.copy(self)
+        narrow.blocks = blocks
         return narrow
 
     def columns(self, blocks: FeatureBlocks) -> np.ndarray | None:
@@ -243,7 +229,7 @@ class FeaturePipeline:
             embedded = np.zeros((len(views), self.embedding_table.dim))
             for row, (_, tokens) in enumerate(views):
                 vector = self._embed(tokens)
-                if self.common_component is not None:
+                if self.sif_config.remove_common_component:
                     # One row at a time: a batched matrix-vector product rounds
                     # differently, and a row must not depend on its batch.
                     vector = remove_component(vector.reshape(1, -1), self.common_component)[0]
@@ -275,7 +261,10 @@ def save_pipeline(pipeline: FeaturePipeline, directory: str | Path, resources: d
     Small preprocessing resources are inlined; ``resources`` records the
     embedding/subword/unigram file paths, which are reloaded from disk.
     Relative paths are stored relative to ``directory``, so the bundle loads
-    from any working directory.
+    from any working directory.  Only the fitted tables the configs name are
+    written: a vocabulary per n-gram block, and the common component when the
+    embedding block has ``remove_common_component``.  So a narrowed copy
+    writes the bundle of a pipeline fitted with its blocks alone.
     """
     if not pipeline.fitted:
         raise ValueError("only fitted pipelines can be saved")
@@ -293,16 +282,17 @@ def save_pipeline(pipeline: FeaturePipeline, directory: str | Path, resources: d
     }
     with open(directory / "pipeline.json", "w", encoding="utf-8", newline="\n") as handle:
         handle.write(dump(meta))
-    if pipeline.bow_vocabulary is not None:
+    if pipeline.blocks.bow:
         vectorize.save_vocabulary(pipeline.bow_vocabulary, pipeline.ngram_config, directory / "bow_vocab.tsv")
-    if pipeline.boc_vocabulary is not None:
+    if pipeline.blocks.boc:
         vectorize.save_vocabulary(pipeline.boc_vocabulary, pipeline.ngram_config, directory / "boc_vocab.tsv")
-    if pipeline.common_component is not None:
+    if pipeline.blocks.embedding and pipeline.sif_config.remove_common_component:
         np.save(directory / "common_component.npy", pipeline.common_component)
 
 
 def load_pipeline(directory: str | Path) -> FeaturePipeline:
-    """Reload a persisted pipeline, rejecting layout mismatches."""
+    """Reload a persisted pipeline, reading only the fitted tables its configs
+    name and rejecting layout mismatches."""
     from .embeddings import load_embeddings, load_unigram_counts
 
     directory = Path(directory)
@@ -337,9 +327,11 @@ def load_pipeline(directory: str | Path) -> FeaturePipeline:
     if blocks.boc:
         pipeline.boc_vocabulary = vectorize.load_vocabulary(directory / "boc_vocab.tsv", ngram_config, chars=True)
         pipeline.boc_trie = CharTrie.of(pipeline.boc_vocabulary)
-    component_path = directory / "common_component.npy"
-    if component_path.exists():
-        pipeline.common_component = np.load(component_path)
+    if blocks.embedding and sif_config.remove_common_component:
+        path = directory / "common_component.npy"
+        pipeline.common_component = load_floats(path)
+        if pipeline.common_component.shape != (embedding_table.dim,):
+            raise ValueError(f"{path} holds shape {pipeline.common_component.shape}, not ({embedding_table.dim},)")
     pipeline.fitted = True
     stored_layout = meta.layout()
     if pipeline.layout != stored_layout:

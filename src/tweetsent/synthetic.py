@@ -32,6 +32,7 @@ from .preprocess import (
     semantic_preprocess,
     tokenize,
 )
+from .schema import dump
 
 POSITIVE = [
     "genial", "feliz", "alegre", "excelente", "maravilloso", "bueno",
@@ -268,6 +269,8 @@ def _write_translations(
                 backward[marked] = _paraphrase(text, rng)
         tables.append({"src_lang": "es", "dst_lang": pivot, "entries": forward})
         tables.append({"src_lang": pivot, "dst_lang": "es", "entries": backward})
+    # Streamed: ``schema.dump`` would hold the whole file's text, some 7 MiB
+    # more at peak for a 5,000-row corpus.
     with open(out_dir / "translations.json", "w", encoding="utf-8", newline="\n") as handle:
         json.dump(tables, handle, indent=2, sort_keys=True, ensure_ascii=False)
         handle.write("\n")
@@ -326,9 +329,7 @@ def generate(
     _write_embeddings(out_dir, seed)
     _write_unigrams(out_dir, train_rows, config)
     _write_translations(out_dir, train_rows, config, pivots, seed)
-    with open(out_dir / "config.json", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(demo_config_dict(pivots), handle, indent=2, sort_keys=True, ensure_ascii=False)
-        handle.write("\n")
+    (out_dir / "config.json").write_text(dump(demo_config_dict(pivots)), encoding="utf-8", newline="\n")
     names = [
         "train.tsv", "dev.tsv", "test.tsv", "stopwords.txt", "lemmas.tsv",
         "negation_words.txt", "embeddings.txt", "embeddings.subword.txt",

@@ -356,8 +356,8 @@ def load_vocabulary(path: str | Path, config: NgramConfig, *, chars: bool = Fals
     each once, and the terms unique.  A character n-gram vocabulary
     (``chars``) must also be one ``CharTrie`` can hold: every term has 1 to
     ``char_n_max`` characters, and a longer term's prefix one character
-    shorter is a term too.  Anything else raises ``ValueError``, naming
-    ``path:line`` for a bad row.
+    shorter is a term too.  Every idf must be finite.  Anything else raises
+    ``ValueError``, naming ``path:line`` for a bad row.
     """
     path = Path(path)
     with open(path, encoding="utf-8", errors="surrogatepass") as handle:
@@ -381,6 +381,8 @@ def load_vocabulary(path: str | Path, config: NgramConfig, *, chars: bool = Fals
                 i, value = int(raw_index), float(raw_idf)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 'term<TAB>index<TAB>idf'") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: idf {raw_idf!r} is not finite")
             if i < 0 or i in idf_by_index:
                 raise ValueError(f"{path}:{lineno}: index {i} is negative or taken by an earlier row")
             if term in index:

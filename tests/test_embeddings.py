@@ -1,5 +1,7 @@
 import functools
 import math
+import re
+import shutil
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from tweetsent.embeddings import (
     subword_ngrams,
     word_vector,
 )
+from tweetsent.cli import main
 
 
 def reference_fnv1a(data: bytes) -> int:
@@ -128,6 +131,47 @@ class TestLoadEmbeddings:
         sub.write_text("3 4 16\n7 1.0 -1.0 \n", encoding="utf-8")
         table = load_embeddings(emb, sub)
         assert table.subword.buckets[7].tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_component_rejected_naming_its_line(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2\nhola 1.0 2.0\nadios 3.0 {value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-finite vector component")):
+            load_embeddings(path)
+
+    def test_non_finite_subword_component_rejected_naming_its_line(self, tmp_path):
+        emb = tmp_path / "emb.vec"
+        emb.write_text("1 2\nhola 1 0\n", encoding="utf-8")
+        sub = tmp_path / "sub.txt"
+        sub.write_text("3 4 16\n7 1.0 -1.0\n2 nan 0.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{sub}:3: non-finite vector component")):
+            load_embeddings(emb, sub)
+
+    @pytest.mark.parametrize(
+        "header, problem",
+        [("0 4 16", "need 1 <= min_n <= max_n"), ("4 3 16", "need 1 <= min_n <= max_n"), ("3 4 0", "bucket_count")],
+    )
+    def test_sidecar_header_the_table_rejects_names_line_1(self, tmp_path, header, problem):
+        emb = tmp_path / "emb.vec"
+        emb.write_text("1 2\nhola 1 0\n", encoding="utf-8")
+        sub = tmp_path / "sub.txt"
+        sub.write_text(f"{header}\n7 1.0 -1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{sub}:1: {problem}")):
+            load_embeddings(emb, sub)
+
+
+def test_cli_train_names_a_non_finite_vector_in_the_features_stage(mini_corpus, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(mini_corpus, corpus)
+    path = corpus / "embeddings.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    word, _, *rest = lines[3].split(" ")
+    lines[3] = " ".join([word, "nan", *rest])
+    path.write_text("".join(lines), encoding="utf-8")
+    code = main(["train", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error [features] {path}:4: non-finite vector component"]
+    assert not (tmp_path / "run" / "model").exists()
 
 
 class TestWordVector:

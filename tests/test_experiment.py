@@ -92,6 +92,14 @@ def light_run(mini_corpus, tmp_path_factory):
     return run_experiment(light_config(mini_corpus), out)
 
 
+@pytest.fixture(scope="module")
+def component_run(mini_corpus, tmp_path_factory):
+    """A light run with the embedding block and common component removal."""
+    config = light_config(mini_corpus)
+    features = dataclasses.replace(config.features, embedding=True, remove_common_component=True)
+    return run_experiment(dataclasses.replace(config, features=features), tmp_path_factory.mktemp("component-run"))
+
+
 class TestDeriveSeed:
     def test_matches_reference_derivation(self):
         # Independent restatement: first four digest bytes, top bit cleared.
@@ -1046,6 +1054,8 @@ class TestCli:
             ("demo_run", "member_000_weights.npy", with_nan, "non-finite"),
             ("light_run", "biases.npy", with_inf, "non-finite"),
             ("demo_run", "member_001_biases.npy", as_int64, "int64"),
+            ("component_run", "common_component.npy", with_inf, "non-finite"),
+            ("component_run", "common_component.npy", as_int64, "int64"),
         ],
     )
     def test_weights_that_are_not_finite_float64_exit_1_in_the_bundle_stage(
@@ -1058,6 +1068,54 @@ class TestCli:
         assert code == 1
         line = bundle_error(capsys)
         assert name in line and problem in line
+        assert not (tmp_path / "labels.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "corrupt, problem",
+        [(lambda component: np.full_like(component, np.nan), "non-finite"), (lambda component: component[:-1], "(49,)")],
+        ids=["nan", "49-entries"],
+    )
+    def test_a_common_component_the_bundle_uses_is_checked_in_the_bundle_stage(
+        self, command, corrupt, problem, component_run, mini_corpus, tmp_path, capsys
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(component_run.out_dir / "model", bundle)
+        path = bundle / "common_component.npy"
+        np.save(path, corrupt(np.load(path)))
+        code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
+        assert code == 1
+        line = bundle_error(capsys)
+        assert str(path) in line and problem in line
+        assert not (tmp_path / "labels.tsv").exists()
+
+    def test_a_common_component_pipeline_json_does_not_name_is_not_read(
+        self, demo_run, mini_corpus, tmp_path, capsys
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(demo_run.out_dir / "model", bundle)
+        assert json.loads((bundle / "pipeline.json").read_text(encoding="utf-8"))["sif"]["remove_common_component"] is False
+        np.save(bundle / "common_component.npy", np.full(50, np.nan))
+        assert main(bundle_argv("predict", bundle, mini_corpus / "test.tsv", tmp_path)) == 0
+        assert (tmp_path / "labels.tsv").read_bytes() == (demo_run.out_dir / "predictions_test.tsv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_a_non_finite_embedding_vector_exits_1_in_the_bundle_stage(
+        self, command, demo_run, mini_corpus, tmp_path, capsys
+    ):
+        embeddings = tmp_path / "embeddings.txt"
+        lines = (mini_corpus / "embeddings.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+        word, _, *rest = lines[3].split(" ")
+        lines[3] = " ".join([word, "nan", *rest])
+        embeddings.write_text("".join(lines), encoding="utf-8")
+        bundle = tmp_path / "model"
+        shutil.copytree(demo_run.out_dir / "model", bundle)
+        meta = json.loads((bundle / "pipeline.json").read_text(encoding="utf-8"))
+        meta["resources"]["embeddings"] = str(embeddings)
+        (bundle / "pipeline.json").write_text(json.dumps(meta), encoding="utf-8")
+        code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
+        assert code == 1
+        assert bundle_error(capsys) == f"error [bundle] {embeddings}:4: non-finite vector component"
         assert not (tmp_path / "labels.tsv").exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])

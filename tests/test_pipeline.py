@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -198,6 +199,15 @@ class TestCommonComponent:
     def test_disabled_by_default(self):
         pipeline = make_pipeline().fit(tiny_dataset())
         assert pipeline.common_component is None
+
+    def test_a_training_set_without_an_embedded_word_removes_nothing_and_saves(self, tmp_path):
+        train = dataset_of(["zzz qqq", "xyz", "😀"])
+        pipeline = make_pipeline(sif_config=SifConfig(a=0.1, remove_common_component=True)).fit(train)
+        assert pipeline.common_component.tolist() == [0.0] * 4
+        kept = make_pipeline(sif_config=SifConfig(a=0.1)).fit(train)
+        assert_same_csr(pipeline.transform(tiny_dataset()), kept.transform(tiny_dataset()))
+        save_pipeline(pipeline, tmp_path / "bundle", write_resources(tmp_path))
+        assert_same_csr(load_pipeline(tmp_path / "bundle").transform(tiny_dataset()), kept.transform(tiny_dataset()))
 
 
 def write_resources(directory):
@@ -823,6 +833,8 @@ class TestBundleChecks:
             (lambda rows: rows[1].__setitem__(0, rows[0][0]), r"boc_vocab.tsv:3: term ' ' is listed by an earlier row"),
             (lambda rows: rows[-1].__setitem__(1, str(len(rows))), r"boc_vocab.tsv:\d+: index \d+ leaves a gap"),
             (lambda rows: drop_term(rows, "el"), r"boc_vocab.tsv:\d+: the prefix 'el' of term 'el ' is not a term"),
+            (lambda rows: rows[1].__setitem__(2, "nan"), r"boc_vocab.tsv:3: idf 'nan' is not finite"),
+            (lambda rows: rows[-1].__setitem__(2, "-inf"), r"boc_vocab.tsv:\d+: idf '-inf' is not finite"),
         ],
     )
     def test_inconsistent_vocabulary_rows_fail_predict_and_eval_in_the_bundle_stage(
@@ -874,3 +886,38 @@ class TestSaveLoadProperties:
         assert loaded.layout == pipeline.layout
         for dataset in (train, dataset_of(texts)):
             assert_same_csr(loaded.transform(dataset), pipeline.transform(dataset))
+
+
+SUBSETS = [FeatureBlocks(*flags) for flags in itertools.product([True, False], repeat=3) if any(flags)]
+
+
+def directory_bytes(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes() for path in sorted(root.iterdir())}
+
+
+class TestNarrowed:
+    """A three-block build narrowed to a subset of its blocks is the
+    pipeline fitted with that subset alone, in its matrices and its bundle."""
+
+    @pytest.mark.parametrize("remove", [False, True])
+    @pytest.mark.parametrize("blocks", SUBSETS, ids=lambda blocks: "+".join(n for n in BLOCK_ORDER if getattr(blocks, n)))
+    def test_the_narrowed_build_is_the_pipeline_fitted_with_its_blocks(self, tmp_path, blocks, remove):
+        build, train = fitted(FeatureBlocks(), NGRAM_CONFIGS[0], remove)
+        build.fit(train)
+        alone, _ = fitted(blocks, NGRAM_CONFIGS[0], remove)
+        alone.fit(train)
+        narrow = build.narrowed(blocks)
+        # A shallow copy: every fitted table is the build's own, whatever its blocks.
+        assert narrow is not build and vars(narrow) == {**vars(build), "blocks": blocks}
+        dataset = dataset_of(CHUNK_TEXTS + [tweet.text for tweet in train.tweets])
+        expected = alone.transform(dataset)
+        assert_same_csr(narrow.transform(dataset), expected)
+        whole, columns = build.transform(dataset), build.columns(blocks)
+        assert_same_csr(whole if columns is None else csr.take_columns(whole, columns), expected)
+        resources = write_resources(tmp_path)
+        save_pipeline(narrow, tmp_path / "narrowed", resources)
+        save_pipeline(alone, tmp_path / "alone", resources)
+        assert directory_bytes(tmp_path / "narrowed") == directory_bytes(tmp_path / "alone")
+        if blocks != FeatureBlocks():
+            with pytest.raises(ValueError, match="is not a subset of"):
+                alone.narrowed(FeatureBlocks())
