@@ -10,12 +10,13 @@ Index arrays are ``int32`` while every column index and entry count fits in
 one, as scipy downcasts them; ``int64`` otherwise.
 
 Every product calls one of scipy's compiled kernels, which sum each row's
-products in stored order from 0.0: ``matvec`` (``csr_matvec``), which also
-sums the squares of the tf-idf row norms (``vectorize._row_norms``),
-``rmatvec`` (``csc_matvec``), and ``matmul`` (``csr_matvecs``), which
-scores.  A pairwise sum of a row's products (``np.add.reduceat``) or a dense
-``matmul`` groups the terms differently and moves values by ulps, and the
-bit-identical numpy products measured were 3 to 20 times slower.
+products in stored order from 0.0: ``matvec`` (``csr_matvec``), which
+computes a solve's margins, scores each weight row of a member in place
+(``model._member_scores``) and sums the squares of the tf-idf row norms
+(``vectorize._row_norms``), and ``rmatvec`` (``csc_matvec``).  A pairwise
+sum of a row's products (``np.add.reduceat``) or a dense ``matmul`` groups
+the terms differently and moves values by ulps, and the bit-identical numpy
+products measured were 3 to 20 times slower.
 ``load_kernels`` loads their extension module, ``scipy.sparse._sparsetools``,
 by file: importing the ``scipy.sparse`` package would cost about 0.15 s and
 13.5 MiB per process, and the kernels need none of it.  A C kernel does not
@@ -272,20 +273,3 @@ def rmatvec(matrix: CsrMatrix, vector: np.ndarray) -> np.ndarray:
     load_kernels().csc_matvec(n_columns, n_rows, matrix.indptr, matrix.indices, matrix.data, vector, result)
     return result
 
-
-def matmul(matrix: CsrMatrix, table: np.ndarray) -> np.ndarray:
-    """``matrix @ table`` for a 2-D ``table`` with a row per column of
-    ``matrix``: each row's products summed in stored order from 0.0 by
-    scipy's ``csr_matvecs``, as ``csr_matrix @ table`` computes it.  The
-    kernel reads the table in row order, as float64: a copy where it is
-    neither."""
-    _check_matrix(matrix)
-    n_rows, n_columns = matrix.shape
-    if not isinstance(table, np.ndarray) or table.ndim != 2:
-        raise ValueError("the kernels take a 2-D table")
-    if len(table) != n_columns:
-        raise ValueError(f"a matrix of {n_columns} columns cannot multiply a table of {len(table)} rows")
-    result = np.zeros((n_rows, table.shape[1]))
-    kernel = load_kernels().csr_matvecs
-    kernel(n_rows, n_columns, table.shape[1], matrix.indptr, matrix.indices, matrix.data, table.ravel(), result.ravel())
-    return result

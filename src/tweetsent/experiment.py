@@ -14,7 +14,8 @@ one build: its pipeline is fitted once, with every block they enable, and
 each variant trains and predicts on its own blocks' columns.  Build after
 build, one worker pool solves the problems of all the build's variants, and
 each variant is evaluated and persisted as its solutions come in, so the
-study holds one build's matrices at a time.  ``preprocess_only`` and
+study holds one build's matrices at a time.  The pool takes the training
+matrix with the problems, and the study keeps only dev and test.  ``preprocess_only`` and
 ``augment_only`` run a prefix of the same stages.  Augmentation only ever
 sees the training split.
 
@@ -26,7 +27,6 @@ are reproducible end to end and adding a consumer does not shift the others.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import logging
@@ -83,6 +83,8 @@ logger = logging.getLogger(__name__)
 
 def derive_seed(seed: int, consumer: str, k: int | None = None) -> int:
     """Deterministic per-consumer seed from the top-level experiment seed."""
+    import hashlib  # here, so that predict and eval do not load it
+
     material = f"{seed}:{consumer}" if k is None else f"{seed}:{consumer}:{k}"
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big") & 0x7FFFFFFF
@@ -315,7 +317,8 @@ class _Run:
     test: Dataset | None = field(init=False)
     preprocess_config: PreprocessConfig = field(init=False)
     pipeline: FeaturePipeline = field(init=False)  # its build, narrowed to its own blocks
-    features: dict[str, typing.Any] = field(init=False)  # the build's matrix of each split
+    # The build's matrix of each split; only dev and test once the build is planned.
+    features: dict[str, typing.Any] = field(init=False)
     columns: typing.Any = field(init=False)  # this variant's columns of the build's matrices; None is all
     predictor: Ensemble = field(init=False)
     test_predictions: list[Label] | None = None
@@ -328,6 +331,8 @@ class _Run:
 
     def key(self, *entries: str) -> str:
         """sha256 of the named top-level config entries, feature block switches left out."""
+        import hashlib
+
         raw = self.config.to_dict()
         raw["features"] = {name: value for name, value in raw["features"].items() if name not in BLOCK_ORDER}
         return hashlib.sha256(dump({name: raw[name] for name in entries}).encode("utf-8")).hexdigest()
@@ -432,26 +437,36 @@ def _featurize(runs: list[_Run]) -> None:
         if first.test is not None and len(first.test):
             matrices["test"] = build.transform(first.test)
     for run in runs:
-        run.features = matrices
+        run.features = dict(matrices)
         run.pipeline = build.narrowed(run.config.features.blocks())
         run.columns = build.columns(run.pipeline.blocks)
 
 
-def _plan(run: _Run) -> TrainingPlan:
-    model = run.config.model
-    bagging = None if model.bagging is None else model.bagging.build(run.config.seed)
-    labels = [t.label for t in run.train.tweets]
-    return plan(run.features["train"], labels, model.lr(), bagging, columns=run.columns)
+def _plan(runs: list[_Run]) -> tuple[list[TrainingPlan], list]:
+    """The plan of every variant of a build, and all their problems in
+    order; the variants keep their dev and test matrices only."""
+    plans, problems = [], []
+    for run in runs:
+        model = run.config.model
+        bagging = None if model.bagging is None else model.bagging.build(run.config.seed)
+        labels = [t.label for t in run.train.tweets]
+        training, run_problems = plan(run.features.pop("train"), labels, model.lr(), bagging, columns=run.columns)
+        plans.append(training)
+        problems += run_problems
+    return plans, problems
 
 
 def _train(runs: list[_Run], counts: dict[str, int]):
     """One pool solves the problems of every variant of a build, in order;
-    each next step gives the next variant its predictor."""
-    plans = [_plan(run) for run in runs]
-    counts["problems"] += sum(len(plan.problems) for plan in plans)
-    with closing(solve_all([problem for plan in plans for problem in plan.problems])) as solutions:
-        for run, plan in zip(runs, plans):
-            run.predictor = plan.assemble(itertools.islice(solutions, len(plan.problems)))
+    each next step gives the next variant its predictor.  The pool holds the
+    only reference to the problems and their training matrix, so the matrix
+    goes once the workers have forked, or in-process with the last solve."""
+    plans, problems = _plan(runs)
+    counts["problems"] += len(problems)
+    with closing(solve_all(problems)) as solutions:
+        del problems
+        for run, training in zip(runs, plans):
+            run.predictor = training.assemble(itertools.islice(solutions, training.n_problems))
             yield
 
 

@@ -20,19 +20,21 @@ in-process path, so the weights do not depend on the CPU count.
 Training and scoring take features as a ``csr.CsrMatrix`` of float64 data
 (``csr.as_csr``): a ``CsrMatrix``, a scipy sparse matrix or a dense array.
 Every product is one of scipy's compiled kernels without the ``scipy.sparse``
-package: a solve's ``csr.matvec`` and ``csr.rmatvec``, and scoring's one
-``csr.matmul`` over every member's weights.  The solver itself is numpy, and
-scoring's ``expit`` gives what ``scipy.special.expit`` gives, bit for bit, so
-no command imports a scipy module.
+package: a solve's ``csr.matvec`` and ``csr.rmatvec``, and scoring's
+``csr.matvec`` of each weight row, read where the member holds it, so
+scoring builds no table of every member's weights.  The solver itself is
+numpy, and scoring's ``expit`` gives what ``scipy.special.expit`` gives, bit
+for bit, so no command imports a scipy module.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
-solved: ``plan`` makes the ``TrainingPlan`` of either kind, one member on
-every row without ``bagging`` or one per bootstrap sample with it.  A plan
-lists an ensemble's subproblems, each carrying its own matrix and
-``LrConfig``, so one ``solve_all`` call can serve the plans of many
-ensembles, and ``TrainingPlan.assemble`` builds each ensemble from the
-solutions.
+solved: ``plan`` gives the ``TrainingPlan`` of either kind, one member on
+every row without ``bagging`` or one per bootstrap sample with it, and the
+plan's subproblems, each carrying its own matrix and ``LrConfig``.  One
+``solve_all`` call can serve the problems of many ensembles, and
+``TrainingPlan.assemble`` builds each ensemble from the solutions.  The plan
+keeps no problem, so once the problems are handed to ``solve_all`` the
+solver holds the only reference to their matrix (see ``parallel``).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import optimize, parallel
 from .corpus import LABELS, Label
-from .csr import CsrMatrix, as_csr, matmul, matvec, rmatvec, take_columns, take_rows
+from .csr import CsrMatrix, as_csr, matvec, rmatvec, take_columns, take_rows
 from .optimize import dot
 from .schema import Manifest, dump, load_section
 
@@ -226,19 +228,24 @@ def solve_all(problems: Sequence[_Problem]) -> Iterator[tuple[np.ndarray, Solver
 
 @dataclass(frozen=True)
 class TrainingPlan:
-    """An ensemble before solving: its members' one-vs-rest problems, member
-    after member and class after class, and how their solutions assemble."""
+    """An ensemble before solving: how the solutions of its members'
+    one-vs-rest problems, member after member and class after class,
+    assemble."""
 
     classes: tuple[Label, ...]
     member_classes: tuple[tuple[Label, ...], ...]
-    problems: tuple[_Problem, ...]
     dim: int  # feature columns of every member
     lr_config: LrConfig
     bagging: BaggingConfig | None = None
 
+    @property
+    def n_problems(self) -> int:
+        """The number of solutions ``assemble`` takes."""
+        return sum(map(len, self.member_classes))
+
     def assemble(self, solutions: Iterable[tuple[np.ndarray, SolverStats]]) -> Ensemble:
-        """The ensemble from the solutions of ``problems``, in order; warnings
-        follow class by class."""
+        """The ensemble from the solutions of the plan's problems, in order;
+        warnings follow class by class."""
         solutions = iter(solutions)
         config = self.lr_config
         members = []
@@ -262,7 +269,8 @@ class TrainingPlan:
         return Ensemble(self.classes, tuple(members), config, self.bagging)
 
 
-BootstrapFn = Callable[[int, int, np.random.Generator], np.ndarray]
+# A string, so that importing this module does not load ``numpy.random``.
+BootstrapFn = Callable[[int, int, "np.random.Generator"], np.ndarray]
 
 
 def plan(
@@ -274,9 +282,10 @@ def plan(
     columns: np.ndarray | None = None,
     sample_weight: np.ndarray | None = None,
     bootstrap_fn: BootstrapFn | None = None,
-) -> TrainingPlan:
+) -> tuple[TrainingPlan, list[_Problem]]:
     """The plan of an ensemble on the ``columns`` of ``features`` (all by
-    default), whose members are drawn after the training inputs are checked.
+    default), whose members are drawn after the training inputs are checked,
+    and its problems, in the order ``assemble`` takes their solutions.
 
     Without ``bagging``, the one member trains on every row, weighted by
     ``sample_weight`` if given and by the class-weight mode if not.  With
@@ -328,7 +337,7 @@ def plan(
             for cls in member_classes[-1]
         ]
     dim = features.shape[1] if columns is None else len(columns)
-    return TrainingPlan(classes, tuple(member_classes), tuple(problems), dim, lr_config, bagging)
+    return TrainingPlan(classes, tuple(member_classes), dim, lr_config, bagging), problems
 
 
 def train_lr(
@@ -343,8 +352,8 @@ def train_lr(
     hook).  A subproblem that fails to reach ``tol`` within ``max_iter`` still
     yields a model, with a warning and ``converged=False``.
     """
-    training = plan(features, labels, config, sample_weight=sample_weight)
-    return training.assemble(solve_all(training.problems)).members[0]
+    training, problems = plan(features, labels, config, sample_weight=sample_weight)
+    return training.assemble(solve_all(problems)).members[0]
 
 
 def train_bagging(
@@ -359,8 +368,8 @@ def train_bagging(
     Every member and the whole ensemble are reproducible (see ``plan``).
     ``bootstrap_fn`` overrides sampling for tests.
     """
-    training = plan(features, labels, lr_config, bagging_config, bootstrap_fn=bootstrap_fn)
-    return training.assemble(solve_all(training.problems))
+    training, problems = plan(features, labels, lr_config, bagging_config, bootstrap_fn=bootstrap_fn)
+    return training.assemble(solve_all(problems))
 
 
 #: The largest double whose exp is finite: ``math.exp`` raises OverflowError
@@ -398,15 +407,13 @@ def _member_proba_matrix(member: LinearModel, scores: np.ndarray, classes: tuple
 
 
 def _member_scores(members: Sequence[LinearModel], X: CsrMatrix) -> list[np.ndarray]:
-    """Each member's raw scores of ``X`` (without its biases), from one
-    ``csr.matmul`` over every member's weights."""
-    widths = [len(member.classes) for member in members]
-    # The members' weights side by side: row j holds every weight of column j.
-    table = np.empty((X.shape[1], sum(widths)))
-    np.concatenate([member.weights.T for member in members], axis=1, out=table)
-    scores = matmul(X, table)
-    bounds = np.cumsum([0] + widths).tolist()
-    return [scores[:, start:end] for start, end in zip(bounds, bounds[1:])]
+    """Each member's raw scores of ``X`` (without its biases): ``csr.matvec``
+    of each weight row, which reads the member's weights where they are
+    (a copy only of weights that are not C-contiguous float64)."""
+    return [
+        np.stack([matvec(X, w) for w in np.ascontiguousarray(member.weights, dtype=np.float64)], axis=1)
+        for member in members
+    ]
 
 
 def predict_proba_matrix(predictor: Ensemble, X: np.ndarray | CsrMatrix) -> np.ndarray:
@@ -481,8 +488,15 @@ def save_model(predictor: Ensemble, directory: str | Path, layout: Sequence[tupl
 
 
 def load_floats(path: Path) -> np.ndarray:
-    """The array stored in ``path``, which must be finite float64."""
-    array = np.load(path)
+    """The array stored in ``path``, which must be finite float64; every
+    failure names the file."""
+    try:
+        array = np.load(path)
+    except (ValueError, EOFError) as exc:  # truncated, pickled or not .npy at all
+        raise ValueError(f"{path} cannot be read as an array: {exc}") from None
+    if not isinstance(array, np.ndarray):  # an .npz archive, which np.load leaves open
+        array.close()
+        raise ValueError(f"{path} holds an archive of arrays, not one array")
     if array.dtype != np.float64:
         raise ValueError(f"{path} holds {array.dtype} values, not float64")
     if not np.isfinite(array).all():

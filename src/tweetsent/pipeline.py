@@ -23,12 +23,15 @@ Every row depends only on its own tweet, so a large batch is cut into
 contiguous row blocks (``_split``) and featurized in ``parallel.fork_map``
 workers.  Training needs the whole matrix: ``transform`` cuts one block per
 CPU and joins the blocks with ``csr.vstack``, bit-identical to the one-batch
-build.  ``predict`` and ``eval`` need only labels: ``label`` cuts blocks of
-``MIN_ROWS_PER_WORKER`` to twice that many rows, and each worker featurizes
-and scores its blocks and returns only their labels, so no process holds
-more than one block's matrix.  The tf-idf row norms and the scores are
-scipy's compiled sparse products, which the pool loads before it forks, so
-no worker loads them and no command imports a scipy module (see ``csr``).
+build; a study hands that matrix to its solve pool and keeps none of it
+(see ``parallel``).  ``predict`` and ``eval`` need only labels: ``label``
+cuts blocks of ``MIN_ROWS_PER_WORKER`` to twice that many rows, and each
+worker featurizes and scores its blocks and returns only their labels, so
+no process holds more than one block's matrix.  The tf-idf row norms and
+the scores are scipy's compiled ``csr_matvec``, scoring one call per weight
+row, which reads the member's weights in place; the pool loads the kernel
+before it forks, so no worker loads it and no command imports a scipy
+module (see ``csr``).
 
 Each block is fitted and featurized on its own, so a pipeline fitted with
 several blocks serves any subset of them: ``narrowed`` is a copy with the

@@ -1,5 +1,5 @@
-"""The numpy CSR helpers and the solver's kernels against scipy.sparse and
-scipy.special, bit for bit.
+"""The numpy CSR helpers, the solver's kernels and scoring against
+scipy.sparse and scipy.special, bit for bit.
 
 ``scipy.sparse`` loads inside the tests, not at collection (see
 ``conftest.scipy_csr``).
@@ -15,6 +15,7 @@ from scipy import special
 
 from conftest import assert_same_csr, scipy_csr
 from tweetsent import csr, model
+from tweetsent.corpus import LABELS
 
 # Magnitudes far apart, so that summing in another order changes the bits.
 values = st.builds(
@@ -97,57 +98,6 @@ class TestAgainstScipy:
         with pytest.raises(ValueError):
             csr.take_columns(csr.from_dense(np.eye(3)), np.array([1, 1]))
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data(), matrices(), st.integers(0, 5))
-    @example(None, csr.from_dense(np.zeros((0, 3))), 2)
-    @example(None, csr.from_dense(np.zeros((3, 0))), 2)
-    def test_matmul(self, data, matrix, n_weights):
-        if data is not None:
-            weights = data.draw(dense_arrays(n_weights, matrix.shape[1]))
-        else:
-            weights = np.ones((n_weights, matrix.shape[1]))
-        scores = csr.matmul(matrix, weights.T)
-        expected = scipy_csr(matrix) @ weights.T
-        assert scores.shape == expected.shape
-        assert np.array_equal(scores, expected)
-        assert np.array_equal(np.signbit(scores), np.signbit(expected))
-        empty = np.diff(matrix.indptr) == 0
-        assert np.array_equal(scores[empty], np.zeros((empty.sum(), n_weights)))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.data(), st.integers(1, 40), st.integers(1, 30), st.integers(1, 6))
-    def test_matmul_on_long_rows(self, data, n_rows, n_columns, n_weights):
-        dense = np.array(
-            data.draw(st.lists(values, min_size=n_rows * n_columns, max_size=n_rows * n_columns))
-        ).reshape(n_rows, n_columns)
-        dense[dense == 0.0] = 1.0
-        matrix = csr.from_dense(dense)
-        weights = np.array(
-            data.draw(st.lists(values, min_size=n_weights * n_columns, max_size=n_weights * n_columns))
-        ).reshape(n_weights, n_columns)
-        assert np.array_equal(csr.matmul(matrix, weights.T), scipy_csr(matrix) @ weights.T)
-
-    @settings(max_examples=6, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1_000, 1_500), st.integers(33, 160))
-    def test_matmul_on_a_predict_sized_block(self, seed, n_rows, n_weights):
-        # More rows than a ``FeaturePipeline.label`` block, of 0 to 80 entries
-        # whose magnitudes lie far apart, by up to the 160 weight rows of a
-        # 40-member bundle.
-        rng = np.random.default_rng(seed)
-        n_columns = 300
-        lengths = rng.integers(0, 81, n_rows)
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        indices = np.concatenate([np.sort(rng.choice(n_columns, k, replace=False)) for k in lengths])
-        data = rng.uniform(-1.0, 1.0, indptr[-1]) * 10.0 ** rng.integers(-30, 31, indptr[-1])
-        matrix = csr.csr_matrix(data, indices, indptr, (n_rows, n_columns))
-        weights = rng.uniform(-1.0, 1.0, (n_weights, n_columns)) * 10.0 ** rng.integers(-30, 31, (n_weights, n_columns))
-        assert csr.matmul(matrix, weights.T).tobytes() == (scipy_csr(matrix) @ weights.T).tobytes()
-
-    def test_matmul_rejects_a_size_mismatch(self):
-        with pytest.raises(ValueError):
-            csr.matmul(csr.from_dense(np.ones((2, 3))), np.ones((2, 4)))
-
-
 
 def with_index_dtype(matrix, dtype):
     """``matrix`` with its index arrays cast to ``dtype``."""
@@ -162,16 +112,27 @@ def assert_same_array(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def tables(rng, n_rows):
-    """Tables of 0, 1, 20 and 160 columns, the last the weights of a
-    40-member bundle, whose magnitudes lie far apart."""
-    return [rng.uniform(-1.0, 1.0, (n_rows, k)) * 10.0 ** rng.integers(-30, 31, (n_rows, k)) for k in (0, 1, 20, 160)]
+def weight_rows(rng, n_columns):
+    """Weights of 1, 20 and 160 rows, the last those of a 40-member bundle,
+    whose magnitudes lie far apart."""
+    shapes = [(k, n_columns) for k in (1, 20, 160)]
+    return [rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-30, 31, shape) for shape in shapes]
+
+
+def scores(matrix, weights):
+    """Scoring's raw scores of ``matrix`` by the rows of ``weights``, taken
+    four at a time as the weights of one member, side by side."""
+    members = [
+        model.LinearModel(LABELS[: len(rows)], rows, np.zeros(len(rows)), model.LrConfig())
+        for rows in np.split(weights, range(4, len(weights), 4))
+    ]
+    return np.hstack(model._member_scores(members, matrix))
 
 
 class TestKernels:
-    """``matvec``, ``rmatvec``, ``matmul`` and ``take_rows``: what a solve
-    does with a member's matrix and what scoring does with a block, against
-    scipy's ``X @ w``, ``X.T @ c``, ``X @ T`` and ``X[rows]``."""
+    """``matvec``, ``rmatvec``, scoring and ``take_rows``: what a solve does
+    with a member's matrix and what scoring does with a block, against
+    scipy's ``X @ w``, ``X.T @ c``, ``X @ W.T`` and ``X[rows]``."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data(), matrices(), st.sampled_from([np.int32, np.int64]))
@@ -194,9 +155,77 @@ class TestKernels:
         X = scipy_csr(matrix)
         assert_same_array(csr.matvec(matrix, w), X @ w)
         assert_same_array(csr.rmatvec(matrix, c), X.T @ c)
-        for table in tables(np.random.default_rng(seed), n_columns):
-            assert_same_array(csr.matmul(matrix, table), X @ table)
+        for weights in weight_rows(np.random.default_rng(seed), n_columns):
+            assert_same_array(scores(matrix, weights), X @ weights.T)
         assert_same_csr(csr.take_rows(matrix, rows), X[rows])
+
+
+class TestScoring:
+    """Scoring gives scipy's ``X @ W.T`` bit for bit: ``-0.0`` and empty
+    rows included, on rows whose products sum over far-apart magnitudes,
+    and on a block the size ``FeaturePipeline.label`` scores."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), matrices(), st.integers(1, 5))
+    @example(None, csr.from_dense(np.zeros((0, 3))), 2)
+    @example(None, csr.from_dense(np.zeros((3, 0))), 2)
+    def test_equal_scipy(self, data, matrix, n_weights):
+        if data is not None:
+            weights = data.draw(dense_arrays(n_weights, matrix.shape[1]))
+        else:
+            weights = np.ones((n_weights, matrix.shape[1]))
+        scored = scores(matrix, weights)
+        expected = scipy_csr(matrix) @ weights.T
+        assert scored.shape == expected.shape
+        assert np.array_equal(scored, expected)
+        assert np.array_equal(np.signbit(scored), np.signbit(expected))
+        empty = np.diff(matrix.indptr) == 0
+        assert np.array_equal(scored[empty], np.zeros((empty.sum(), n_weights)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), st.integers(1, 40), st.integers(1, 30), st.integers(1, 6))
+    def test_on_long_rows(self, data, n_rows, n_columns, n_weights):
+        dense = np.array(
+            data.draw(st.lists(values, min_size=n_rows * n_columns, max_size=n_rows * n_columns))
+        ).reshape(n_rows, n_columns)
+        dense[dense == 0.0] = 1.0
+        matrix = csr.from_dense(dense)
+        weights = np.array(
+            data.draw(st.lists(values, min_size=n_weights * n_columns, max_size=n_weights * n_columns))
+        ).reshape(n_weights, n_columns)
+        assert np.array_equal(scores(matrix, weights), scipy_csr(matrix) @ weights.T)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1_000, 1_500), st.integers(33, 160))
+    def test_on_a_predict_sized_block(self, seed, n_rows, n_weights):
+        # More rows than a ``FeaturePipeline.label`` block, of 0 to 80 entries
+        # whose magnitudes lie far apart, by up to the 160 weight rows of a
+        # 40-member bundle.
+        rng = np.random.default_rng(seed)
+        n_columns = 300
+        lengths = rng.integers(0, 81, n_rows)
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        indices = np.concatenate([np.sort(rng.choice(n_columns, k, replace=False)) for k in lengths])
+        data = rng.uniform(-1.0, 1.0, indptr[-1]) * 10.0 ** rng.integers(-30, 31, indptr[-1])
+        matrix = csr.csr_matrix(data, indices, indptr, (n_rows, n_columns))
+        weights = rng.uniform(-1.0, 1.0, (n_weights, n_columns)) * 10.0 ** rng.integers(-30, 31, (n_weights, n_columns))
+        assert scores(matrix, weights).tobytes() == (scipy_csr(matrix) @ weights.T).tobytes()
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            np.asfortranarray,
+            lambda weights: weights.astype(np.float32),
+            lambda weights: np.repeat(weights, 2, axis=1)[:, ::2],
+        ],
+        ids=["fortran-order", "float32", "strided"],
+    )
+    def test_weights_in_another_layout_score_as_their_float64_copy(self, layout):
+        rng = np.random.default_rng(5)
+        matrix = csr.from_dense(rng.uniform(-1.0, 1.0, (7, 9)) * (rng.uniform(size=(7, 9)) < 0.5))
+        weights = layout(rng.uniform(-1.0, 1.0, (8, 9)))
+        expected = scipy_csr(matrix) @ np.array(weights, dtype=np.float64).T
+        assert scores(matrix, weights).tobytes() == expected.tobytes()
 
 
 def small_matrix(**arrays):
@@ -205,9 +234,7 @@ def small_matrix(**arrays):
     return csr.CsrMatrix(**{"data": data, "indices": indices, "indptr": indptr, **arrays}, shape=(2, 3))
 
 
-#: Every product checks the matrix; ``matmul`` takes a table where the others take a vector.
-every_product = pytest.mark.parametrize("product", [csr.matvec, csr.rmatvec, csr.matmul])
-vector_products = pytest.mark.parametrize("product", [csr.matvec, csr.rmatvec])
+every_product = pytest.mark.parametrize("product", [csr.matvec, csr.rmatvec])
 
 
 class TestKernelsRefuse:
@@ -217,10 +244,9 @@ class TestKernelsRefuse:
 
     @staticmethod
     def vector(product, change=0, **kwargs):
-        """The vector, or for ``matmul`` the two-column table, that ``product``
-        takes with ``small_matrix()``, ``change`` rows longer."""
-        rows = (2 if product is csr.rmatvec else 3) + change
-        return np.ones((rows, 2) if product is csr.matmul else rows, **kwargs)
+        """The vector that ``product`` takes with ``small_matrix()``, ``change``
+        entries longer."""
+        return np.ones((2 if product is csr.rmatvec else 3) + change, **kwargs)
 
     @every_product
     def test_a_good_matrix_passes(self, product):
@@ -242,12 +268,12 @@ class TestKernelsRefuse:
         with pytest.raises(ValueError, match="contiguous"):
             product(small_matrix(data=np.array([1.0, 0.0, 2.0, 0.0, 3.0, 0.0])[::2]), self.vector(product))
 
-    @vector_products
+    @every_product
     def test_a_vector_that_is_not_float64(self, product):
         with pytest.raises(ValueError, match="float64 vector"):
             product(small_matrix(), self.vector(product, dtype=np.float32))
 
-    @vector_products
+    @every_product
     def test_a_vector_that_is_not_contiguous(self, product):
         with pytest.raises(ValueError, match="contiguous"):
             product(small_matrix(), np.repeat(self.vector(product), 2)[::2])
@@ -260,10 +286,8 @@ class TestKernelsRefuse:
 
     @every_product
     def test_a_vector_of_the_wrong_dimension(self, product):
-        # A 2-D vector, or a 1-D table.
-        vector = self.vector(product)
-        with pytest.raises(ValueError, match="[12]-D"):
-            product(small_matrix(), vector[:, 0].copy() if vector.ndim == 2 else vector[:, None])
+        with pytest.raises(ValueError, match="1-D"):
+            product(small_matrix(), self.vector(product)[:, None])
 
     @every_product
     @pytest.mark.parametrize("index", [3, 1000, -1])

@@ -816,6 +816,27 @@ def bundle_error(capsys) -> str:
     return line
 
 
+def truncate(path: Path) -> None:
+    """Cut the last entry's bytes off a float64 ``.npy`` file."""
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def empty(path: Path) -> None:
+    path.write_bytes(b"")
+
+
+def archive(path: Path) -> None:
+    """Overwrite ``path`` with an ``.npz`` archive of its array."""
+    array = np.load(path)
+    with open(path, "wb") as handle:
+        np.savez(handle, array=array)
+
+
+def hold_objects(path: Path) -> None:
+    """Overwrite ``path`` with a pickled object array."""
+    np.save(path, np.array([{"w": 1.0}, None], dtype=object), allow_pickle=True)
+
+
 def with_nan(array: np.ndarray) -> np.ndarray:
     array = array.copy()
     array[0, -1] = np.nan
@@ -1068,6 +1089,30 @@ class TestCli:
         assert code == 1
         line = bundle_error(capsys)
         assert name in line and problem in line
+        assert not (tmp_path / "labels.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize(
+        "run, name, spoil, problem",
+        [
+            ("demo_run", "member_001_weights.npy", truncate, "cannot be read as an array"),
+            ("demo_run", "member_001_weights.npy", hold_objects, "Object arrays cannot be loaded"),
+            ("component_run", "common_component.npy", truncate, "cannot be read as an array"),
+            ("light_run", "biases.npy", empty, "cannot be read as an array"),
+            ("demo_run", "member_002_biases.npy", archive, "archive of arrays"),
+        ],
+        ids=["truncated-weights", "object-weights", "truncated-component", "empty-biases", "archived-biases"],
+    )
+    def test_an_array_file_numpy_cannot_read_is_named_in_the_bundle_stage(
+        self, command, run, name, spoil, problem, mini_corpus, tmp_path, request, capsys
+    ):
+        bundle = tmp_path / "model"
+        shutil.copytree(request.getfixturevalue(run).out_dir / "model", bundle)
+        spoil(bundle / name)
+        code = main(bundle_argv(command, bundle, mini_corpus / "dev.tsv", tmp_path))
+        assert code == 1
+        line = bundle_error(capsys)
+        assert str(bundle / name) in line and problem in line
         assert not (tmp_path / "labels.tsv").exists()
 
     @pytest.mark.parametrize("command", ["eval", "predict"])

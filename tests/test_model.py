@@ -1,9 +1,11 @@
+import gc
 import json
 import math
 import os
 import sys
 import types
 import warnings
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -385,25 +387,28 @@ def test_scoring_equals_scipy_products_and_expit_bit_for_bit(seed, n_rows, n_col
 
 
 @pytest.mark.parametrize("n_rows", [1, 625])
-def test_scores_come_from_one_kernel_product_with_scipy_loaded(n_rows, monkeypatch):
-    # 625 full rows of 1,000 columns by 40 four-class members: 100 million
-    # multiplications.  The kernel call is only recorded, not run.
+def test_scores_read_each_weight_row_in_place_without_scipy(n_rows, monkeypatch):
+    # 625 full rows of 1,000 columns by 40 four-class members.  The kernel
+    # calls are only recorded, not run.
     n_columns = 1_000
     X = csr.from_dense(np.ones((n_rows, n_columns)))
-    weights = np.ones((len(LABELS), n_columns))
-    members = [LinearModel(LABELS, weights, np.zeros(len(LABELS)), LrConfig())] * 40
+    members = [
+        LinearModel(LABELS, np.ones((len(LABELS), n_columns)), np.zeros(len(LABELS)), LrConfig()) for _ in range(40)
+    ]
     products = []
 
-    def record(n_rows, n_columns, n_vecs, *arrays):
-        products.append((n_rows, n_columns, n_vecs))
+    def record(n_rows, n_columns, indptr, indices, data, vector, result):
+        products.append((n_rows, n_columns, vector.base))
 
-    monkeypatch.setattr(csr, "_kernels", types.SimpleNamespace(csr_matvecs=record))
-    # Scoring takes the one product even where scipy is loaded.
-    from scipy import sparse, special  # noqa: F401
-
+    monkeypatch.setattr(csr, "_kernels", types.SimpleNamespace(csr_matvec=record))
+    scipy_before = {name for name in sys.modules if name.split(".")[0] == "scipy"}
     scores = model._member_scores(members, X)
-    assert products == [(n_rows, n_columns, 160)]
+    # One product per weight row, member after member, each on a row of the member's own weights.
+    owners = [member.weights for member in members for _ in LABELS]
+    assert len(products) == 160
+    assert all((rows, columns) == (n_rows, n_columns) and base is owner for (rows, columns, base), owner in zip(products, owners))
     assert [part.shape for part in scores] == [(n_rows, len(LABELS))] * 40
+    assert {name for name in sys.modules if name.split(".")[0] == "scipy"} == scipy_before
 
 
 def four_class_problem(seed=0, per_class=15, d=6):
@@ -451,10 +456,11 @@ class TestBagging:
         X = scipy_csr(X)
         columns = np.array(sorted(keep))
         config, bagging = LrConfig(), BaggingConfig(n_estimators=2, seed=data_seed)
-        training = plan(X, labels, config, bagging, columns=columns)
+        training, problems = plan(X, labels, config, bagging, columns=columns)
         assert training.dim == len(columns)
+        assert training.n_problems == len(problems)
         cut = scipy_csr(X[:, columns].toarray())
-        planned = training.assemble(solve_all(training.problems))
+        planned = training.assemble(solve_all(problems))
         assert_same_members(planned.members, train_bagging(cut, labels, config, bagging).members)
 
     def test_identity_bootstrap_equals_plain_lr(self):
@@ -514,9 +520,10 @@ class TestPlan:
         X, labels = four_class_problem(seed=data_seed, per_class=8, d=6)
         X = scipy_csr(X)
         columns = np.array(sorted(keep))
-        training = plan(X, labels, LrConfig(), columns=columns)
+        training, problems = plan(X, labels, LrConfig(), columns=columns)
         assert training.dim == len(columns)
-        [planned] = training.assemble(solve_all(training.problems)).members
+        assert training.n_problems == len(problems)
+        [planned] = training.assemble(solve_all(problems)).members
         cut = scipy_csr(X[:, columns].toarray())
         assert_same_members([planned], [train_lr(cut, labels, LrConfig())])
 
@@ -855,3 +862,18 @@ class TestParallelSolves:
         monkeypatch.setattr(model, "binary_objective", exit_in_worker)
         with pytest.raises(BrokenProcessPool):
             train_lr(X, labels, LrConfig())
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_fork_imap_keeps_no_item_it_has_handed_over(cpus, monkeypatch):
+    # Forked, the workers hold the items from the first next on; in-process,
+    # each item goes once it is mapped.
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    items = [np.full(3, float(i)) for i in range(4)]
+    refs = [weakref.ref(item) for item in items]
+    results = parallel.fork_imap(np.sum, items)
+    del items
+    assert next(results) == 0.0
+    gc.collect()
+    assert [ref() is None for ref in refs] == ([True] * 4 if cpus > 1 else [True, False, False, False])
+    assert list(results) == [3.0, 6.0, 9.0]

@@ -37,7 +37,8 @@ def problems(draw):
         max_iter=20_000,
     )
     bagging = BaggingConfig(n_estimators=1, seed=seed) if draw(st.booleans()) else None
-    return plan(features, labels, config, bagging).problems
+    _, planned = plan(features, labels, config, bagging)
+    return planned
 
 
 @settings(max_examples=60, deadline=None)

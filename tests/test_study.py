@@ -139,3 +139,33 @@ def test_a_study_holds_one_build_at_a_time(study_config, tmp_path, monkeypatch):
     monkeypatch.setitem(experiment.STAGES, "features", featurize_after_the_last_build_is_freed)
     grid_search(study_config, GRIDS["features"], tmp_path / "grid")
     assert len(built) == 4
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_a_study_keeps_no_training_matrix_once_the_pool_has_it(command, cpus, study_config, tmp_path, monkeypatch):
+    # Forked workers hold each build's problems from its first solution on,
+    # so the parent evaluates every variant without the training matrix;
+    # in-process, the matrix goes with the build's last solve.
+    monkeypatch.setattr(parallel, "cpu_count", lambda: cpus)
+    featurize, evaluate = experiment.STAGES["features"], experiment.STAGES["evaluate"]
+    builds, released = [], []
+
+    def featurize_and_watch(runs):
+        featurize(runs)
+        builds.append((weakref.ref(runs[0].features["train"].data), runs[-1]))
+
+    def evaluate_after_the_release(run):
+        matrix, last = builds[-1]
+        if cpus > 1 or run is last:
+            gc.collect()
+            released.append(matrix() is None)
+        evaluate(run)
+
+    monkeypatch.setitem(experiment.STAGES, "features", featurize_and_watch)
+    monkeypatch.setitem(experiment.STAGES, "evaluate", evaluate_after_the_release)
+    if command == "train":
+        run_experiment(study_config, tmp_path / "train")
+    else:
+        run_ablation(study_config, tmp_path / "ablation")
+    assert released == [True] * (1 if command == "train" else 8 if cpus > 1 else 3)
