@@ -21,10 +21,10 @@ Training and scoring take features as a ``csr.CsrMatrix`` of float64 data
 (``csr.as_csr``): a ``CsrMatrix``, a scipy sparse matrix or a dense array.
 Every product is one of scipy's compiled kernels without the ``scipy.sparse``
 package: a solve's ``csr.matvec`` and ``csr.rmatvec``, and scoring's
-``csr.matvec`` of each weight row, read where the member holds it, so
-scoring builds no table of every member's weights.  The solver itself is
-numpy, and scoring's ``expit`` gives what ``scipy.special.expit`` gives, bit
-for bit, so no command imports a scipy module.
+``csr.matvec`` of each weight row, read where the member holds it.  The
+solver itself is numpy, and scoring's ``expit`` gives what
+``scipy.special.expit`` gives, bit for bit, so no command imports a scipy
+module.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+import zipfile
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import asdict, dataclass
@@ -492,7 +493,7 @@ def load_floats(path: Path) -> np.ndarray:
     failure names the file."""
     try:
         array = np.load(path)
-    except (ValueError, EOFError) as exc:  # truncated, pickled or not .npy at all
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:  # truncated, pickled, a cut archive or not .npy at all
         raise ValueError(f"{path} cannot be read as an array: {exc}") from None
     if not isinstance(array, np.ndarray):  # an .npz archive, which np.load leaves open
         array.close()

@@ -832,6 +832,13 @@ def archive(path: Path) -> None:
         np.savez(handle, array=array)
 
 
+def archive_and_truncate(path: Path) -> None:
+    """Overwrite ``path`` with the first half of an ``.npz`` archive of its array."""
+    archive(path)
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
 def hold_objects(path: Path) -> None:
     """Overwrite ``path`` with a pickled object array."""
     np.save(path, np.array([{"w": 1.0}, None], dtype=object), allow_pickle=True)
@@ -1100,8 +1107,16 @@ class TestCli:
             ("component_run", "common_component.npy", truncate, "cannot be read as an array"),
             ("light_run", "biases.npy", empty, "cannot be read as an array"),
             ("demo_run", "member_002_biases.npy", archive, "archive of arrays"),
+            ("demo_run", "member_000_weights.npy", archive_and_truncate, "cannot be read as an array"),
         ],
-        ids=["truncated-weights", "object-weights", "truncated-component", "empty-biases", "archived-biases"],
+        ids=[
+            "truncated-weights",
+            "object-weights",
+            "truncated-component",
+            "empty-biases",
+            "archived-biases",
+            "archived-then-truncated-weights",
+        ],
     )
     def test_an_array_file_numpy_cannot_read_is_named_in_the_bundle_stage(
         self, command, run, name, spoil, problem, mini_corpus, tmp_path, request, capsys

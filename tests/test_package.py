@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -50,15 +51,38 @@ def test_import_keeps_a_value_the_user_set():
 
 #: The modules besides scipy's that the CLI import, ``predict`` and ``eval``
 #: leave out: the process pool (a small batch needs none), and the bootstrap
-#: generator and the config hashes, which only training uses (6.1 MiB of RSS).
+#: generator and the config hashes, which only training uses (6.1 MiB of RSS
+#: on numpy 2).
 LEFT_OUT = ("multiprocessing", "concurrent.futures.process", "numpy.random", "hashlib", "_hashlib")
 
-#: Prints, as JSON, the scipy modules and the ``LEFT_OUT`` modules loaded.
-LOADED = f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in {LEFT_OUT!r})))"
+
+@functools.cache
+def forced_by_numpy() -> tuple[int, frozenset[str]]:
+    """numpy's major version and the ``LEFT_OUT`` modules that a bare
+    ``import numpy`` loads in a fresh interpreter."""
+    forced = f"[m for m in {LEFT_OUT!r} if m in sys.modules]"
+    code = f"import json, sys, numpy; print(json.dumps([numpy.__version__, {forced}]))"
+    version, forced = json.loads(run_fresh(code))
+    return int(version.split(".")[0]), frozenset(forced)
+
+
+def print_loaded() -> str:
+    """Code that prints, as JSON, the scipy modules and the ``LEFT_OUT``
+    modules loaded, less those that importing numpy loads anyway."""
+    pinned = tuple(m for m in LEFT_OUT if m not in forced_by_numpy()[1])
+    return f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m in {pinned!r})))"
+
+
+def test_only_numpy_1_loads_its_random_module_and_hashlib_on_import():
+    # numpy 1.x imports numpy.random with numpy, and its bit generator loads
+    # hashlib through secrets; numpy 2 loads numpy.random on first use.  So
+    # on numpy 1 the pins below hold the process pool and scipy only.
+    major, forced = forced_by_numpy()
+    assert (forced == set()) if major >= 2 else (forced <= {"numpy.random", "hashlib", "_hashlib"})
 
 
 def test_cli_import_leaves_out_the_solver_and_the_process_pool():
-    assert json.loads(run_fresh("import json, sys, tweetsent.cli; " + LOADED)) == []
+    assert json.loads(run_fresh("import json, sys, tweetsent.cli; " + print_loaded())) == []
 
 
 def test_cli_import_loads_no_kernels():
@@ -91,7 +115,7 @@ def predict_and_eval(bagged_run, mini_corpus, tmp_path):
         print(csr._kernels.__file__)
         """
     )
-    kernels, loaded = run_fresh(code + LOADED).splitlines()[-2:]
+    kernels, loaded = run_fresh(code + print_loaded()).splitlines()[-2:]
     assert (tmp_path / "predictions.tsv").read_bytes() == (bagged_run / "predictions_test.tsv").read_bytes()
     assert (tmp_path / "report.json").read_bytes() == (bagged_run / "report_test.json").read_bytes()
     return Path(kernels), json.loads(loaded)
@@ -170,7 +194,7 @@ def test_training_commands_load_the_kernels_and_no_scipy_module(tmp_path):
         ["grid", "--config", config, "--out", str(tmp_path / "grid"), "--grid", '{"C": [0.5, 2.0]}'],
     ]
     code = f"import json, sys\nfrom tweetsent import cli\nassert all(cli.main(c) == 0 for c in {commands!r})\n"
-    loaded = json.loads(run_fresh(code + LOADED).splitlines()[-1])
+    loaded = json.loads(run_fresh(code + print_loaded()).splitlines()[-1])
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
 
 
