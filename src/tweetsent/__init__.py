@@ -6,7 +6,11 @@ augmentation by two-way translation and instance crossover, bag-of-words,
 bag-of-characters and weighted-average embedding features, one-vs-rest
 logistic regression with optional bagging, and exact-arithmetic evaluation
 reports.  ``run_experiment`` drives everything from a single JSON config;
-the ``tweetsent`` CLI wraps it.
+the ``tweetsent`` CLI wraps it.  The package root exports that entry point,
+the bundle and preset loaders and the corpus types; the lower-level pieces
+live in their submodules (``tweetsent.preprocess``, ``tweetsent.vectorize``,
+``tweetsent.embeddings``, ``tweetsent.augment``, ``tweetsent.model``,
+``tweetsent.metrics``).
 """
 
 import os
@@ -19,146 +23,18 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "VECL
     os.environ.setdefault(_var, "1")
 del _var
 
-from .augment import (
-    CrossoverConfig,
-    FixtureTranslator,
-    RemoteTranslator,
-    TranslationCache,
-    TranslationConfig,
-    TranslationError,
-    TranslatorClient,
-    crossover_augment,
-    translation_augment,
-)
-from .corpus import LABELS, Dataset, Label, Tweet, label_distribution, load_tsv, merge, save_tsv
-from .embeddings import (
-    EmbeddingTable,
-    SifConfig,
-    UnigramModel,
-    load_embeddings,
-    load_unigram_counts,
-    remove_common_component,
-    sif_embed,
-    word_vector,
-)
-from .experiment import (
-    PRESET_NAMES,
-    ExperimentConfig,
-    IncompatibleAblation,
-    StageError,
-    ablation_variant,
-    derive_seed,
-    eval_file,
-    grid_search,
-    load_bundle,
-    load_preset,
-    predict_file,
-    run_ablation,
-    run_experiment,
-)
-from .metrics import ClassificationReport, ConfusionMatrix, confusion, evaluate, format_report, report_from_confusion
-from .model import (
-    BaggingConfig,
-    Ensemble,
-    LinearModel,
-    LrConfig,
-    SolverStats,
-    compute_class_weights,
-    load_model,
-    predict,
-    predict_many,
-    predict_proba_matrix,
-    save_model,
-    train_bagging,
-    train_lr,
-)
-from .pipeline import FeatureBlocks, FeaturePipeline, load_pipeline, save_pipeline
-from .preprocess import (
-    PreprocessConfig,
-    Token,
-    TokenKind,
-    basic_preprocess,
-    handle_negation,
-    join_tokens,
-    semantic_preprocess,
-    tokenize,
-)
-from .vectorize import NgramConfig, Vocabulary, fit_vocabulary, transform
+from .corpus import Dataset, Tweet, load_tsv
+from .experiment import PRESET_NAMES, ExperimentConfig, load_bundle, load_preset, run_experiment
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaggingConfig",
-    "ClassificationReport",
-    "ConfusionMatrix",
-    "CrossoverConfig",
     "Dataset",
-    "EmbeddingTable",
-    "Ensemble",
     "ExperimentConfig",
-    "FeatureBlocks",
-    "FeaturePipeline",
-    "FixtureTranslator",
-    "IncompatibleAblation",
-    "LABELS",
-    "Label",
-    "LinearModel",
-    "LrConfig",
-    "NgramConfig",
     "PRESET_NAMES",
-    "PreprocessConfig",
-    "RemoteTranslator",
-    "SifConfig",
-    "SolverStats",
-    "StageError",
-    "Token",
-    "TokenKind",
-    "TranslationCache",
-    "TranslationConfig",
-    "TranslationError",
-    "TranslatorClient",
     "Tweet",
-    "UnigramModel",
-    "Vocabulary",
-    "ablation_variant",
-    "basic_preprocess",
-    "compute_class_weights",
-    "confusion",
-    "crossover_augment",
-    "derive_seed",
-    "eval_file",
-    "evaluate",
-    "fit_vocabulary",
-    "format_report",
-    "grid_search",
-    "handle_negation",
-    "join_tokens",
-    "label_distribution",
     "load_bundle",
-    "load_embeddings",
-    "load_model",
-    "load_pipeline",
     "load_preset",
     "load_tsv",
-    "load_unigram_counts",
-    "merge",
-    "predict",
-    "predict_file",
-    "predict_many",
-    "predict_proba_matrix",
-    "remove_common_component",
-    "report_from_confusion",
-    "run_ablation",
     "run_experiment",
-    "save_model",
-    "save_pipeline",
-    "save_tsv",
-    "semantic_preprocess",
-    "sif_embed",
-    "tokenize",
-    "train_bagging",
-    "train_lr",
-    "transform",
-    "translation_augment",
-    "word_vector",
 ]

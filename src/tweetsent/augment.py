@@ -150,6 +150,10 @@ class FixtureTranslator(TranslatorClient):
                 entries = table["entries"]
             except (TypeError, KeyError) as exc:
                 raise ValueError(f"{path}: table {i} is missing {exc}") from None
+            if not all(isinstance(lang, str) for lang in key):
+                raise ValueError(f"{path}: table {i}: src_lang and dst_lang must be strings")
+            if not isinstance(entries, dict) or not all(isinstance(text, str) for text in entries.values()):
+                raise ValueError(f"{path}: table {i}: entries must be an object of string to string")
             tables.setdefault(key, {}).update(entries)
         return cls(tables)
 

@@ -133,16 +133,6 @@ def save_tsv(dataset: Dataset, path: str | Path) -> None:
                 handle.write(f"{tweet.id}\t{tweet.text}\t{tweet.label.value}\n")
 
 
-def label_distribution(dataset: Dataset) -> dict[Label, int]:
-    """Count instances per class, with every class present in the result."""
-    counts = {label: 0 for label in LABELS}
-    for tweet in dataset.tweets:
-        if tweet.label is None:
-            raise ValueError(f"cannot compute a label distribution: tweet {tweet.id!r} is unlabeled")
-        counts[tweet.label] += 1
-    return counts
-
-
 def merge(datasets: Sequence[Dataset]) -> Dataset:
     """Concatenate datasets, prefixing ids with the source dataset name."""
     if not datasets:

@@ -50,16 +50,37 @@ def fnv1a_32(data: bytes) -> int:
     return value
 
 
-def _parse_vector(fields: list[str], dim: int, path: Path, lineno: int) -> np.ndarray:
-    if len(fields) != dim:
-        raise ValueError(f"{path}:{lineno}: expected {dim} vector components, got {len(fields)}")
-    try:
-        vector = np.array([float(x) for x in fields])
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: non-numeric vector component") from None
-    if not np.isfinite(vector).all():
-        raise ValueError(f"{path}:{lineno}: non-finite vector component")
-    return vector
+def _read_rows(handle, path: Path, dim: int, bucket_count: int | None = None) -> dict:
+    """Vectors by word, or by bucket index below ``bucket_count`` when one is
+    given, of the ``key v1..vdim`` rows after a header.  Blank lines are
+    skipped; a malformed or repeated row raises ``ValueError`` naming
+    ``path:line``, and a repeat also names the line it repeats."""
+    vectors, first_line = {}, {}
+    for lineno, line in enumerate(handle, start=2):
+        key, *fields = line.rstrip().split(" ")
+        if not key and not fields:
+            continue
+        where = f"{path}:{lineno}"
+        if bucket_count is not None:
+            try:
+                key = int(key)
+            except ValueError:
+                raise ValueError(f"{where}: non-integer bucket index") from None
+            if not 0 <= key < bucket_count:
+                raise ValueError(f"{where}: bucket {key} out of range")
+        if len(fields) != dim:
+            raise ValueError(f"{where}: expected {dim} vector components, got {len(fields)}")
+        try:
+            vector = np.array([float(x) for x in fields])
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric vector component") from None
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{where}: non-finite vector component")
+        if key in first_line:
+            raise ValueError(f"{where}: {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
+        vectors[key] = vector
+    return vectors
 
 
 def load_embeddings(path: str | Path, subword_path: str | Path | None = None) -> EmbeddingTable:
@@ -68,11 +89,10 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
     The main file starts with a ``vocab_size dim`` header; the sidecar with
     ``min_n max_n bucket_count`` followed by ``bucket_index v1..vdim`` lines.
     Trailing whitespace on a line is ignored, as fastText ``.vec`` files end
-    each vector with a space.  A malformed line or a non-finite component
-    raises ``ValueError`` naming ``path:line``.
+    each vector with a space, and blank lines are skipped.  A malformed or
+    repeated row raises ``ValueError`` naming ``path:line``.
     """
     path = Path(path)
-    vectors: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().split()
         if len(header) != 2:
@@ -83,12 +103,7 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
             raise ValueError(f"{path}:1: non-numeric header fields") from None
         if dim <= 0:
             raise ValueError(f"{path}:1: dimension must be positive")
-        for lineno, line in enumerate(handle, start=2):
-            fields = line.rstrip().split(" ")
-            if len(fields) < 2:
-                continue
-            word = fields[0]
-            vectors[word] = _parse_vector(fields[1:], dim, path, lineno)
+        vectors = _read_rows(handle, path, dim)
     if len(vectors) != vocab_size:
         raise ValueError(f"{path}: header promises {vocab_size} vectors, file holds {len(vectors)}")
 
@@ -107,17 +122,7 @@ def load_embeddings(path: str | Path, subword_path: str | Path | None = None) ->
                 subword = SubwordTable(min_n=min_n, max_n=max_n, bucket_count=bucket_count, buckets={})
             except ValueError as exc:
                 raise ValueError(f"{subword_path}:1: {exc}") from None
-            for lineno, line in enumerate(handle, start=2):
-                fields = line.rstrip().split(" ")
-                if len(fields) < 2:
-                    continue
-                try:
-                    bucket = int(fields[0])
-                except ValueError:
-                    raise ValueError(f"{subword_path}:{lineno}: non-integer bucket index") from None
-                if not 0 <= bucket < bucket_count:
-                    raise ValueError(f"{subword_path}:{lineno}: bucket {bucket} out of range")
-                subword.buckets[bucket] = _parse_vector(fields[1:], dim, subword_path, lineno)
+            subword.buckets.update(_read_rows(handle, subword_path, dim, bucket_count))
     return EmbeddingTable(dim=dim, vectors=vectors, subword=subword)
 
 

@@ -277,12 +277,9 @@ class ExperimentConfig:
         if self.augment.crossover is not None:
             self.augment.crossover.build(self.seed)
         if require_files:
-            for role, path in self._file_references():
+            for role, path in _input_files(self):
                 if not Path(path).exists():
                     raise FileNotFoundError(f"{role} file not found: {path}")
-
-    def _file_references(self) -> list[tuple[str, str]]:
-        return list(_input_files(self))
 
 
 def _input_files(section, where: str = ""):

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from tweetsent.augment import (
     translation_augment,
     two_way_translate,
 )
-from tweetsent.corpus import LABELS, Dataset, Label, Tweet, label_distribution
+from tweetsent.cli import main
+from tweetsent.corpus import LABELS, Dataset, Label, Tweet
 
 TWEET_A = (
     "@USER fue genial debemos organizar más cosas así sin necesidad "
@@ -89,7 +91,7 @@ class TestCrossoverAugment:
         sizes = {Label.P: 6, Label.N: 4, Label.NEU: 3, Label.NONE: 2}
         ds = make_dataset(sizes)
         out = crossover_augment(ds, CrossoverConfig(factor=8, seed=1))
-        dist = label_distribution(out)
+        dist = {label: sum(tweet.label is label for tweet in out.tweets) for label in LABELS}
         for label, size in sizes.items():
             assert dist[label] == 8 * size
 
@@ -193,6 +195,29 @@ class TestFixtureTranslator:
         client = FixtureTranslator.from_json(path)
         assert client.translate("si", "es", "en") == "yes"
         assert client.translate("yes", "en", "es") == "claro"
+
+
+@pytest.mark.parametrize(
+    "table, problem",
+    [
+        ({"src_lang": "es", "dst_lang": "en", "entries": "x"}, "entries must be an object of string to string"),
+        ({"src_lang": "es", "dst_lang": "en", "entries": [["a", "b"]]}, "entries must be an object of string to string"),
+        ({"src_lang": "es", "dst_lang": "en", "entries": {"a": 1}}, "entries must be an object of string to string"),
+        ({"src_lang": ["es"], "dst_lang": "en", "entries": {}}, "src_lang and dst_lang must be strings"),
+        ({"src_lang": "es", "dst_lang": None, "entries": {}}, "src_lang and dst_lang must be strings"),
+    ],
+    ids=["entries-a-string", "entries-a-list-of-pairs", "an-int-translation", "src_lang-a-list", "dst_lang-null"],
+)
+def test_cli_augment_names_a_malformed_fixture_table(mini_corpus, tmp_path, capsys, table, problem):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(mini_corpus, corpus)
+    path = corpus / "translations.json"
+    tables = json.loads(path.read_text(encoding="utf-8"))
+    tables[1] = table
+    path.write_text(json.dumps(tables), encoding="utf-8")
+    code = main(["augment", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error [augment] {path}: table 1: {problem}"]
 
 
 class TestRemoteTranslator:
@@ -378,4 +403,5 @@ class TestCrossoverProperties:
         out = crossover_augment(ds, CrossoverConfig(factor=factor, seed=seed))
         assert len(out) == factor * len(ds)
         assert out.tweets[: len(ds)] == ds.tweets
-        assert label_distribution(out) == {label: factor * sizes.get(label, 0) for label in LABELS}
+        counts = {label: sum(tweet.label is label for tweet in out.tweets) for label in LABELS}
+        assert counts == {label: factor * sizes.get(label, 0) for label in LABELS}

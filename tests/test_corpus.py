@@ -5,7 +5,6 @@ from tweetsent.corpus import (
     Dataset,
     Label,
     Tweet,
-    label_distribution,
     load_tsv,
     merge,
     save_tsv,
@@ -112,16 +111,6 @@ class TestLoadTsv:
 
 
 class TestDistributionAndMerge:
-    def test_label_distribution_includes_empty_classes(self):
-        ds = Dataset("d", "train", (Tweet("a", "x", Label.P), Tweet("b", "y", Label.P)))
-        dist = label_distribution(ds)
-        assert dist == {Label.P: 2, Label.N: 0, Label.NEU: 0, Label.NONE: 0}
-
-    def test_distribution_requires_labels(self):
-        ds = Dataset("d", "test", (Tweet("a", "x"),))
-        with pytest.raises(ValueError):
-            label_distribution(ds)
-
     def test_merge_prefixes_ids(self):
         a = Dataset("es", "train", (Tweet("1", "x", Label.P),))
         b = Dataset("pe", "train", (Tweet("1", "y", Label.N),))

@@ -159,6 +159,45 @@ class TestLoadEmbeddings:
         with pytest.raises(ValueError, match=re.escape(f"{sub}:1: {problem}")):
             load_embeddings(emb, sub)
 
+    def test_blank_and_space_only_lines_are_skipped(self, tmp_path):
+        emb = tmp_path / "emb.vec"
+        emb.write_text("2 2\nhola 1 0\n\n   \nadios 0 1 \n", encoding="utf-8")
+        sub = tmp_path / "sub.txt"
+        sub.write_text("3 4 16\n\n7 1.0 -1.0 \n \n", encoding="utf-8")
+        table = load_embeddings(emb, sub)
+        assert sorted(table.vectors) == ["adios", "hola"]
+        assert sorted(table.subword.buckets) == [7]
+
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("hola 1 0\nadios \n", "3: expected 2 vector components, got 0"),
+            ("hola 1 0\nadios 0 1\nhola 2 2\n", "4: 'hola' repeats line 2"),
+        ],
+        ids=["a-word-without-components", "a-repeated-word"],
+    )
+    def test_cut_or_repeated_word_rejected_naming_its_line(self, tmp_path, rows, problem):
+        path = tmp_path / "emb.vec"
+        path.write_text(f"2 2\n{rows}", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{problem}")):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "rows, problem",
+        [
+            ("7 1.0 -1.0\n9\n", "3: expected 2 vector components, got 0"),
+            ("7 1.0 -1.0\n2 0 0\n7 0.5 0.5\n", "4: 7 repeats line 2"),
+        ],
+        ids=["a-bucket-without-components", "a-repeated-bucket"],
+    )
+    def test_cut_or_repeated_bucket_rejected_naming_its_line(self, tmp_path, rows, problem):
+        emb = tmp_path / "emb.vec"
+        emb.write_text("1 2\nhola 1 0\n", encoding="utf-8")
+        sub = tmp_path / "sub.txt"
+        sub.write_text(f"3 4 16\n{rows}", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{sub}:{problem}")):
+            load_embeddings(emb, sub)
+
 
 def test_cli_train_names_a_non_finite_vector_in_the_features_stage(mini_corpus, tmp_path, capsys):
     corpus = tmp_path / "corpus"
@@ -171,6 +210,20 @@ def test_cli_train_names_a_non_finite_vector_in_the_features_stage(mini_corpus, 
     code = main(["train", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "run")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [f"error [features] {path}:4: non-finite vector component"]
+    assert not (tmp_path / "run" / "model").exists()
+
+
+def test_cli_train_names_a_cut_sidecar_row_in_the_features_stage(mini_corpus, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(mini_corpus, corpus)
+    path = corpus / "embeddings.subword.txt"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].split(" ")[0] + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    code = main(["train", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error [features] {path}:3: expected 50 vector components, got 0"]
     assert not (tmp_path / "run" / "model").exists()
 
 

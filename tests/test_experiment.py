@@ -38,6 +38,7 @@ from tweetsent.experiment import (
     PreprocessFiles,
     TranslationBackend,
     TranslationSection,
+    _input_files,
     load_preset,
     predict_file,
     preprocess_only,
@@ -224,7 +225,7 @@ class TestConfigParsing:
 
     def test_from_json_resolves_relative_paths(self, mini_corpus):
         config = demo_config(mini_corpus)
-        for role, path in config._file_references():
+        for role, path in _input_files(config):
             if path is not None:
                 assert Path(path).is_absolute(), role
                 assert Path(path).exists(), role

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import json
@@ -233,6 +234,13 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 def test_every_public_name_resolves():
     assert [name for name in tweetsent.__all__ if not hasattr(tweetsent, name)] == []
+
+
+def test_the_package_root_exports_what_the_readme_imports_from_it():
+    blocks = [block.split("\n```", 1)[0] for block in README.read_text(encoding="utf-8").split("```python\n")[1:]]
+    imports = [node for block in blocks for node in ast.walk(ast.parse(block)) if isinstance(node, ast.ImportFrom)]
+    documented = {alias.name for node in imports if node.module == "tweetsent" and node.level == 0 for alias in node.names}
+    assert set(tweetsent.__all__) == documented
 
 
 def test_the_readme_library_use_block_runs(tmp_path, monkeypatch):
