@@ -182,9 +182,10 @@ class TranslationConfig:
 class TranslationCache:
     """Append-only JSON-lines cache of round-trip translations.
 
-    Each line is ``{"text": ..., "pivot": ..., "result": ...}``.  Entries are
-    flushed as soon as they are computed, so an aborted run keeps everything
-    translated so far.
+    Each line is ``{"text": ..., "pivot": ..., "result": ...}``, three
+    strings, and a result holds no tab or newline, as no tweet does.  Entries
+    are flushed as soon as they are computed, so an aborted run keeps
+    everything translated so far.
     """
 
     def __init__(self, path: str | Path):
@@ -198,9 +199,18 @@ class TranslationCache:
                         continue
                     try:
                         record = json.loads(line)
-                        self._entries[(record["text"], record["pivot"])] = record["result"]
+                        text, pivot, result = record["text"], record["pivot"], record["result"]
                     except (json.JSONDecodeError, KeyError, TypeError) as exc:
                         raise ValueError(f"{self.path}:{lineno}: malformed cache line: {exc}") from None
+                    if not all(isinstance(field, str) for field in (text, pivot, result)):
+                        raise ValueError(
+                            f"{self.path}:{lineno}: malformed cache line: text, pivot and result must be strings"
+                        )
+                    if "\t" in result or "\n" in result:
+                        raise ValueError(
+                            f"{self.path}:{lineno}: malformed cache line: the result holds a tab or a newline"
+                        )
+                    self._entries[(text, pivot)] = result
 
     def get(self, text: str, pivot: str) -> str | None:
         return self._entries.get((text, pivot))

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid",
         required=True,
         dest="grid_spec",
-        help="JSON mapping parameter to candidate values, inline or a file path",
+        help="JSON mapping parameter to candidate values: inline if it starts with { or [, else a file path",
     )
 
     eval_parser = sub.add_parser("eval", help="evaluate a persisted model on a labeled TSV")
@@ -99,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             print(format_ablation_table(rows))
         elif args.command == "grid":
             spec = args.grid_spec.strip()
-            if spec.startswith("{"):
+            if spec.startswith(("{", "[")):
                 grid = json.loads(spec)
             else:
                 with open(spec, encoding="utf-8") as handle:

@@ -22,9 +22,9 @@ Training and scoring take features as a ``csr.CsrMatrix`` of float64 data
 Every product is one of scipy's compiled kernels without the ``scipy.sparse``
 package: a solve's ``csr.matvec`` and ``csr.rmatvec``, and scoring's
 ``csr.matvec`` of each weight row, read where the member holds it.  The
-solver itself is numpy, and scoring's ``expit`` gives what
-``scipy.special.expit`` gives, bit for bit, so no command imports a scipy
-module.
+solver itself is numpy, so no command imports a scipy module.  Solves and
+scoring share one sigmoid, ``expit``, whose bits do not depend on the SIMD
+level numpy dispatches to, so neither do the weights or the scores.
 
 Every predictor is an ``Ensemble``: bagging trains its members on bootstrap
 samples, and plain LR is the one-member case.  Training is planned, then
@@ -39,8 +39,6 @@ solver holds the only reference to their matrix (see ``parallel``).
 
 from __future__ import annotations
 
-import math
-import sys
 import warnings
 import zipfile
 from collections import Counter
@@ -173,7 +171,7 @@ def binary_objective(
         margins = matvec(features, w) + b
         t = signs * margins
         value = 0.5 * dot(w, w) + C * dot(sample_weight, np.logaddexp(0.0, -t))
-        coeff = scale * _expit(-t)
+        coeff = scale * expit(-t)
         grad_w = w + rmatvec(features, coeff)
         grad = np.empty(theta.shape)
         grad[:-1] = grad_w
@@ -181,14 +179,6 @@ def binary_objective(
         return value, grad
 
     return value_and_grad
-
-
-def _expit(x: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-x))`` elementwise, from ``exp(-|x|)``, which cannot
-    overflow.  Solves use it; scoring uses ``expit``, slower but equal to
-    scipy's bit for bit."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class _Problem(NamedTuple):
@@ -373,27 +363,46 @@ def train_bagging(
     return training.assemble(solve_all(problems))
 
 
-#: The largest double whose exp is finite: ``math.exp`` raises OverflowError
-#: past it, where the C library's ``exp`` returns inf.
-_EXP_LIMIT = math.log(sys.float_info.max)
+# fdlibm's ``e_exp.c``: ln 2 split so that ``k * _LN2_HI`` is exact for every
+# ``k`` here, 1 / ln 2, and the coefficients of its rational approximation.
+_LN2_HI, _LN2_LO, _INV_LN2 = 6.93147180369123816490e-01, 1.90821492927058770002e-10, 1.44269504088896338700e00
+_P1, _P2, _P3 = 1.66666666666666019037e-01, -2.77777777770155933842e-03, 6.61375632143793436117e-05
+_P4, _P5 = -1.65339022054652515390e-06, 4.13813679705723846039e-08
 
 
 def expit(x: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-x))`` elementwise, bit for bit ``scipy.special.expit``.
+    """``1 / (1 + exp(-x))`` elementwise, from ``exp(-|x|)``, which cannot
+    overflow; solves and scoring both use it.
 
-    Both take ``exp`` from the C library (here through ``math.exp``); numpy's
-    vectorized ``np.exp`` differs from it in the last bit on some values.
-    Where ``exp(-x)`` overflows, the result is 0.0.
+    The ``exp`` is fdlibm's: Cody & Waite's reduction to ``r + k ln 2`` with
+    ``|r| <= ln 2 / 2``, its rational approximation of ``exp(r)``, then
+    ``ldexp``.  It uses only operations that round once, the same way at
+    every SIMD width (``rint``, ``*``, ``-``, ``+``, ``/`` and ``ldexp``), so
+    weights and scores have the same bits at every x86-64 SIMD level, where
+    numpy's own ``exp`` picks its kernel by CPU feature.  It is within 1 ulp
+    of the C library's ``exp``, and ``expit`` within 3 ulp of
+    ``scipy.special.expit``, except below -709.78, where scipy's
+    ``exp(-x)`` overflows to give 0 and this gives the subnormal ``exp(x)``
+    down to about -745.  NaN stays NaN, and no floating-point error reaches
+    the caller.
     """
-    negated = -np.asarray(x, dtype=np.float64)
-    negated[negated > _EXP_LIMIT] = np.inf
-    exps = np.fromiter(map(math.exp, negated.ravel().tolist()), dtype=np.float64, count=negated.size)
-    return 1.0 / (1.0 + exps.reshape(negated.shape))
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(under="ignore", invalid="ignore"):  # tiny terms, and the int cast of NaN's k
+        z = np.maximum(-np.abs(x), -750.0)  # exp(-750) is 0, and k stays small
+        k = np.rint(z * _INV_LN2)
+        hi = z - k * _LN2_HI
+        lo = k * _LN2_LO
+        r = hi - lo
+        t = r * r
+        c = r - t * (_P1 + t * (_P2 + t * (_P3 + t * (_P4 + t * _P5))))
+        e = np.ldexp(1.0 - ((lo - (r * c) / (2.0 - c)) - hi), k.astype(np.int32))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _member_proba_matrix(member: LinearModel, scores: np.ndarray, classes: tuple[Label, ...]) -> np.ndarray:
     """Normalized sigmoids of the member's raw scores (without its biases);
-    all-zero scores land on the uniform distribution."""
+    a row whose sigmoids are all 0 (every margin below about -745) lands on
+    the uniform distribution."""
     raw = expit(scores + member.biases)
     totals = raw.sum(axis=1, keepdims=True)
     uniform = totals[:, 0] == 0.0

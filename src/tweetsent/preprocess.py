@@ -285,7 +285,8 @@ def load_wordlist(path: str | Path) -> frozenset[str]:
 
 
 def load_lemma_table(path: str | Path) -> dict[str, str]:
-    """Read a two-column TSV mapping word form to lemma."""
+    """Read a two-column TSV mapping word form to lemma; each form must be
+    lowercase (see ``PreprocessConfig``)."""
     table: dict[str, str] = {}
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
@@ -296,5 +297,7 @@ def load_lemma_table(path: str | Path) -> dict[str, str]:
             fields = line.split("\t")
             if len(fields) != 2 or not fields[0] or not fields[1]:
                 raise ValueError(f"{path}:{lineno}: expected 'form<TAB>lemma'")
+            if fields[0] != fields[0].lower():
+                raise ValueError(f"{path}:{lineno}: lemma table key {fields[0]!r} is not lowercase")
             table[fields[0]] = fields[1]
     return table

@@ -220,6 +220,23 @@ def test_cli_augment_names_a_malformed_fixture_table(mini_corpus, tmp_path, caps
     assert capsys.readouterr().err.splitlines() == [f"error [augment] {path}: table 1: {problem}"]
 
 
+@pytest.mark.parametrize("result", [5, None, "a\tb"], ids=["an-int", "null", "a-tab"])
+def test_cli_augment_names_a_cache_line_whose_result_is_not_a_tweet_text(mini_corpus, tmp_path, capsys, result):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(mini_corpus, corpus)
+    argv = ["augment", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    path = corpus / "translations.cache.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[0] = json.dumps({**json.loads(lines[0]), "result": result})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 1
+    (message,) = capsys.readouterr().err.splitlines()
+    assert message.startswith(f"error [augment] {path}:1: malformed cache line: ")
+    assert len(path.read_text(encoding="utf-8").splitlines()) == len(lines)
+
+
 class TestRemoteTranslator:
     def test_is_explicit_stub(self):
         with pytest.raises(NotImplementedError):
@@ -257,6 +274,25 @@ class TestTranslationCache:
     def test_missing_file_is_empty_cache(self, tmp_path):
         cache = TranslationCache(tmp_path / "new.jsonl")
         assert cache.get("x", "en") is None
+
+    @pytest.mark.parametrize(
+        "fields, problem",
+        [
+            ({"result": 5}, "text, pivot and result must be strings"),
+            ({"result": None}, "text, pivot and result must be strings"),
+            ({"text": ["a"]}, "text, pivot and result must be strings"),
+            ({"pivot": 1}, "text, pivot and result must be strings"),
+            ({"result": "a\tb"}, "the result holds a tab or a newline"),
+            ({"result": "a\nb"}, "the result holds a tab or a newline"),
+        ],
+        ids=["an-int-result", "a-null-result", "a-list-text", "an-int-pivot", "a-tab-in-the-result", "a-newline-in-the-result"],
+    )
+    def test_a_line_with_a_bad_field_names_path_and_line(self, tmp_path, fields, problem):
+        path = tmp_path / "cache.jsonl"
+        record = {"text": "b", "pivot": "en", "result": "r", **fields}
+        path.write_text('{"text": "a", "pivot": "en", "result": "r"}\n' + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed cache line: {problem}$"):
+            TranslationCache(path)
 
 
 class TestTwoWayTranslate:

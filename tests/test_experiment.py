@@ -1016,6 +1016,16 @@ class TestCli:
         assert "error [config] " in capsys.readouterr().err
         assert not (tmp_path / "grid").exists()
 
+    @pytest.mark.parametrize("spec", ["[1]", " []", "[]"])
+    def test_an_inline_json_array_is_read_as_json(self, spec, mini_corpus, tmp_path, capsys):
+        config_path = write_config(light_config(mini_corpus), tmp_path / "config.json")
+        code = main(["grid", "--config", str(config_path), "--out", str(tmp_path / "grid"), "--grid", spec])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error [config] the grid must be a JSON object naming at least one parameter"
+        ]
+        assert not (tmp_path / "grid").exists()
+
     def test_stage_failure_exits_1(self, mini_corpus, tmp_path, capsys):
         config = light_config(mini_corpus)
         config = dataclasses.replace(

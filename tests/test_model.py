@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from conftest import scipy_csr
 from tweetsent import csr, model, optimize, parallel
@@ -26,6 +25,7 @@ from tweetsent.model import (
     LrConfig,
     binary_objective,
     compute_class_weights,
+    expit,
     load_model,
     plan,
     predict,
@@ -175,10 +175,16 @@ class TestObjectiveGradient:
         value, grad = fun(np.array([1.0, 0.0]))
         assert math.isfinite(value) and np.isfinite(grad).all()
 
-    def test_solver_sigmoid_matches_scipy_without_overflow(self):
-        # An overflow in exp would raise here: RuntimeWarnings are errors.
-        x = np.array([-np.inf, -1e308, -800.0, -30.0, -1e-300, 0.0, 1e-300, 30.0, 800.0, 1e308, np.inf])
-        assert np.allclose(model._expit(x), expit(x), rtol=4e-16, atol=0.0)
+    def test_the_gradient_takes_the_sigmoid_that_scoring_takes(self):
+        # Margins from -1,381 to 411, where an overflow would raise: RuntimeWarnings are errors.
+        rng = np.random.default_rng(16)
+        X = rng.normal(0.0, 300.0, size=(9, 3))
+        y = np.where(rng.random(9) > 0.5, 1.0, -1.0)
+        s = rng.uniform(0.5, 2.0, size=9)
+        theta = np.array([1.0, -2.0, 0.5, 0.25])
+        _, grad = binary_objective(X, y, s, C=0.7)(theta)
+        margins = np.asarray(scipy_csr(X) @ theta[:-1]) + theta[-1]
+        assert grad[-1] == (-0.7 * s * y * expit(-y * margins)).sum()
 
 
 class TestTrainLr:
@@ -363,7 +369,7 @@ class TestPredict:
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 12), st.integers(1, 9), st.integers(1, 4))
-def test_scoring_equals_scipy_products_and_expit_bit_for_bit(seed, n_rows, n_columns, n_members):
+def test_scoring_equals_scipy_products_and_the_one_expit_bit_for_bit(seed, n_rows, n_columns, n_members):
     rng = np.random.default_rng(seed)
     dense = rng.normal(0.0, 40.0, (n_rows, n_columns))
     X = scipy_csr(np.where(rng.random(dense.shape) < 0.5, dense, 0.0))
@@ -372,7 +378,7 @@ def test_scoring_equals_scipy_products_and_expit_bit_for_bit(seed, n_rows, n_col
         for _ in range(n_members)
     )
     ensemble = Ensemble(LABELS, members, LrConfig(), BaggingConfig(n_estimators=n_members))
-    # Member by member, with scipy's product and sigmoid.
+    # Member by member, with scipy's product and the one sigmoid.
     expected = np.zeros((n_rows, len(LABELS)))
     for member in members:
         raw = expit(np.asarray(X @ member.weights.T) + member.biases)

@@ -1,8 +1,12 @@
+import re
+import shutil
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetsent import preprocess
+from tweetsent.cli import main
 from tweetsent.preprocess import (
     DEFAULT_NEGATION_WORDS,
     PreprocessConfig,
@@ -243,6 +247,25 @@ class TestResourceFiles:
         path.write_text("corriendo\tcorrer\nbroken-row\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"lemmas\.tsv:2"):
             load_lemma_table(path)
+
+    def test_lemma_table_uppercase_form_reports_line(self, tmp_path):
+        path = tmp_path / "lemmas.tsv"
+        path.write_text("corriendo\tcorrer\nHola\thola\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: lemma table key 'Hola' is not lowercase$"):
+            load_lemma_table(path)
+
+    def test_cli_names_the_lemma_table_line_of_an_uppercase_form(self, mini_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus, corpus)
+        path = corpus / "lemmas.tsv"
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("Hola\thola\n")
+        lineno = len(path.read_text(encoding="utf-8").splitlines())
+        code = main(["preprocess", "--config", str(corpus / "config.json"), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error [resources] {path}:{lineno}: lemma table key 'Hola' is not lowercase"
+        ]
 
 
 class TestJoinTokens:
